@@ -28,14 +28,14 @@ from colourcontract import (
 )
 
 
-def run_condition(n: int, m: int, colours: int, seeds: range, scratchpad: str) -> dict:
+def run_condition(n: int, m: int, colours: int, seeds: range) -> dict:
     runs = []
     for seed in seeds:
         g = gen_erdos_renyi(RandomSpec(n=n, m=m, seed=seed))
         if colours > 1:
             g = assign_random_colours(g, colours, seed=seed + 1)
         t0 = time.perf_counter()
-        final, trace = contract_to_fixpoint(g, scratchpad=scratchpad)
+        final, trace = contract_to_fixpoint(g)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         runs.append(
             {
@@ -52,7 +52,6 @@ def run_condition(n: int, m: int, colours: int, seeds: range, scratchpad: str) -
         "n": n,
         "m": m,
         "colours": colours,
-        "scratchpad": scratchpad,
         "runs": runs,
         "summary": {
             "min_iterations": min(counts),
@@ -81,12 +80,6 @@ def main(argv: list[str] | None = None) -> int:
         default=[1, 2, 4],
         help="palette sizes to test; 1 means every vertex shares one colour",
     )
-    parser.add_argument(
-        "--scratchpad",
-        choices=("faithful", "epoch"),
-        default="faithful",
-        help="adjacency merge buffer strategy",
-    )
     parser.add_argument("--out", type=str, default=None, help="write JSON here instead of stdout")
     args = parser.parse_args(argv)
 
@@ -95,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     m = args.m if args.m is not None else math.ceil(args.n * math.log(args.n))
 
     conditions = [
-        run_condition(args.n, m, colours, range(args.seeds), args.scratchpad)
+        run_condition(args.n, m, colours, range(args.seeds))
         for colours in args.colour_counts
     ]
     report = {

@@ -39,7 +39,7 @@ def _cmd_contract(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.input))
     if args.permute_seed is not None:
         g, _ = permute_enumeration(g, args.permute_seed)
-    final, trace = contract_to_fixpoint(g, scratchpad=args.scratchpad)
+    final, trace = contract_to_fixpoint(g)
     stats_target = args.stats if args.stats else ("-" if args.trace else None)
     graph_target = args.out
     if graph_target is None and stats_target != "-":
@@ -160,7 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     contract.add_argument("--stats", help="write run statistics JSON here (- for stdout)")
     contract.add_argument("--trace", action="store_true", help="include per-iteration vertex mappings in the statistics")
     contract.add_argument("--permute-seed", type=int, default=None, help="relabel vertices with this seed before contracting")
-    contract.add_argument("--scratchpad", choices=["faithful", "epoch"], default="faithful", help="edge merge scratchpad variant")
     contract.set_defaults(handler=_cmd_contract)
 
     oracle = sub.add_parser("oracle", help="contract with the naive traversal-based reference")

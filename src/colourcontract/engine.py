@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable
 
 import numpy as np
 
 from .graph import ColouredGraph
-
-Scratchpad = Literal["faithful", "epoch"]
-
-SCRATCHPAD_VARIANTS: tuple[str, ...] = ("faithful", "epoch")
 
 
 def iteration_bound(n: int) -> int:
@@ -45,49 +41,67 @@ def iteration_bound(n: int) -> int:
 
 @dataclass(frozen=True)
 class ContractionMapping:
-    """Vertex-to-cluster mapping for one contraction step.
+    """Vertex-to-cluster mapping for one contraction step, held as CSR.
 
-    ``becomes[v]`` is the target index of source vertex ``v``.  ``fibres[t]``
-    lists the ascending source members of target ``t``; targets are numbered
-    by ascending cluster representative, so ``fibres[t][0]`` is both the
-    minimum member and the representative of cluster ``t``.
+    ``becomes[v]`` is the target index of source vertex ``v``.  ``order``
+    lists the source vertices grouped by target, ascending within each group,
+    and ``cluster_sizes[t]`` is the size of group ``t``; their running sum
+    from 0, ``offsets``, delimits the groups, so target ``t`` owns
+    ``order[offsets[t]:offsets[t + 1]]``.  Targets are numbered by ascending
+    cluster representative, and the first member of a group is both its
+    minimum and its representative, so ``representatives`` is
+    ``order[offsets[:-1]]``.  ``fibres`` splits ``order`` into one read-only
+    view per target, for tests and small callers.
     """
 
     n: int
     n_prime: int
     becomes: np.ndarray
-    fibres: tuple[np.ndarray, ...]
+    order: np.ndarray
     cluster_sizes: np.ndarray
 
     def __post_init__(self) -> None:
-        self.becomes.setflags(write=False)
-        self.cluster_sizes.setflags(write=False)
-        for f in self.fibres:
-            f.setflags(write=False)
+        for arr in (self.becomes, self.order, self.cluster_sizes):
+            arr.setflags(write=False)
 
     @property
     def is_trivial(self) -> bool:
         return self.n_prime == self.n
 
+    @property
+    def offsets(self) -> np.ndarray:
+        out = np.zeros(self.cluster_sizes.size + 1, dtype=np.int64)
+        np.cumsum(self.cluster_sizes, out=out[1:])
+        return out
+
+    @property
+    def representatives(self) -> np.ndarray:
+        return self.order[self.offsets[:-1]]
+
+    @property
+    def fibres(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.split(self.order, self.offsets[1:-1])) if self.n_prime else ()
+
     def validate(self, g: ColouredGraph) -> None:
         """Check every structural invariant against the source graph.
 
         Raises ValueError on the first violation.  Covers the cheap checks
-        run on every application plus fibre connectivity, representative
-        ordering and the singleton characterisation of triviality.
+        run on every application plus member and representative ordering,
+        the singleton characterisation of triviality and fibre connectivity.
         """
         _check_mapping_structure(g, self)
-        mins = np.array([int(f[0]) for f in self.fibres], dtype=np.int64)
-        if mins.size > 1 and (np.diff(mins) <= 0).any():
+        same_fibre = self.becomes[self.order[1:]] == self.becomes[self.order[:-1]]
+        if (np.diff(self.order)[same_fibre] <= 0).any():
+            raise ValueError("fibre members are not ascending")
+        if (np.diff(self.representatives) <= 0).any():
             raise ValueError("fibres are not ordered by ascending representative")
-        if (self.n_prime == self.n) != bool((self.cluster_sizes == 1).all() if self.cluster_sizes.size else True):
+        if self.is_trivial != bool((self.cluster_sizes == 1).all()):
             raise ValueError("trivial mapping must mean all-singleton fibres")
-        for t, fibre in enumerate(self.fibres):
-            members = set(fibre.tolist())
-            if len(members) <= 1:
-                continue
-            seen = {int(fibre[0])}
-            stack = [int(fibre[0])]
+        offsets = self.offsets
+        for t in np.flatnonzero(self.cluster_sizes > 1).tolist():
+            members = set(self.order[offsets[t]:offsets[t + 1]].tolist())
+            seen = {int(self.order[offsets[t]])}
+            stack = list(seen)
             while stack:
                 u = stack.pop()
                 for w in g.neighbours(u).tolist():
@@ -115,13 +129,16 @@ class ContractionTrace:
 
     ``total_map`` sends every original vertex to its final vertex.  When the
     run kept intermediate graphs, ``graphs[k]`` is the graph before iteration
-    k and ``graphs[-1]`` is the final graph.
+    k and ``graphs[-1]`` is the final graph.  ``finish_wall_time_ms`` is the
+    time after the last application: the evaluation that finds the fixpoint
+    plus the composition of ``total_map``.
     """
 
     iterations: int
     per_iteration: tuple[IterationRecord, ...]
     total_map: np.ndarray
     graphs: tuple[ColouredGraph, ...] | None = None
+    finish_wall_time_ms: float = 0.0
 
     def __post_init__(self) -> None:
         self.total_map.setflags(write=False)
@@ -133,26 +150,26 @@ def build_functional_digraph(g: ColouredGraph) -> np.ndarray:
     b[v] <= v always holds, so the pointer graph is a forest of monochromatic
     trees whose roots are exactly the tree minima.
     """
-    n = g.n
-    b = np.arange(n, dtype=np.int64)
-    if g.indices.size == 0:
-        return b
+    b = np.arange(g.n, dtype=np.int64)
     src = np.repeat(b, g.degrees)
-    same = np.flatnonzero(g.colours[src] == g.colours[g.indices])
-    if same.size == 0:
-        return b
-    # rows are ascending, so the first same-colour neighbour is the minimum one
-    rows, first = np.unique(src[same], return_index=True)
-    b[rows] = np.minimum(rows, g.indices[same[first]])
+    same = g.colours[src] == g.colours[g.indices]
+    src, dst = src[same], g.indices[same]
+    if src.size:
+        # src ascends and so does each row, so a row's first arc reaches its minimum
+        first = np.ones(src.size, dtype=bool)
+        first[1:] = src[1:] != src[:-1]
+        b[src[first]] = np.minimum(src[first], dst[first])
     return b
 
 
 def project_to_roots(parents: np.ndarray) -> np.ndarray:
-    """Collapse parent pointers to their tree roots in one ascending pass.
+    """Collapse parent pointers to their tree roots by pointer jumping.
 
-    Requires parents[v] <= v.  Processing vertices in ascending index order
-    guarantees the grandparent lookup has already been resolved to a root, so
-    a single pass suffices; the pass must not be reordered or parallelised.
+    Requires parents[v] <= v, so every chain ends at a fixed point.  Each
+    whole-array pass replaces every pointer by its grandparent (the shortcut
+    step of Shiloach and Vishkin, 1982), halving every unfinished path, so a
+    forest of depth d settles after about log2(d) + 1 passes.  No pass
+    depends on the order in which vertices are visited.
     """
     b = np.asarray(parents, dtype=np.int64)
     n = b.size
@@ -161,17 +178,18 @@ def project_to_roots(parents: np.ndarray) -> np.ndarray:
             raise ValueError("parent index negative")
         if (b > np.arange(n, dtype=np.int64)).any():
             raise ValueError("parent pointers must not increase")
-    out = b.tolist()
-    for v in range(n):
-        out[v] = out[out[v]]
-    return np.asarray(out, dtype=np.int64)
+    while True:
+        jumped = b[b]
+        if np.array_equal(jumped, b):
+            return jumped
+        b = jumped
 
 
 def compact_mapping(g: ColouredGraph, roots: np.ndarray) -> ContractionMapping:
     """Renumber root-projected parents to contiguous targets 0..n'-1.
 
-    Distinct root values keep their relative order, so target indices ascend
-    with the cluster representatives.
+    Roots are numbered in index order, so target indices ascend with the
+    cluster representatives.
     """
     r = np.asarray(roots, dtype=np.int64)
     if r.size != g.n:
@@ -181,16 +199,15 @@ def compact_mapping(g: ColouredGraph, roots: np.ndarray) -> ContractionMapping:
             raise ValueError("root index out of range")
         if not (r[r] == r).all():
             raise ValueError("roots are not projected (roots[roots[v]] != roots[v])")
-    uniq, inverse, counts = np.unique(r, return_inverse=True, return_counts=True)
-    becomes = inverse.astype(np.int64)
-    order = np.argsort(becomes, kind="stable")
-    fibres = tuple(np.split(order, np.cumsum(counts)[:-1])) if uniq.size else ()
+    is_root = r == np.arange(r.size, dtype=np.int64)
+    becomes = (np.cumsum(is_root) - 1)[r]
+    k = int(is_root.sum())
     return ContractionMapping(
         n=g.n,
-        n_prime=int(uniq.size),
+        n_prime=k,
         becomes=becomes,
-        fibres=fibres,
-        cluster_sizes=counts.astype(np.int64),
+        order=np.argsort(becomes, kind="stable"),
+        cluster_sizes=np.bincount(becomes, minlength=k),
     )
 
 
@@ -200,107 +217,53 @@ def evaluate_contraction_mapping(g: ColouredGraph) -> ContractionMapping:
 
 
 def _check_mapping_structure(g: ColouredGraph, mapping: ContractionMapping) -> None:
-    """O(n) structural checks shared by every application: partition shape,
-    index ranges, monochromatic fibres."""
+    """O(n) whole-array checks shared by every application: graph order,
+    partition shape, index ranges, group sizes, monochromatic fibres."""
     n, k = mapping.n, mapping.n_prime
-    if mapping.becomes.size != n or len(mapping.fibres) != k or mapping.cluster_sizes.size != k:
+    becomes, order, sizes = mapping.becomes, mapping.order, mapping.cluster_sizes
+    if n != g.n:
+        raise ValueError("mapping was built for a different graph order")
+    if becomes.size != n or order.size != n or sizes.size != k:
         raise ValueError("mapping arrays disagree on n or n_prime")
     if k > n:
         raise ValueError("mapping cannot increase the order")
     if n == 0:
         return
-    if int(mapping.becomes.min()) < 0 or int(mapping.becomes.max()) >= k:
+    if int(becomes.min()) < 0 or int(becomes.max()) >= k:
         raise ValueError("becomes target out of range")
-    order = np.concatenate(mapping.fibres) if k else np.empty(0, dtype=np.int64)
-    if order.size != n or not np.array_equal(np.sort(order), np.arange(n, dtype=np.int64)):
+    if int(order.min()) < 0 or int(order.max()) >= n or (np.bincount(order, minlength=n) != 1).any():
         raise ValueError("fibres do not partition the vertices")
-    sizes = np.array([f.size for f in mapping.fibres], dtype=np.int64)
-    if not np.array_equal(sizes, mapping.cluster_sizes):
-        raise ValueError("cluster_sizes disagree with fibre lengths")
-    targets = np.repeat(np.arange(k, dtype=np.int64), mapping.cluster_sizes)
-    if not np.array_equal(mapping.becomes[order], targets):
+    if int(sizes.min()) < 1 or int(sizes.sum()) != n:
+        raise ValueError("cluster_sizes must be positive and sum to n")
+    if not np.array_equal(becomes[order], np.repeat(np.arange(k, dtype=np.int64), sizes)):
         raise ValueError("becomes disagrees with fibres")
-    firsts = order[np.concatenate(([0], np.cumsum(mapping.cluster_sizes)[:-1]))]
-    if not np.array_equal(g.colours[order], np.repeat(g.colours[firsts], mapping.cluster_sizes)):
+    if not np.array_equal(g.colours, g.colours[mapping.representatives][becomes]):
         raise ValueError("some fibre is not monochromatic")
 
 
-def _merge_rows_faithful(big: np.ndarray, bounds: np.ndarray, k: int) -> list[np.ndarray]:
-    # dense boolean scratchpad, fully cleared for every target vertex
-    scratch = np.zeros(k, dtype=bool)
-    rows: list[np.ndarray] = []
-    for t in range(k):
-        scratch.fill(False)
-        scratch[big[bounds[t]:bounds[t + 1]]] = True
-        scratch[t] = False  # self-edges vanish
-        rows.append(np.flatnonzero(scratch).astype(np.int64))
-    return rows
-
-
-def _merge_rows_epoch(big: np.ndarray, bounds: np.ndarray, k: int) -> list[np.ndarray]:
-    # version-stamped scratchpad: bumping the epoch replaces the dense reset
-    stamp = np.zeros(k, dtype=np.int64)
-    rows: list[np.ndarray] = []
-    for t in range(k):
-        epoch = t + 1
-        out: list[int] = []
-        for w in big[bounds[t]:bounds[t + 1]].tolist():
-            if w != t and stamp[w] != epoch:
-                stamp[w] = epoch
-                out.append(w)
-        out.sort()
-        rows.append(np.asarray(out, dtype=np.int64))
-    return rows
-
-
-def apply_contraction(g: ColouredGraph, mapping: ContractionMapping, scratchpad: Scratchpad = "faithful") -> ColouredGraph:
+def apply_contraction(g: ColouredGraph, mapping: ContractionMapping) -> ColouredGraph:
     """Quotient of g by the mapping: one vertex per fibre.
 
     Edges are relabelled through ``becomes``; duplicates collapse and
     self-edges vanish.  Each new vertex takes the colour of its fibre
     representative.  The result is validated before it is returned.
     """
-    if scratchpad not in SCRATCHPAD_VARIANTS:
-        raise ValueError(f"unknown scratchpad variant: {scratchpad!r}")
-    if mapping.n != g.n:
-        raise ValueError("mapping was built for a different graph order")
     _check_mapping_structure(g, mapping)
     k = mapping.n_prime
-    if k == 0:
-        return ColouredGraph(
-            n=0, m=0,
-            colours=np.empty(0, dtype=np.int64),
-            indptr=np.zeros(1, dtype=np.int64),
-            indices=np.empty(0, dtype=np.int64),
-        )
-
-    relabelled = mapping.becomes[g.indices] if g.indices.size else np.empty(0, dtype=np.int64)
-    order = np.concatenate(mapping.fibres)
-    lens = g.degrees[order]
-    offsets = np.concatenate(([0], np.cumsum(mapping.cluster_sizes)[:-1]))
-    total = int(lens.sum())
-    if total:
-        # gather the relabelled rows of each fibre, grouped by target
-        row_pos = np.cumsum(lens) - lens
-        shift = np.repeat(g.indptr[order] - row_pos, lens)
-        big = relabelled[np.arange(total, dtype=np.int64) + shift]
-        half_counts = np.add.reduceat(lens, offsets)
-    else:
-        big = np.empty(0, dtype=np.int64)
-        half_counts = np.zeros(k, dtype=np.int64)
-    bounds = np.concatenate(([0], np.cumsum(half_counts)))
-
-    if scratchpad == "faithful":
-        rows = _merge_rows_faithful(big, bounds, k)
-    else:
-        rows = _merge_rows_epoch(big, bounds, k)
-
-    new_deg = np.fromiter((r.size for r in rows), dtype=np.int64, count=k)
+    src = mapping.becomes[np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)]
+    dst = mapping.becomes[g.indices]
+    # one key per arc between different targets; sorting orders the arcs by
+    # (source, neighbour), so the duplicates of an arc sit next to each other
+    crossing = src != dst
+    keys = np.sort(src[crossing] * k + dst[crossing])
+    if keys.size:
+        distinct = np.ones(keys.size, dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        keys = keys[distinct]
     indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(new_deg, out=indptr[1:])
-    indices = np.concatenate(rows) if int(new_deg.sum()) else np.empty(0, dtype=np.int64)
-    colours = g.colours[order[offsets]].astype(np.int64)
-    return ColouredGraph(n=k, m=int(indices.size) // 2, colours=colours, indptr=indptr, indices=indices)
+    np.cumsum(np.bincount(keys // k, minlength=k), out=indptr[1:])
+    colours = g.colours[mapping.representatives].astype(np.int64)
+    return ColouredGraph(n=k, m=int(keys.size) // 2, colours=colours, indptr=indptr, indices=keys % k)
 
 
 def _compose(n0: int, mappings: Iterable[ContractionMapping]) -> np.ndarray:
@@ -328,7 +291,6 @@ def contract_to_fixpoint(
     g: ColouredGraph,
     max_iterations: int | None = None,
     keep_graphs: bool = False,
-    scratchpad: Scratchpad = "faithful",
 ) -> tuple[ColouredGraph, ContractionTrace]:
     """Iterate evaluation and application until nothing contracts.
 
@@ -354,7 +316,7 @@ def contract_to_fixpoint(
                 f"no fixpoint after {max_iterations} iterations at order {current.n}; "
                 "the convergence guarantee is broken"
             )
-        contracted = apply_contraction(current, mapping, scratchpad=scratchpad)
+        contracted = apply_contraction(current, mapping)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         records.append(
             IterationRecord(n=current.n, m=current.m, n_prime=mapping.n_prime, mapping=mapping, wall_time_ms=wall_ms)
@@ -368,6 +330,7 @@ def contract_to_fixpoint(
         per_iteration=tuple(records),
         total_map=total,
         graphs=tuple(graphs) if graphs is not None else None,
+        finish_wall_time_ms=(time.perf_counter() - t0) * 1000.0,
     )
     return current, trace
 

@@ -170,7 +170,8 @@ def stats_dict(initial: ColouredGraph, final: ColouredGraph, trace: ContractionT
         "final_n": final.n,
         "final_m": final.m,
         "iterations": trace.iterations,
-        "total_wall_time_ms": sum(r.wall_time_ms for r in trace.per_iteration),
+        "total_wall_time_ms": sum(r.wall_time_ms for r in trace.per_iteration) + trace.finish_wall_time_ms,
+        "finish_wall_time_ms": trace.finish_wall_time_ms,
         "per_iteration": per_iteration,
     }
 

@@ -52,8 +52,7 @@ class FibInstance:
 def _grow(g: ColouredGraph) -> tuple[ColouredGraph, tuple[str, ...], int]:
     mapping = evaluate_contraction_mapping(g)
     k = mapping.n_prime
-    representatives = np.array([int(f[0]) for f in mapping.fibres], dtype=np.int64)
-    if not np.array_equal(representatives, np.arange(k, dtype=np.int64)):
+    if not np.array_equal(mapping.representatives, np.arange(k, dtype=np.int64)):
         raise RuntimeError("family invariant broken: representatives are not 0..k-1")
     n = g.n
     # old representative j moves to n + j, everything else keeps its index,
@@ -64,10 +63,7 @@ def _grow(g: ColouredGraph) -> tuple[ColouredGraph, tuple[str, ...], int]:
     leaf_edges = np.column_stack([np.arange(k, dtype=np.int64), np.arange(k, dtype=np.int64) + n])
     edges = np.vstack([old_edges, leaf_edges])
     grown = new_graph(n + k, edges, np.zeros(n + k, dtype=np.int64))
-    roles = tuple(
-        ROLE_PAIR_ROOT if v < k else (ROLE_LONE_ROOT if v < n else ROLE_NON_ROOT)
-        for v in range(n + k)
-    )
+    roles = (ROLE_PAIR_ROOT,) * k + (ROLE_LONE_ROOT,) * (n - k) + (ROLE_NON_ROOT,) * k
     return grown, roles, n
 
 
@@ -91,10 +87,9 @@ def classify_roles(g: ColouredGraph) -> tuple[str, ...]:
     reproduces the stored role labels.
     """
     mapping = evaluate_contraction_mapping(g)
-    roles = [ROLE_NON_ROOT] * g.n
-    for fibre in mapping.fibres:
-        roles[int(fibre[0])] = ROLE_PAIR_ROOT if fibre.size > 1 else ROLE_LONE_ROOT
-    return tuple(roles)
+    roles = np.full(g.n, ROLE_NON_ROOT)
+    roles[mapping.representatives] = np.where(mapping.cluster_sizes > 1, ROLE_PAIR_ROOT, ROLE_LONE_ROOT)
+    return tuple(roles.tolist())
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,11 @@ def graph_edge_set(g):
     return {(int(u), int(v)) for u, v in g.edge_array().tolist()}
 
 
+def relabel_form(g):
+    """A graph as (order, edge set, colour list), the shape contract_by_relabel returns."""
+    return g.n, graph_edge_set(g), [int(c) for c in g.colours.tolist()]
+
+
 def random_coloured_graph(rng, max_n=24, max_colours=4):
     """Plain random graph built straight from python loops, for seeding tests."""
     n = int(rng.integers(0, max_n + 1))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,14 @@ from colourcontract import (
     contract_to_fixpoint,
     equivalent_contractions,
     evaluate_contraction_mapping,
+    generate_fib_instance,
     graphs_equal,
     iteration_bound,
     new_graph,
     project_to_roots,
+    stats_dict,
 )
-from reference_impls import contract_by_relabel, roots_by_iterated_lookup
+from reference_impls import contract_by_relabel, relabel_form, roots_by_iterated_lookup
 
 from conftest import FIG24_EXPECTED
 
@@ -118,6 +122,19 @@ def test_project_matches_iterated_lookup():
         assert project_to_roots(out).tolist() == out.tolist()
 
 
+def test_project_deep_forests_match_iterated_lookup():
+    chain = np.concatenate(([0], np.arange(10**4 - 1)))  # parent of v is v - 1
+    assert project_to_roots(chain).tolist() == roots_by_iterated_lookup(chain.tolist())
+    rng = np.random.default_rng(23)
+    for root_share in (0.0, 0.001, 0.005, 0.02, 0.1):
+        n = int(rng.integers(500, 3000))
+        # short backward steps give paths hundreds deep; some vertices become roots
+        parents = np.maximum(np.arange(n) - rng.integers(1, 4, size=n), 0)
+        roots = rng.random(n) < root_share
+        parents[roots] = np.flatnonzero(roots)
+        assert project_to_roots(parents).tolist() == roots_by_iterated_lookup(parents.tolist())
+
+
 # ---------------------------------------------------------- compaction
 
 def test_compact_all_to_one(p4):
@@ -177,7 +194,7 @@ def test_mapping_validate_catches_tampering(p4):
     broken = ContractionMapping(
         n=4, n_prime=2,
         becomes=np.array([0, 0, 1, 1]),
-        fibres=(np.array([0, 2]), np.array([1, 3])),
+        order=np.array([0, 2, 1, 3]),
         cluster_sizes=np.array([2, 2]),
     )
     with pytest.raises(ValueError):
@@ -186,7 +203,7 @@ def test_mapping_validate_catches_tampering(p4):
     disconnected = ContractionMapping(
         n=4, n_prime=2,
         becomes=np.array([0, 1, 1, 0]),
-        fibres=(np.array([0, 3]), np.array([1, 2])),
+        order=np.array([0, 3, 1, 2]),
         cluster_sizes=np.array([2, 2]),
     )
     with pytest.raises(ValueError, match="connected"):
@@ -239,7 +256,7 @@ def test_apply_rejects_non_monochromatic_fibre(triangle_two_colours):
     mp = ContractionMapping(
         n=3, n_prime=1,
         becomes=np.array([0, 0, 0]),
-        fibres=(np.array([0, 1, 2]),),
+        order=np.array([0, 1, 2]),
         cluster_sizes=np.array([3]),
     )
     with pytest.raises(ValueError, match="monochromatic"):
@@ -247,14 +264,42 @@ def test_apply_rejects_non_monochromatic_fibre(triangle_two_colours):
 
 
 def test_apply_rejects_unknown_scratchpad(p4):
-    with pytest.raises(ValueError, match="scratchpad"):
-        apply_contraction(p4, evaluate_contraction_mapping(p4), scratchpad="other")
+    # the merge has no variants to select; the one merge equals set relabelling
+    mp = evaluate_contraction_mapping(p4)
+    with pytest.raises(TypeError, match="scratchpad"):
+        apply_contraction(p4, mp, scratchpad="other")
+    assert relabel_form(apply_contraction(p4, mp)) == contract_by_relabel(p4, mp.becomes.tolist())
 
 
 def test_scratchpad_variants_agree(p4, fig24, triangle_two_colours):
     for g in (p4, fig24, triangle_two_colours):
         mp = evaluate_contraction_mapping(g)
-        assert graphs_equal(apply_contraction(g, mp, "faithful"), apply_contraction(g, mp, "epoch"))
+        assert relabel_form(apply_contraction(g, mp)) == contract_by_relabel(g, mp.becomes.tolist())
+
+
+def test_merge_duplicate_heavy_and_edgeless():
+    # complete bipartite 30 x 40, each side one colour: 2400 edges collapse to one
+    a, b = 30, 40
+    cross = [(u, a + v) for u in range(a) for v in range(b)]
+    g = new_graph(a + b, cross, [0] * a + [1] * b)
+    mp = compact_mapping(g, np.array([0] * a + [a] * b))
+    h = apply_contraction(g, mp)
+    assert (h.n, h.m) == (2, 1)
+    assert relabel_form(h) == contract_by_relabel(g, mp.becomes.tolist())
+    # the same with a path inside each side, so the engine itself collapses the sides
+    paths = [(u, u + 1) for u in range(a - 1)] + [(a + v, a + v + 1) for v in range(b - 1)]
+    g = new_graph(a + b, cross + paths, [0] * a + [1] * b)
+    final, trace = contract_to_fixpoint(g, keep_graphs=True)
+    assert (final.n, final.m) == (2, 1)
+    for k, record in enumerate(trace.per_iteration):
+        assert relabel_form(trace.graphs[k + 1]) == contract_by_relabel(trace.graphs[k], record.mapping.becomes.tolist())
+    # edgeless graph, merged by a mapping (apply does not require connected fibres) and by identity
+    g = new_graph(5, [], [0, 0, 1, 1, 1])
+    for roots in ([0, 0, 2, 2, 2], [0, 1, 2, 3, 4]):
+        mp = compact_mapping(g, np.array(roots))
+        h = apply_contraction(g, mp)
+        assert h.m == 0 and h.n == mp.n_prime > 0
+        assert relabel_form(h) == contract_by_relabel(g, mp.becomes.tolist())
 
 
 # ---------------------------------------------------------- full runs
@@ -305,6 +350,23 @@ def test_fixpoint_max_iterations_exceeded(p4):
 def test_fixpoint_trace_graphs_off_by_default(p4):
     _, trace = contract_to_fixpoint(p4)
     assert trace.graphs is None
+
+
+def test_stats_wall_time_accounts_for_whole_run():
+    g = generate_fib_instance(18).graph
+    ratios = []
+    for _ in range(3):  # wall times are noisy; one clean run of three suffices
+        started = time.perf_counter()
+        final, trace = contract_to_fixpoint(g)
+        outer_ms = (time.perf_counter() - started) * 1000.0
+        stats = stats_dict(g, final, trace)
+        rounds_ms = sum(r.wall_time_ms for r in trace.per_iteration)
+        assert trace.finish_wall_time_ms > 0.0
+        assert stats["finish_wall_time_ms"] == trace.finish_wall_time_ms
+        assert stats["total_wall_time_ms"] == pytest.approx(rounds_ms + trace.finish_wall_time_ms)
+        assert stats["total_wall_time_ms"] <= outer_ms
+        ratios.append(stats["total_wall_time_ms"] / outer_ms)
+    assert max(ratios) >= 0.8, ratios
 
 
 # ---------------------------------------------------------- composition
@@ -366,7 +428,7 @@ def test_equivalent_false_on_tampered_mapping():
     fake = ContractionMapping(
         n=4, n_prime=1,
         becomes=np.zeros(4, dtype=np.int64),
-        fibres=(np.arange(4),),
+        order=np.arange(4),
         cluster_sizes=np.array([4]),
     )
     tampered = ContractionTrace(iterations=1, per_iteration=trace.per_iteration[:0] + (
