@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import ColouredGraph
+from .graph import ColouredGraph, _sorted_unique
 
 
 def iteration_bound(n: int) -> int:
@@ -335,14 +335,6 @@ def contract_to_fixpoint(
     return current, trace
 
 
-def _group_by_value(values: np.ndarray) -> list[np.ndarray]:
-    if values.size == 0:
-        return []
-    order = np.argsort(values, kind="stable")
-    _, counts = np.unique(values, return_counts=True)
-    return np.split(order, np.cumsum(counts)[:-1])
-
-
 def equivalent_contractions(g: ColouredGraph, trace: ContractionTrace, partition) -> bool:
     """True when the trace realises exactly the partition's contraction.
 
@@ -359,11 +351,11 @@ def equivalent_contractions(g: ColouredGraph, trace: ContractionTrace, partition
     if not np.array_equal(total, trace.total_map):
         return False
 
-    engine_fibres = _group_by_value(total)
-    if g.n:
-        uniq = np.unique(total)
-        if not np.array_equal(uniq, np.arange(uniq.size, dtype=np.int64)):
-            return False
+    uniq = _sorted_unique(total)
+    if not np.array_equal(uniq, np.arange(uniq.size, dtype=np.int64)):
+        return False
+    # total is onto 0..k-1, so the fibres are runs of its stable sort
+    engine_fibres = np.split(np.argsort(total, kind="stable"), np.cumsum(np.bincount(total))[:-1]) if g.n else []
     oracle_index = {frozenset(b.tolist()): j for j, b in enumerate(partition.blocks)}
     engine_sets = [frozenset(f.tolist()) for f in engine_fibres]
     if set(engine_sets) != set(oracle_index):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ColouredGraph, new_graph
+from .graph import ColouredGraph, _sorted_unique, new_graph
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,13 @@ def _sample_pairs_exact(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """
     collected = np.empty(0, dtype=np.int64)
     while True:
-        uniq, first_pos = np.unique(collected, return_index=True)
+        uniq, first_pos = _sorted_unique(collected, return_index=True)
         if uniq.size >= m:
             break
         batch = max(4 * (m - uniq.size) + 16, 64)
         draw = rng.integers(0, n, size=(batch, 2), dtype=np.int64)
-        lo = draw.min(axis=1)
-        hi = draw.max(axis=1)
+        lo = np.minimum(draw[:, 0], draw[:, 1])
+        hi = np.maximum(draw[:, 0], draw[:, 1])
         keep = lo != hi
         collected = np.concatenate([collected, lo[keep] * n + hi[keep]])
     keys = collected[np.sort(first_pos)[:m]]

@@ -83,9 +83,29 @@ def _validate(g: ColouredGraph) -> None:
         same_row = src[1:] == src[:-1]
         if (np.diff(g.indices)[same_row] <= 0).any():
             raise ValueError("adjacency rows must be strictly ascending")
-    # symmetry: the multiset of directed arcs must equal its own transpose
-    if not np.array_equal(np.sort(src * g.n + g.indices), np.sort(g.indices * g.n + src)):
+    # symmetry: the arcs must equal their own transpose.  The rows are in range
+    # and strictly ascending, so the arc keys are already sorted.
+    if not np.array_equal(src * g.n + g.indices, np.sort(g.indices * g.n + src)):
         raise ValueError("adjacency is not symmetric")
+
+
+def _sorted_unique(values: np.ndarray, return_index: bool = False):
+    """Sorted distinct values of a 1-D array, as ``np.unique`` gives them.
+
+    One sort and an adjacent-difference mask.  With ``return_index`` the sort
+    is stable and the position of each value's first occurrence comes too.
+    """
+    if return_index:
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+    else:
+        ordered = np.sort(values)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if return_index:
+        return ordered[first], order[first]
+    return ordered[first]
 
 
 def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequence[int] | np.ndarray) -> ColouredGraph:
@@ -111,23 +131,21 @@ def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequ
         if int(pairs.min()) < 0 or int(pairs.max()) >= n:
             bad = pairs[(pairs.min(axis=1) < 0) | (pairs.max(axis=1) >= n)][0]
             raise ValueError(f"edge endpoint out of range: ({bad[0]}, {bad[1]})")
-        loops = pairs[:, 0] == pairs[:, 1]
+        u, v = pairs[:, 0], pairs[:, 1]
+        loops = u == v
         if loops.any():
-            raise ValueError(f"self-loop at vertex {int(pairs[loops][0, 0])}")
-        lo = pairs.min(axis=1)
-        hi = pairs.max(axis=1)
-        keys = np.unique(lo * n + hi)
-        lo, hi = keys // n, keys % n
+            raise ValueError(f"self-loop at vertex {int(u[loops][0])}")
+        keys = _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v))
+        lo, hi = np.divmod(keys, n)
     else:
-        lo = hi = np.empty(0, dtype=np.int64)
+        keys = lo = hi = np.empty(0, dtype=np.int64)
 
-    m = int(lo.size)
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
+    # both orientations as arc keys src*n + dst; sorted, they list the rows in
+    # order, each row ascending
+    arcs = np.sort(np.concatenate([keys, hi * n + lo]))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return ColouredGraph(n=n, m=m, colours=col, indptr=indptr, indices=dst[order])
+    np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
+    return ColouredGraph(n=n, m=int(keys.size), colours=col, indptr=indptr, indices=arcs % n)
 
 
 def colour_neighbourhood(g: ColouredGraph, v: int) -> np.ndarray:

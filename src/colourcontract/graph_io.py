@@ -6,6 +6,11 @@ File format, by line, with ``#`` comments and blank lines ignored anywhere:
     c0 c1 ... c(n-1)     (omitted entirely when n = 0)
     u v                  (m lines; any order and orientation)
 
+The header's m counts edge lines, not distinct edges: an edge listed twice,
+in either orientation, is one edge, so the parsed graph can have fewer than m.
+Numbers are read as Python's ``int()`` reads them and must fit in 64 bits;
+n must be below 2**31.
+
 Serialisation is canonical: colours on one line, edges as ``u v`` with
 ``u < v`` in lexicographic order, so parse(serialise(g)) reproduces g exactly.
 """
@@ -13,7 +18,9 @@ Serialisation is canonical: colours on one line, edges as ``u v`` with
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass
+from itertools import compress
 from typing import IO, Iterable
 
 import numpy as np
@@ -27,6 +34,19 @@ _PALETTE = (
     "#da8bc3", "#8c8c8c", "#ccb974", "#64b5cd", "#4c9f70", "#b07aa1",
 )
 _ROLE_FILLS = {"P": "#c44e52", "Q": "#ccb974", "R": "#4c72b0"}
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# the adjacency keys lo*n + hi stay inside int64 for every n below this
+_MAX_ORDER = 2**31
+
+# the bytes str.split() treats as whitespace, as a lookup table over UTF-8 bytes
+_ASCII_SPACE = np.zeros(256, dtype=bool)
+_ASCII_SPACE[[0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20]] = True
+_ASCII_SPACE.setflags(write=False)
+# line breaks of str.splitlines() besides \n and \r\n (a lone \r is checked apart)
+_OTHER_ASCII_BREAKS = b"\x0b\x0c\x1c\x1d\x1e"
+# the non-ASCII characters str.split() treats as whitespace, \x85 and \u2028-9 line breaks too
+_NON_ASCII_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 
 
 class GraphParseError(ValueError):
@@ -50,14 +70,16 @@ def _ints(line_no: int, line: str, expected: int, what: str) -> list[int]:
     if len(tokens) != expected:
         raise GraphParseError(line_no, f"expected {expected} {what}, got {len(tokens)}")
     try:
-        return [int(t) for t in tokens]
+        values = [int(t) for t in tokens]
     except ValueError:
         raise GraphParseError(line_no, f"non-integer {what}: {line!r}") from None
+    if values and not _INT64_MIN <= min(values) <= max(values) <= _INT64_MAX:
+        raise GraphParseError(line_no, f"{what} outside the 64-bit integer range")
+    return values
 
 
-def parse_graph(source: str | IO[str]) -> ColouredGraph:
-    """Parse the text format; errors report the offending line number."""
-    text = source if isinstance(source, str) else source.read()
+def _parse_lines(text: str) -> ColouredGraph:
+    """Line-by-line parse: the reference semantics, and the exact error line."""
     lines = list(_content_lines(text))
     cursor = 0
 
@@ -74,6 +96,8 @@ def parse_graph(source: str | IO[str]) -> ColouredGraph:
     n, m = _ints(line_no, header, 2, "header fields")
     if n < 0 or m < 0:
         raise GraphParseError(line_no, "n and m must be non-negative")
+    if n >= _MAX_ORDER:
+        raise GraphParseError(line_no, f"n must be below {_MAX_ORDER}")
 
     if n > 0:
         line_no, colour_line = take("colour line")
@@ -83,7 +107,8 @@ def parse_graph(source: str | IO[str]) -> ColouredGraph:
     else:
         colour_values = []
 
-    edges = np.empty((m, 2), dtype=np.int64)
+    # m comes from the header: grow the edge list line by line, never allocate m up front
+    edges: list[tuple[int, int]] = []
     for k in range(m):
         line_no, edge_line = take(f"edge {k + 1} of {m}")
         u, v = _ints(line_no, edge_line, 2, "edge endpoints")
@@ -91,21 +116,96 @@ def parse_graph(source: str | IO[str]) -> ColouredGraph:
             raise GraphParseError(line_no, f"edge endpoint out of range: ({u}, {v})")
         if u == v:
             raise GraphParseError(line_no, f"self-loop at vertex {u}")
-        edges[k] = (u, v)
+        edges.append((u, v))
 
     if cursor != len(lines):
         raise GraphParseError(lines[cursor][0], "trailing content after the edge list")
-    return new_graph(n, edges, np.asarray(colour_values, dtype=np.int64))
+    return new_graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), np.asarray(colour_values, dtype=np.int64))
+
+
+def _needs_line_path(text: str, data: bytes) -> bool:
+    """True when the text holds a line break other than \\n or \\r\\n, or
+    whitespace outside ASCII: the byte mask of the whole-text parse sees neither."""
+    if any(ch in data for ch in _OTHER_ASCII_BREAKS):
+        return True
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return True
+    return not data.isascii() and _NON_ASCII_SPACE.search(text) is not None
+
+
+def _parse_whole(text: str) -> ColouredGraph | None:
+    """Whole-text parse of well-formed input; None when anything is off.
+
+    Tokenises the text once and finds each token's line from a byte mask of
+    whitespace and newlines, then checks the layout with array operations.
+    Accepts exactly the inputs the line-by-line parse accepts, with the same
+    result; on any other input it returns None and leaves the error to that
+    parse.
+    """
+    data = text.encode("utf-8", "surrogatepass")
+    if _needs_line_path(text, data):
+        return None
+    tokens = text.split()
+    if not tokens:
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    space = _ASCII_SPACE[raw]
+    boundary = np.empty(raw.size, dtype=bool)
+    boundary[0] = True
+    boundary[1:] = space[:-1]
+    starts = np.flatnonzero(boundary & ~space)  # one per token of text.split()
+    del space, boundary
+    # opens[i]: a newline lies before token i and after token i - 1
+    opens = np.zeros(starts.size + 1, dtype=bool)
+    opens[np.searchsorted(starts, np.flatnonzero(raw == 0x0A))] = True
+    opens = opens[:-1]
+    opens[0] = True
+    # a line whose first token starts with '#' is a comment: drop all its tokens
+    comment = opens & (raw[starts] == 0x23)
+    if comment.any():
+        line = np.cumsum(opens) - 1
+        keep = ~comment[opens][line]
+        tokens = list(compress(tokens, keep.tolist()))
+        opens = opens[keep]
+    try:
+        values = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    del tokens  # the token strings outweigh every array here
+
+    widths = np.diff(np.append(np.flatnonzero(opens), opens.size))  # tokens per content line
+    if widths.size == 0 or widths[0] != 2:
+        return None
+    n, m = int(values[0]), int(values[1])
+    if not (0 <= n < _MAX_ORDER and m >= 0):
+        return None
+    body = 2 if n > 0 else 1
+    if widths.size != body + m or (n > 0 and widths[1] != n) or (widths[body:] != 2).any():
+        return None
+    try:
+        return new_graph(n, values[2 + n:].reshape(m, 2), values[2:2 + n].copy())
+    except ValueError:
+        return None
+
+
+def parse_graph(source: str | IO[str]) -> ColouredGraph:
+    """Parse the text format; errors report the offending line number.
+
+    Well-formed text is parsed in whole-array passes.  Anything else goes
+    through the line-by-line parse, which raises the exact error (or handles
+    the rare line breaks other than \\n and \\r\\n).
+    """
+    text = source if isinstance(source, str) else source.read()
+    g = _parse_whole(text)
+    return g if g is not None else _parse_lines(text)
 
 
 def serialize_graph(g: ColouredGraph) -> str:
     """Canonical text form of a graph."""
-    parts = [f"{g.n} {g.m}"]
+    head = f"{g.n} {g.m}\n"
     if g.n:
-        parts.append(" ".join(str(int(c)) for c in g.colours))
-    for u, v in g.edge_array().tolist():
-        parts.append(f"{u} {v}")
-    return "\n".join(parts) + "\n"
+        head += " ".join(map(str, g.colours.tolist())) + "\n"
+    return head + "%d %d\n" * g.m % tuple(g.edge_array().ravel().tolist())
 
 
 def export_dot(g: ColouredGraph, role_labels: Iterable[str] | None = None) -> str:

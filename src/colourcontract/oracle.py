@@ -1,6 +1,6 @@
 """Naive traversal-based reference for colour components and their contraction.
 
-This path is deliberately simple (frontier expansion over vertex sets) and
+This path is deliberately simple (breadth-first search over the CSR rows) and
 shares no machinery with the iterative engine, so the two can cross-check
 each other.
 """
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ColouredGraph, colour_neighbourhood_set, new_graph
+from .graph import ColouredGraph, new_graph
 
 
 @dataclass(frozen=True)
@@ -41,17 +41,35 @@ class ColourPartition:
 def colour_component(g: ColouredGraph, v: int) -> np.ndarray:
     """Maximal connected monochromatic vertex set containing v, ascending.
 
-    Grows a frontier: repeatedly absorb the colour neighbourhood of the
-    current set until it stops changing.
+    Breadth-first: each step gathers the rows of the newest frontier only and
+    keeps the same-colour neighbours not reached before.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for order {g.n}")
-    component: set[int] = set()
-    frontier = {v}
-    while frontier:
-        component |= frontier
-        frontier = set(colour_neighbourhood_set(g, component).tolist())
-    return np.fromiter(sorted(component), dtype=np.int64)
+    return _grow(g, v, np.zeros(g.n, dtype=bool))
+
+
+def _grow(g: ColouredGraph, v: int, covered: np.ndarray) -> np.ndarray:
+    """Component of v by frontier BFS, marking it in ``covered``.
+
+    Vertices of other components may already be marked: same-colour edges
+    never lead to them, so one mask can serve a whole sweep.
+    """
+    colour = g.colours[v]
+    covered[v] = True
+    frontier = np.array([v], dtype=np.int64)
+    reached = [frontier]
+    while frontier.size:
+        starts = g.indptr[frontier]
+        lengths = g.indptr[frontier + 1] - starts
+        # positions of the frontier's rows in g.indices, row after row
+        row_base = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        gathered = g.indices[row_base + np.arange(row_base.size)]
+        fresh = gathered[(g.colours[gathered] == colour) & ~covered[gathered]]
+        frontier = np.unique(fresh)
+        covered[frontier] = True
+        reached.append(frontier)
+    return np.sort(np.concatenate(reached))
 
 
 def colour_partition(g: ColouredGraph) -> ColourPartition:
@@ -59,11 +77,8 @@ def colour_partition(g: ColouredGraph) -> ColourPartition:
     covered = np.zeros(g.n, dtype=bool)
     blocks: list[np.ndarray] = []
     for v in range(g.n):
-        if covered[v]:
-            continue
-        comp = colour_component(g, v)
-        covered[comp] = True
-        blocks.append(comp)
+        if not covered[v]:
+            blocks.append(_grow(g, v, covered))
     block_colour = np.array([int(g.colours[b[0]]) for b in blocks], dtype=np.int64)
     return ColourPartition(blocks=tuple(blocks), block_colour=block_colour)
 

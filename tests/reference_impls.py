@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package internals: components come from a
 plain BFS and a union-find, root projection from per-vertex iterated lookup,
-and contraction from set relabelling.
+contraction from set relabelling, and the graph file format from a plain
+line-by-line reader.
 """
 
 from collections import deque
@@ -87,6 +88,72 @@ def graph_edge_set(g):
 def relabel_form(g):
     """A graph as (order, edge set, colour list), the shape contract_by_relabel returns."""
     return g.n, graph_edge_set(g), [int(c) for c in g.colours.tolist()]
+
+
+class LineError(Exception):
+    """The 1-based line on which parse_by_lines rejected its input."""
+
+    def __init__(self, line_no):
+        super().__init__(f"line {line_no}")
+        self.line_no = line_no
+
+
+def parse_by_lines(text):
+    """The graph file format read one line at a time, in plain Python.
+
+    Returns (order, edge set, colour list) like relabel_form, or raises
+    LineError at the first offending line.  Within a line the token count is
+    checked first, then the integers (Python int(), inside 64 bits), then
+    their values.  n must be below 2**31; a missing line is reported one past
+    the last content line.
+    """
+    content = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if raw.strip() and not raw.strip().startswith("#"):
+            content.append((line_no, raw.split()))
+
+    def ints(k, count):
+        if k >= len(content):
+            raise LineError(content[-1][0] + 1 if content else 1)
+        line_no, tokens = content[k]
+        if len(tokens) != count:
+            raise LineError(line_no)
+        try:
+            values = [int(t) for t in tokens]
+        except ValueError:
+            raise LineError(line_no) from None
+        if any(not -(2**63) <= x < 2**63 for x in values):
+            raise LineError(line_no)
+        return line_no, values
+
+    line_no, (n, m) = ints(0, 2)
+    if n < 0 or m < 0 or n >= 2**31:
+        raise LineError(line_no)
+    k, colours = 1, []
+    if n > 0:
+        line_no, colours = ints(1, n)
+        k = 2
+        if min(colours) < 0:
+            raise LineError(line_no)
+    edges = set()
+    for _ in range(m):
+        line_no, (u, v) = ints(k, 2)
+        k += 1
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise LineError(line_no)
+        edges.add((min(u, v), max(u, v)))
+    if k != len(content):
+        raise LineError(content[k][0])
+    return n, edges, colours
+
+
+def serialize_by_join(g):
+    """The canonical text form, one line per string joined at the end."""
+    parts = [f"{g.n} {g.m}"]
+    if g.n:
+        parts.append(" ".join(str(int(c)) for c in g.colours))
+    parts.extend(f"{u} {v}" for u, v in g.edge_array().tolist())
+    return "\n".join(parts) + "\n"
 
 
 def random_coloured_graph(rng, max_n=24, max_colours=4):

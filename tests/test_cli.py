@@ -172,6 +172,20 @@ def test_malformed_graph_is_failure(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_hostile_graphs_are_failures_not_tracebacks(tmp_path, capsys):
+    cases = {
+        "huge-m.graph": ("1 100000000000000\n0\n", "line 3"),
+        "huge-colour.graph": ("2 1\n0 99999999999999999999999\n0 1\n", "line 2"),
+        "huge-n.graph": ("4294967296 0\n", "line 1"),
+    }
+    for name, (text, where) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_cli(["contract", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and where in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli([]) == 2
     assert run_cli(["frobnicate"]) == 2

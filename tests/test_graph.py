@@ -8,6 +8,7 @@ from colourcontract import (
     graphs_equal,
     new_graph,
 )
+from colourcontract.graph import _sorted_unique
 
 
 def test_empty_graph():
@@ -78,6 +79,15 @@ def test_direct_construction_validates():
             indptr=np.array([0, 1, 1, 2]),
             indices=np.array([1, 1]),
         )
+    # a directed 4-cycle: every row in range and ascending, in- and
+    # out-degrees equal, yet no arc is matched by its reverse
+    with pytest.raises(ValueError, match="symmetric"):
+        ColouredGraph(
+            n=4, m=2,
+            colours=np.array([0, 0, 0, 0]),
+            indptr=np.array([0, 1, 2, 3, 4]),
+            indices=np.array([1, 2, 3, 0]),
+        )
     with pytest.raises(ValueError, match="ascending"):
         ColouredGraph(
             n=2, m=2,
@@ -85,6 +95,19 @@ def test_direct_construction_validates():
             indptr=np.array([0, 2, 4]),
             indices=np.array([1, 1, 0, 0]),
         )
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(11)
+    arrays = [np.empty(0, dtype=np.int64), np.array([5]), np.array([3, 3, 3])]
+    arrays += [rng.integers(-20, 20, size=int(rng.integers(1, 300))) for _ in range(30)]
+    for values in arrays:
+        assert np.array_equal(_sorted_unique(values), np.unique(values))
+        uniq, first = _sorted_unique(values, return_index=True)
+        expected_uniq, expected_first = np.unique(values, return_index=True)
+        assert np.array_equal(uniq, expected_uniq)
+        assert np.array_equal(first, expected_first)
+        assert all(values.tolist().index(int(x)) == int(i) for x, i in zip(uniq, first))
 
 
 def test_immutable_after_construction():

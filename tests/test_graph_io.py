@@ -1,6 +1,12 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from colourcontract import graph_io
 from colourcontract import (
     GraphParseError,
     export_dot,
@@ -12,7 +18,13 @@ from colourcontract import (
     stats_records,
     contract_to_fixpoint,
 )
-from reference_impls import random_coloured_graph
+from reference_impls import (
+    LineError,
+    parse_by_lines,
+    random_coloured_graph,
+    relabel_form,
+    serialize_by_join,
+)
 
 
 P4_TEXT = "4 3\n0 0 0 0\n0 2\n1 3\n2 3\n"
@@ -83,6 +95,134 @@ def test_parse_error_on_negative_header():
         parse_graph("-1 0\n")
 
 
+@pytest.fixture
+def line_parses(monkeypatch):
+    """Record every call of the line-by-line parse behind parse_graph."""
+    calls = []
+    line_parse = graph_io._parse_lines
+
+    def spy(text):
+        calls.append(text)
+        return line_parse(text)
+
+    monkeypatch.setattr(graph_io, "_parse_lines", spy)
+    return calls
+
+
+def test_well_formed_text_takes_the_whole_text_path(line_parses, p4):
+    texts = [
+        P4_TEXT,
+        "# header next\n\n4 3\n   # colours\n0 0 0 0\n2 0\n\n3 1\n# last\n2 3",
+        P4_TEXT.replace("\n", "\r\n"),
+        "\t4\x1f 3 \n+0 00 0_0 \u0660\n0\t2\n1 3\n2 3\n",
+    ]
+    for text in texts:
+        assert graphs_equal(parse_graph(text), p4)
+    assert line_parses == []
+
+
+def test_other_line_breaks_take_the_line_path(line_parses, p4):
+    for sep in ("\v", "\f", "\x1c", "\x85", "\u2028", "\r"):
+        text = P4_TEXT.replace("\n", sep)
+        assert graphs_equal(parse_graph(text), p4)
+    assert len(line_parses) == 6
+    # non-ASCII whitespace inside a line goes the same way
+    assert graphs_equal(parse_graph(P4_TEXT.replace("0 2", "0\xa02")), p4)
+    assert len(line_parses) == 7
+
+
+def test_line_path_tables_match_str_methods():
+    spaces = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    breaks = {chr(c) for c in range(sys.maxunicode + 1) if len(f"a{chr(c)}b".splitlines()) == 2}
+    ascii_spaces = {chr(b) for b in range(256) if graph_io._ASCII_SPACE[b]}
+    assert ascii_spaces == {c for c in spaces if c.isascii()}
+    assert {c for c in spaces if not c.isascii()} == {
+        c for c in spaces if graph_io._NON_ASCII_SPACE.fullmatch(c)
+    }
+    assert breaks - {"\n", "\r"} == set(graph_io._OTHER_ASCII_BREAKS.decode()) | {
+        c for c in breaks if not c.isascii()
+    }
+
+
+def test_duplicate_edges_count_once(line_parses):
+    # the header counts edge lines; an edge listed twice, in either
+    # orientation, is still one edge
+    plain = "2 2\n0 0\n0 1\n1 0\n"
+    commented = "# a duplicate\n2 2\n\n0 0\n# both orientations\n0 1\n1 0\n"
+    for text in (plain, commented):
+        g = parse_graph(text)
+        assert g.n == 2 and g.m == 1 and g.edge_array().tolist() == [[0, 1]]
+    assert line_parses == []
+    g = parse_graph(plain.replace("\n", "\x85"))
+    assert g.m == 1 and len(line_parses) == 1
+    assert serialize_graph(g) == "2 1\n0 0\n0 1\n"
+
+
+def test_token_counts_are_checked_per_line():
+    # the token total fits the header, the split between lines does not
+    cases = [
+        ("3 2\n0 0 0\n0 1 2\n1\n", 3),
+        ("3 2\n0 0\n0 0 1\n1 2\n", 2),
+        ("3 1\n0 0 0\n0\r1\n", 3),
+        ("3 1 0 0\n0\n0 1\n", 1),
+    ]
+    for text, line_no in cases:
+        with pytest.raises(GraphParseError, match="expected") as err:
+            parse_graph(text)
+        assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize("brk", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_every_line_break_splits_a_line(brk):
+    with pytest.raises(GraphParseError, match="expected 2 edge endpoints, got 1") as err:
+        parse_graph(f"3 1\n0 0 0\n0{brk}1\n")
+    assert err.value.line_no == 3
+
+
+def test_huge_edge_count_fails_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphParseError, match="missing edge 1 of 100000000000000") as err:
+            parse_graph("1 100000000000000\n0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.line_no == 3
+    assert peak < 1 << 20
+
+
+def test_ids_outside_int64_are_parse_errors():
+    cases = [
+        ("2 1\n0 99999999999999999999999\n0 1\n", 2),
+        ("2 1\n0 0\n0 9223372036854775808\n", 3),
+        ("-9223372036854775809 0\n", 1),
+    ]
+    for text, line_no in cases:
+        with pytest.raises(GraphParseError, match="64-bit") as err:
+            parse_graph(text)
+        assert err.value.line_no == line_no
+    # the int64 extremes themselves are integers, rejected for their values
+    with pytest.raises(GraphParseError, match="out of range") as err:
+        parse_graph("2 1\n0 0\n0 9223372036854775807\n")
+    assert err.value.line_no == 3
+
+
+def test_order_at_or_above_two_to_the_31_is_rejected():
+    with pytest.raises(GraphParseError, match="below 2147483648") as err:
+        parse_graph("2147483648 0\n0\n")
+    assert err.value.line_no == 1
+
+
+def test_serialize_matches_line_join():
+    rng = np.random.default_rng(23)
+    graphs = [new_graph(0, [], []), new_graph(3, [], [1, 0, 2]), generate_fib_instance(6).graph]
+    for _ in range(30):
+        n, edges, colours = random_coloured_graph(rng)
+        graphs.append(new_graph(n, edges, colours))
+    for g in graphs:
+        assert serialize_graph(g) == serialize_by_join(g)
+
+
 def test_round_trip_random_graphs():
     rng = np.random.default_rng(19)
     for _ in range(50):
@@ -94,6 +234,110 @@ def test_round_trip_random_graphs():
 def test_round_trip_normalises_input_order(p4):
     scrambled = "4 3\n0 0 0 0\n3 2\n2 0\n3 1\n"
     assert serialize_graph(parse_graph(scrambled)) == P4_TEXT
+
+
+def check_against_line_reference(text):
+    """parse_graph gives the reference's graph, or fails on the same line."""
+    try:
+        expected = parse_by_lines(text)
+    except LineError as exc:
+        with pytest.raises(GraphParseError) as err:
+            parse_graph(text)
+        assert err.value.line_no == exc.line_no
+    else:
+        assert relabel_form(parse_graph(text)) == expected
+
+
+_TOKEN_REWRITES = (
+    lambda t: "+" + t,
+    lambda t: "0" + t,
+    lambda t: t[0] + "_" + t[1:] if len(t) > 1 and t.isdigit() else t + "_",
+    lambda t: "".join(chr(0x0660 + int(c)) if c.isdigit() else c for c in t),
+    lambda t: "-" + t,
+    lambda t: t + "0",
+    lambda t: "99999999999999999999999",
+    lambda t: "9223372036854775807",
+    lambda t: "x",
+    lambda t: "1.0",
+    lambda t: "#",
+)
+_SPACES = ("  ", "\t", " \x1f", "\xa0")
+_COMMENTS = ("# note", "   #", "\t# 1 2", "#0 1")
+_BLANKS = ("", "   ", "\t", "\x1f")
+_BREAKS = ("\n", "\r\n", "\r", "\v", "\x1e", "\x85", "\u2028")
+
+
+@st.composite
+def perturbed_graph_texts(draw):
+    n = draw(st.integers(0, 7))
+    colours = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edges = [e for e in draw(st.lists(pairs, max_size=10)) if e[0] != e[1]]
+    lines = [[str(n), str(len(edges))]]
+    if n:
+        lines.append([str(c) for c in colours])
+    lines += [[str(u), str(v)] for u, v in edges]
+    # perturb tokens and token counts
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        kind = draw(st.sampled_from(["rewrite", "drop", "repeat", "shift", "self-loop", "bump"]))
+        if kind == "rewrite" and line:
+            j = draw(st.integers(0, len(line) - 1))
+            line[j] = draw(st.sampled_from(_TOKEN_REWRITES))(line[j])
+        elif kind == "drop" and line:
+            del line[draw(st.integers(0, len(line) - 1))]
+        elif kind == "repeat" and line:
+            line.append(line[-1])
+        elif kind == "shift" and line and i + 1 < len(lines):
+            # same token total, one token on the wrong line
+            lines[i + 1].insert(0, line.pop())
+        elif kind == "self-loop" and len(line) == 2:
+            line[1] = line[0]
+        elif kind == "bump" and line and line[-1].isdigit():
+            line[-1] = str(int(line[-1]) + draw(st.sampled_from([1, n, 2**31, 10**14])))
+    # mostly plain spaces and one kind of newline, so that a single
+    # perturbation often decides the outcome
+    text_lines = [(draw(st.sampled_from(_SPACES)) if draw(st.integers(0, 3)) == 0 else " ").join(line) for line in lines]
+    # perturb lines: missing, repeated and trailing lines, comments, blanks
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text_lines)))
+        kind = draw(st.sampled_from(["comment", "blank", "delete", "repeat", "trail", "split", "join"]))
+        if kind == "comment":
+            text_lines.insert(i, draw(st.sampled_from(_COMMENTS)))
+        elif kind == "blank":
+            text_lines.insert(i, draw(st.sampled_from(_BLANKS)))
+        elif kind == "delete" and i < len(text_lines):
+            del text_lines[i]
+        elif kind == "repeat" and i < len(text_lines):
+            text_lines.insert(i, text_lines[i])
+        elif kind == "trail" and i < len(text_lines):
+            text_lines[i] += draw(st.sampled_from([" # note", " 0", " "]))
+        elif kind == "split" and i < len(text_lines) and " " in text_lines[i]:
+            # a line break inside a line moves its later tokens to a line of their own
+            head, _, tail = text_lines[i].partition(" ")
+            text_lines[i] = head + draw(st.sampled_from(_BREAKS)) + tail
+        elif kind == "join" and i + 1 < len(text_lines):
+            text_lines[i : i + 2] = [text_lines[i] + " " + text_lines[i + 1]]
+    seps = [draw(st.sampled_from(["\n", "\r\n"]))] * len(text_lines)
+    if seps and draw(st.integers(0, 3)) == 0:
+        seps[draw(st.integers(0, len(seps) - 1))] = draw(st.sampled_from(_BREAKS))
+    text = "".join(line + sep for line, sep in zip(text_lines, seps))
+    if draw(st.integers(0, 3)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(perturbed_graph_texts())
+def test_parse_matches_line_reference_on_perturbed_graphs(text):
+    check_against_line_reference(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789 -+_#\n\r\t\x0b\x1f\xa0\u0663x", max_size=40))
+def test_parse_arbitrary_text_matches_line_reference(text):
+    check_against_line_reference(text)
 
 
 def test_dot_empty_graph_is_valid():

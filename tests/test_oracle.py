@@ -45,6 +45,27 @@ def test_component_matches_bfs_on_random_graphs():
         assert set(colour_component(g, v).tolist()) == bfs_colour_component(g, v)
 
 
+def test_component_and_partition_on_long_paths_and_many_components():
+    # a long two-colour path: one colour alternates in runs of growing length,
+    # so breadth-first frontiers stay small over thousands of steps
+    colours, c, run = [], 0, 1
+    while len(colours) < 3000:
+        colours += [c] * run
+        c, run = 1 - c, run + 1
+    n = len(colours)
+    # path position i sits at vertex perm[i]
+    perm = np.random.default_rng(3).permutation(n)
+    relabelled = np.empty(n, dtype=np.int64)
+    relabelled[perm] = colours
+    g = new_graph(n, np.column_stack([perm[:-1], perm[1:]]), relabelled)
+    part = colour_partition(g)
+    assert {frozenset(b.tolist()) for b in part.blocks} == unionfind_blocks(g)
+    assert [int(b[0]) for b in part.blocks] == sorted(int(b[0]) for b in part.blocks)
+    for b in part.blocks[::7]:
+        assert b.tolist() == sorted(bfs_colour_component(g, int(b[-1])))
+        assert np.array_equal(colour_component(g, int(b[-1])), b)
+
+
 def test_partition_blocks_cover_and_are_disjoint(fig24):
     part = colour_partition(fig24)
     seen = np.concatenate(part.blocks)
