@@ -335,54 +335,90 @@ def contract_to_fixpoint(
     return current, trace
 
 
+# what a malformed trace or partition raises from numpy indexing and from the
+# engine's own checks
+_MALFORMED = (ValueError, IndexError, TypeError)
+
+
 def equivalent_contractions(g: ColouredGraph, trace: ContractionTrace, partition) -> bool:
     """True when the trace realises exactly the partition's contraction.
 
-    Checks, in order: the composed mapping is internally consistent, its
-    fibre partition equals the partition's blocks as a set of sets, per-block
-    colours agree, and the final edge set re-expressed over block indices
-    equals the block-level edge set of g.  Any structural mismatch returns
-    False rather than raising.
+    Checks, in order: the composed mapping equals ``trace.total_map`` and is
+    onto 0..k-1; the blocks partition 0..n-1; the fibre partition equals the
+    block partition as a set of sets, whatever the block order; re-applying
+    every round rebuilds a graph of k vertices whose colours are the block
+    colours; and its edge set, re-expressed over block indices, equals the
+    block-level edge set of g.  Every comparison is a whole-array pass, the
+    edge sets as sorted keys ``lo * k + hi``.  Any structural mismatch in
+    the trace or the partition returns False rather than raising.
     """
+    n = g.n
     try:
-        total = _compose(g.n, [r.mapping for r in trace.per_iteration])
-    except ValueError:
+        total = _compose(n, [r.mapping for r in trace.per_iteration])
+    except _MALFORMED:
         return False
     if not np.array_equal(total, trace.total_map):
         return False
+    if total.dtype.kind not in "iu" or (n and (int(total.min()) < 0 or int(total.max()) >= n)):
+        return False
+    total = total.astype(np.int64, copy=False)
+    sizes = np.bincount(total)
+    k = sizes.size
+    if (sizes == 0).any():
+        return False
 
-    uniq = _sorted_unique(total)
-    if not np.array_equal(uniq, np.arange(uniq.size, dtype=np.int64)):
+    block_of = _block_index(n, partition.blocks)
+    if block_of is None:
         return False
-    # total is onto 0..k-1, so the fibres are runs of its stable sort
-    engine_fibres = np.split(np.argsort(total, kind="stable"), np.cumsum(np.bincount(total))[:-1]) if g.n else []
-    oracle_index = {frozenset(b.tolist()): j for j, b in enumerate(partition.blocks)}
-    engine_sets = [frozenset(f.tolist()) for f in engine_fibres]
-    if set(engine_sets) != set(oracle_index):
+    # corr[t] is the block of fibre t; corr[total] == block_of says that every
+    # fibre lies inside one block, and as fibres and blocks are non-empty, corr
+    # is then onto the blocks, a bijection exactly when there are k of them
+    corr = np.zeros(k, dtype=np.int64)
+    corr[total] = block_of
+    if len(partition.blocks) != k or not np.array_equal(corr[total], block_of):
         return False
-    correspondence = [oracle_index[s] for s in engine_sets]
 
     final = g
     try:
         for record in trace.per_iteration:
             final = apply_contraction(final, record.mapping)
-    except ValueError:
+    except _MALFORMED:
         return False
-    if final.n != len(engine_fibres):
+    if final.n != k:
         return False
-    for t, j in enumerate(correspondence):
-        if int(final.colours[t]) != int(partition.block_colour[j]):
-            return False
+    block_colour = np.asarray(partition.block_colour)
+    if block_colour.shape != (k,) or not np.array_equal(final.colours, block_colour[corr]):
+        return False
+    return np.array_equal(_edge_keys(final, corr, k), _edge_keys(g, block_of, k))
 
-    ea = final.edge_array()
-    engine_edges = {
-        (min(correspondence[int(u)], correspondence[int(v)]), max(correspondence[int(u)], correspondence[int(v)]))
-        for u, v in ea.tolist()
-    }
-    block_of = partition.vertex_block()
-    oracle_edges = set()
-    for u, v in g.edge_array().tolist():
-        bu, bv = int(block_of[u]), int(block_of[v])
-        if bu != bv:
-            oracle_edges.add((min(bu, bv), max(bu, bv)))
-    return engine_edges == oracle_edges
+
+def _block_index(n: int, blocks) -> np.ndarray | None:
+    """Block of every vertex, or None unless the blocks are non-empty integer
+    arrays that together list every vertex 0..n-1 exactly once."""
+    sizes = np.array([np.size(b) for b in blocks], dtype=np.int64)
+    if (sizes == 0).any() or int(sizes.sum()) != n:
+        return None
+    try:
+        members = np.concatenate(blocks) if n else np.empty(0, dtype=np.int64)
+    except _MALFORMED:
+        return None
+    if members.ndim != 1 or members.dtype.kind not in "iu":
+        return None
+    if n and (int(members.min()) < 0 or int(members.max()) >= n):
+        return None
+    members = members.astype(np.int64, copy=False)
+    if (np.bincount(members, minlength=n) != 1).any():
+        return None
+    block_of = np.empty(n, dtype=np.int64)
+    block_of[members] = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    return block_of
+
+
+def _edge_keys(g: ColouredGraph, label: np.ndarray, k: int) -> np.ndarray:
+    """Distinct edges between differently labelled vertices, as sorted keys
+    ``lo * k + hi`` over labels 0..k-1."""
+    ea = g.edge_array()
+    a, b = label[ea[:, 0]], label[ea[:, 1]]
+    crossing = a != b
+    a, b = a[crossing], b[crossing]
+    return _sorted_unique(np.minimum(a, b) * k + np.maximum(a, b))

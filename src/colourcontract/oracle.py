@@ -31,10 +31,10 @@ class ColourPartition:
 
     def vertex_block(self) -> np.ndarray:
         """Inverse view: block index of every vertex."""
-        n = sum(int(b.size) for b in self.blocks)
-        out = np.empty(n, dtype=np.int64)
-        for j, b in enumerate(self.blocks):
-            out[b] = j
+        sizes = [b.size for b in self.blocks]
+        out = np.empty(sum(sizes), dtype=np.int64)
+        if sizes:
+            out[np.concatenate(self.blocks)] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
         return out
 
 

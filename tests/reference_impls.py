@@ -3,12 +3,17 @@
 Nothing here shares code with the package internals: components come from a
 plain BFS and a union-find, root projection from per-vertex iterated lookup,
 contraction from set relabelling, and the graph file format from a plain
-line-by-line reader.
+line-by-line reader.  The one exception is ``equivalent_by_sets``, the
+set-based form of ``equivalent_contractions``: it reuses the engine's
+composition and round application and differs only in how it compares.
 """
 
 from collections import deque
 
 import numpy as np
+
+from colourcontract.engine import _compose, apply_contraction
+from colourcontract.graph import _sorted_unique
 
 
 class UnionFind:
@@ -167,3 +172,56 @@ def random_coloured_graph(rng, max_n=24, max_colours=4):
             if rng.random() < 0.25:
                 edges.append((u, v))
     return n, edges, colours.tolist()
+
+
+def equivalent_by_sets(g, trace, partition):
+    """True when the trace realises exactly the partition's contraction.
+
+    Checks, in order: the composed mapping is internally consistent, its
+    fibre partition equals the partition's blocks as a set of sets, per-block
+    colours agree, and the final edge set re-expressed over block indices
+    equals the block-level edge set of g.  Any structural mismatch returns
+    False rather than raising.
+    """
+    try:
+        total = _compose(g.n, [r.mapping for r in trace.per_iteration])
+    except ValueError:
+        return False
+    if not np.array_equal(total, trace.total_map):
+        return False
+
+    uniq = _sorted_unique(total)
+    if not np.array_equal(uniq, np.arange(uniq.size, dtype=np.int64)):
+        return False
+    # total is onto 0..k-1, so the fibres are runs of its stable sort
+    engine_fibres = np.split(np.argsort(total, kind="stable"), np.cumsum(np.bincount(total))[:-1]) if g.n else []
+    oracle_index = {frozenset(b.tolist()): j for j, b in enumerate(partition.blocks)}
+    engine_sets = [frozenset(f.tolist()) for f in engine_fibres]
+    if set(engine_sets) != set(oracle_index):
+        return False
+    correspondence = [oracle_index[s] for s in engine_sets]
+
+    final = g
+    try:
+        for record in trace.per_iteration:
+            final = apply_contraction(final, record.mapping)
+    except ValueError:
+        return False
+    if final.n != len(engine_fibres):
+        return False
+    for t, j in enumerate(correspondence):
+        if int(final.colours[t]) != int(partition.block_colour[j]):
+            return False
+
+    ea = final.edge_array()
+    engine_edges = {
+        (min(correspondence[int(u)], correspondence[int(v)]), max(correspondence[int(u)], correspondence[int(v)]))
+        for u, v in ea.tolist()
+    }
+    block_of = partition.vertex_block()
+    oracle_edges = set()
+    for u, v in g.edge_array().tolist():
+        bu, bv = int(block_of[u]), int(block_of[v])
+        if bu != bv:
+            oracle_edges.add((min(bu, bv), max(bu, bv)))
+    return engine_edges == oracle_edges

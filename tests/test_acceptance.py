@@ -31,8 +31,8 @@ from colourcontract import (
     verify_fib_instance,
 )
 
-from conftest import FIG24_COLOURS, FIG24_EDGES, FIG24_EXPECTED, P4_EDGES
-from reference_impls import contract_by_relabel, relabel_form
+from conftest import FIG24_COLOURS, FIG24_EDGES, FIG24_EXPECTED, P4_EDGES, tampered_inputs
+from reference_impls import contract_by_relabel, equivalent_by_sets, relabel_form
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -108,6 +108,24 @@ def test_criterion_2_oracle_equivalence_and_bound():
         "criterion 2, engine equals oracle on 512 random + 100 relabelled runs",
         checked == 512 and permuted == 100 and elapsed < 30.0,
         f"{checked} cases, {permuted} relabelled, {elapsed:.1f}s",
+    )
+
+
+def test_criterion_2_equivalence_matches_set_reference():
+    # every corpus run, untouched and tampered, gets the set-based verdict
+    rng = np.random.default_rng(2)
+    compared = 0
+    for i, g in _random_corpus():
+        _, trace = contract_to_fixpoint(g)
+        for name, t, p in tampered_inputs(g, trace, colour_partition(g), rng):
+            expected = equivalent_by_sets(g, t, p)
+            assert expected == (name in ("untouched", "shuffled blocks")), f"case {i}, {name}"
+            assert equivalent_contractions(g, t, p) == expected, f"case {i}, {name}"
+            compared += 1
+    _report(
+        "criterion 2, whole-array equivalence equals the set-based check",
+        compared > 4 * 512,
+        f"{compared} untouched and tampered runs",
     )
 
 

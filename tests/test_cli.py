@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from colourcontract import parse_graph
+from colourcontract import cli, colour_partition, new_graph, parse_graph
 from colourcontract.cli import run_cli
 from reference_impls import contract_by_relabel, relabel_form
 
@@ -101,6 +101,35 @@ def test_verify_ok(p4_file, capsys):
     assert run_cli(["verify", p4_file, "--seeds", "5", "9"]) == 0
     out = capsys.readouterr().out
     assert "verify: OK" in out and "seed 9" in out
+
+
+def test_verify_reports_mismatch(p4_file, monkeypatch, capsys):
+    # the oracle claims p4 splits into its four vertices
+    monkeypatch.setattr(cli, "colour_partition", lambda g: colour_partition(new_graph(g.n, [], range(g.n))))
+    assert run_cli(["verify", p4_file]) == 1
+    out = capsys.readouterr().out
+    assert "base: MISMATCH" in out and "verify: FAILED" in out
+
+
+def test_verify_relabelling_stability(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "two_blocks.graph"
+    path.write_text("4 3\n0 0 1 1\n0 1\n1 2\n2 3\n")
+    # relabelled runs number the two blocks either way round; both pull back to one partition
+    assert run_cli(["verify", str(path), "--seeds", "1", "2", "3", "4", "5", "6"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("partition stable") == 6 and "verify: OK" in out
+    real = cli.permute_enumeration
+
+    def misreported(g, seed):
+        # the relabelled graph is right, its permutation is shifted by one
+        h, perm = real(g, seed)
+        return h, np.roll(perm, -1)
+
+    monkeypatch.setattr(cli, "permute_enumeration", misreported)
+    assert run_cli(["verify", str(path), "--seeds", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "base: equivalent" in out
+    assert "seed 5: equivalent, partition UNSTABLE" in out and "verify: FAILED" in out
 
 
 def test_gen_fib_roundtrips_through_contract(tmp_path, capsys):

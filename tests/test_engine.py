@@ -1,9 +1,11 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from colourcontract import (
+    ColourPartition,
     ContractionMapping,
     ContractionTrace,
     apply_contraction,
@@ -22,7 +24,8 @@ from colourcontract import (
     project_to_roots,
     stats_dict,
 )
-from reference_impls import contract_by_relabel, relabel_form, roots_by_iterated_lookup
+from colourcontract import engine
+from reference_impls import contract_by_relabel, equivalent_by_sets, relabel_form, roots_by_iterated_lookup
 
 from conftest import FIG24_EXPECTED
 
@@ -441,3 +444,94 @@ def test_equivalent_false_on_wrong_partition(p4):
     _, trace = contract_to_fixpoint(p4)
     g2 = new_graph(4, [(0, 1), (1, 2), (2, 3)], [0, 1, 0, 1])
     assert not equivalent_contractions(p4, trace, colour_partition(g2))
+
+
+def _partition(blocks, colours):
+    return ColourPartition(blocks=tuple(np.asarray(b) for b in blocks), block_colour=np.asarray(colours))
+
+
+def test_equivalent_false_on_malformed_partitions_the_set_check_misreads():
+    # blocks {0, 1}, {2, 3}, {4}, {5}
+    g = new_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [0, 0, 1, 1, 0, 2])
+    _, trace = contract_to_fixpoint(g)
+    blocks = [[0, 1], [2, 3], [4], [5]]
+    colours = [0, 1, 0, 2]
+    assert equivalent_contractions(g, trace, _partition(blocks, colours))
+    # sets of sets forgive repeated ids and ignore colours past the last block
+    lax = {
+        "id twice in a block": _partition([[0, 1, 0], [2, 3], [4], [5]], colours),
+        "block listed twice": _partition(blocks + [[0, 1]], colours + [0]),
+        "colour array too long": _partition(blocks, colours + [7]),
+    }
+    for name, partition in lax.items():
+        assert equivalent_by_sets(g, trace, partition), name
+        assert not equivalent_contractions(g, trace, partition), name
+    # the set check indexes past a short colour array
+    short = _partition(blocks, colours[:-1])
+    with pytest.raises(IndexError):
+        equivalent_by_sets(g, trace, short)
+    assert not equivalent_contractions(g, trace, short)
+    for name, partition in {
+        "float ids": _partition([[0.0, 1.0], [2.0, 3.0], [4.0], [5.0]], colours),
+        "two-dimensional block": _partition([[[0, 1]], [[2, 3]], [[4]], [[5]]], colours),
+        "mixed dimensions": _partition([[[0, 1]], [2, 3], [4], [5]], colours),
+    }.items():
+        assert not equivalent_contractions(g, trace, partition), name
+
+
+def test_equivalent_false_on_partitions_only_one_check_catches():
+    # blocks {0, 1}, {2, 3}, {4}, {5}; {0, 1} and {4} share a colour and no edge
+    g = new_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [0, 0, 1, 1, 0, 2])
+    # blocks {0}, {1, 2}
+    path = new_graph(3, [(0, 1), (1, 2)], [1, 0, 0])
+    none = np.empty(0, dtype=np.int64)
+    cases = {
+        # colours and block-level edges agree; the block count does not
+        "blocks merged, colours at full length": (g, _partition([[0, 1, 4], [2, 3], [5]], [0, 1, 2, 2])),
+        # as many blocks as fibres, one of them empty
+        "blocks merged, an empty block added": (g, _partition([[0, 1, 4], [2, 3], [5], none], [0, 1, 2, 0])),
+        # as many blocks as fibres, colours and block-level edges agree; a fibre straddles two blocks
+        "vertex moved": (path, _partition([[0, 1], [2]], [1, 0])),
+    }
+    for name, (h, partition) in cases.items():
+        _, trace = contract_to_fixpoint(h)
+        assert equivalent_contractions(h, trace, colour_partition(h)), name
+        assert not equivalent_by_sets(h, trace, partition), name
+        assert not equivalent_contractions(h, trace, partition), name
+
+
+def test_equivalent_false_on_malformed_trace(p4):
+    _, trace = contract_to_fixpoint(p4)
+    partition = colour_partition(p4)
+    first, second = trace.per_iteration
+
+    def replaced(record, becomes):
+        return dataclasses.replace(record, mapping=dataclasses.replace(record.mapping, becomes=np.asarray(becomes)))
+
+    cases = {
+        # round one points past the order of round two
+        "target out of range": ((replaced(first, [0, 5, 0, 1]), second), np.zeros(4, dtype=np.int64)),
+        "negative target": ((first, replaced(second, [0, -1])), np.array([0, -1, 0, -1])),
+        "float targets": ((replaced(first, [0.0, 1.0, 0.0, 1.0]), second), np.zeros(4, dtype=np.int64)),
+        "float targets in the last round": ((first, replaced(second, [0.0, 0.0])), np.zeros(4)),
+        "final map past the order": ((first, replaced(second, [0, 10**12])), np.array([0, 10**12, 0, 10**12])),
+    }
+    with pytest.raises(IndexError):
+        equivalent_by_sets(p4, ContractionTrace(2, *cases["target out of range"]), partition)
+    for name, (records, total) in cases.items():
+        tampered = ContractionTrace(iterations=len(records), per_iteration=records, total_map=total)
+        assert not equivalent_contractions(p4, tampered, partition), name
+
+
+def test_equivalent_false_when_final_edges_differ(fig24, monkeypatch):
+    _, trace = contract_to_fixpoint(fig24)
+    partition = colour_partition(fig24)
+    assert equivalent_contractions(fig24, trace, partition)
+    real = engine.apply_contraction
+
+    def dropping_one_edge(g, mapping):
+        out = real(g, mapping)
+        return new_graph(out.n, out.edge_array()[1:], out.colours)
+
+    monkeypatch.setattr(engine, "apply_contraction", dropping_one_edge)
+    assert not equivalent_contractions(fig24, trace, partition)

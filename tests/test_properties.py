@@ -22,7 +22,8 @@ from colourcontract import (
     project_to_roots,
     serialize_graph,
 )
-from reference_impls import contract_by_relabel, relabel_form, unionfind_blocks
+from conftest import tampered_inputs
+from reference_impls import contract_by_relabel, equivalent_by_sets, relabel_form, unionfind_blocks
 
 
 @st.composite
@@ -83,6 +84,16 @@ def test_engine_agrees_with_oracle(g):
     oracle_graph, block_of = component_contraction(g)
     assert graphs_equal(final, oracle_graph)
     assert np.array_equal(trace.total_map, block_of)
+
+
+@given(coloured_graphs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_equivalence_matches_set_reference(g, seed):
+    _, trace = contract_to_fixpoint(g)
+    for name, t, p in tampered_inputs(g, trace, colour_partition(g), np.random.default_rng(seed)):
+        expected = equivalent_by_sets(g, t, p)
+        assert expected == (name in ("untouched", "shuffled blocks")), name
+        assert equivalent_contractions(g, t, p) == expected, name
 
 
 @given(coloured_graphs())
