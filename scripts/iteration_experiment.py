@@ -85,7 +85,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.n < 1 or args.seeds < 1:
         parser.error("--n and --seeds must be positive")
+    if min(args.colour_counts) < 1:
+        parser.error("--colour-counts must be positive")
     m = args.m if args.m is not None else math.ceil(args.n * math.log(args.n))
+    max_pairs = args.n * (args.n - 1) // 2
+    if not 0 <= m <= max_pairs:
+        parser.error(f"edge count {m} must be in [0, {max_pairs}] for n = {args.n}; set --m")
 
     conditions = [
         run_condition(args.n, m, colours, range(args.seeds))

@@ -7,15 +7,14 @@ Exit codes: 0 success, 1 validation or verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
 import numpy as np
 
-from .engine import contract_to_fixpoint, equivalent_contractions, iteration_bound
+from .engine import contract_to_fixpoint, equivalent_contractions
 from .generators import RandomSpec, assign_random_colours, gen_erdos_renyi, permute_enumeration
-from .graph_io import export_dot, parse_graph, serialize_graph, stats_dict, stats_json
+from .graph_io import export_dot, parse_graph, serialize_graph, stats_json
 from .oracle import colour_partition, component_contraction
 from .worstcase import classify_roles, generate_fib_instance
 
@@ -111,41 +110,6 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    runs = []
-    for seed in range(args.seeds):
-        spec = RandomSpec(n=args.n, m=args.m, colours=args.colours, seed=seed)
-        g = assign_random_colours(gen_erdos_renyi(spec), spec.colours, seed + 1)
-        final, trace = contract_to_fixpoint(g)
-        summary = stats_dict(g, final, trace)
-        runs.append(
-            {
-                "seed": seed,
-                "iterations": summary["iterations"],
-                "final_n": summary["final_n"],
-                "final_m": summary["final_m"],
-                "total_wall_time_ms": summary["total_wall_time_ms"],
-            }
-        )
-    iterations = [r["iterations"] for r in runs]
-    report = {
-        "n": args.n,
-        "m": args.m,
-        "colours": args.colours,
-        "seeds": args.seeds,
-        "runs": runs,
-        "summary": {
-            "min_iterations": min(iterations) if iterations else 0,
-            "max_iterations": max(iterations) if iterations else 0,
-            "mean_iterations": sum(iterations) / len(iterations) if iterations else 0.0,
-            "mean_wall_time_ms": sum(r["total_wall_time_ms"] for r in runs) / len(runs) if runs else 0.0,
-            "iteration_bound": iteration_bound(args.n) if args.n >= 1 else 0,
-        },
-    }
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="colourcontract",
@@ -190,13 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("input", help="graph file, or - for stdin")
     export.add_argument("--roles", action="store_true", help="style vertices by contraction role instead of colour id")
     export.set_defaults(handler=_cmd_export_dot)
-
-    bench = sub.add_parser("bench", help="time contraction over seeded random instances")
-    bench.add_argument("--n", type=int, required=True)
-    bench.add_argument("--m", type=int, required=True)
-    bench.add_argument("--colours", type=int, required=True)
-    bench.add_argument("--seeds", type=int, required=True, help="number of seeds, 0..K-1")
-    bench.set_defaults(handler=_cmd_bench)
 
     return parser
 

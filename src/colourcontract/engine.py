@@ -272,7 +272,16 @@ def _compose(n0: int, mappings: Iterable[ContractionMapping]) -> np.ndarray:
     for mapping in mappings:
         if mapping.n != width:
             raise ValueError(f"mapping chain mismatch: expected source order {width}, got {mapping.n}")
-        total = mapping.becomes[total]
+        # every target must index the next round's vertices: a negative one
+        # would wrap and a float or too-large one would raise IndexError
+        becomes = mapping.becomes
+        if (
+            becomes.shape != (width,)
+            or becomes.dtype.kind not in "iu"
+            or (width and (int(becomes.min()) < 0 or int(becomes.max()) >= mapping.n_prime))
+        ):
+            raise ValueError(f"mapping chain mismatch: targets of order {width} must be integers in [0, {mapping.n_prime})")
+        total = becomes[total]
         width = mapping.n_prime
     return total
 
@@ -281,7 +290,8 @@ def compose_total_mapping(trace: ContractionTrace) -> np.ndarray:
     """Compose the per-iteration mappings into one original-to-final map.
 
     Zero iterations compose to the identity.  A chain whose orders do not
-    line up raises ValueError.
+    line up, or a round whose targets fall outside 0..n_prime-1, raises
+    ValueError.
     """
     n0 = trace.per_iteration[0].n if trace.per_iteration else int(trace.total_map.size)
     return _compose(n0, (r.mapping for r in trace.per_iteration))

@@ -40,10 +40,6 @@ class ColouredGraph:
             raise ValueError(f"vertex {v} out of range for order {self.n}")
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def adjacency(self) -> list[np.ndarray]:
-        """All neighbour rows as a list, indexed by vertex."""
-        return [self.neighbours(v) for v in range(self.n)]
-
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) array with u < v, sorted lexicographically."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
@@ -92,20 +88,26 @@ def _validate(g: ColouredGraph) -> None:
 def _sorted_unique(values: np.ndarray, return_index: bool = False):
     """Sorted distinct values of a 1-D array, as ``np.unique`` gives them.
 
-    One sort and an adjacent-difference mask.  With ``return_index`` the sort
-    is stable and the position of each value's first occurrence comes too.
+    One sort and an adjacent-difference mask.  With ``return_index`` the
+    position of each value's first occurrence comes too: the smallest
+    position within each run of equal values, so the sort need not be stable.
     """
     if return_index:
-        order = np.argsort(values, kind="stable")
+        order = np.argsort(values)
         ordered = values[order]
     else:
         ordered = np.sort(values)
     first = np.empty(ordered.size, dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    if return_index:
-        return ordered[first], order[first]
-    return ordered[first]
+    if not return_index:
+        return ordered[first]
+    starts = np.flatnonzero(first)
+    uniq = ordered[starts]
+    # freed before the reduction: one array of this length fewer alive at the
+    # peak, about 17 MB on the 2.2M keys of a 540k-edge sample
+    del ordered
+    return uniq, np.minimum.reduceat(order, starts) if starts.size else order[:0]
 
 
 def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequence[int] | np.ndarray) -> ColouredGraph:

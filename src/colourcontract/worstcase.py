@@ -1,11 +1,13 @@
 """Adversarial monochromatic instances maximising the contraction iteration count.
 
-The family grows level by level: attach one new leaf to every current cluster
-representative, then renumber so that each leaf steals its representative's
-old index and the representative moves past every existing vertex.  Level i
-has exactly fib_number(i + 2) vertices, every cluster of its pointer forest
-has order 1 or 2, one contraction step reproduces level i - 1 exactly, and
-the full run takes exactly i iterations, matching iteration_bound.
+Level i has exactly fib_number(i + 2) vertices.  Its first fib_number(i + 1)
+vertices are the cluster representatives of its pointer forest, every cluster
+has order 1 or 2, and the step map is the closed form
+``becomes[v] = v if v < fib_number(i + 1) else v - fib_number(i + 1)``, so one
+contraction step reproduces level i - 1 exactly and the full run takes
+exactly i iterations, matching iteration_bound.  The generator builds the
+edge list straight from that closed form, without running the engine, so the
+tightness checks in ``verify_fib_instance`` are an independent cross-check.
 """
 
 from __future__ import annotations
@@ -49,34 +51,32 @@ class FibInstance:
     prev_order: int
 
 
-def _grow(g: ColouredGraph) -> tuple[ColouredGraph, tuple[str, ...], int]:
-    mapping = evaluate_contraction_mapping(g)
-    k = mapping.n_prime
-    if not np.array_equal(mapping.representatives, np.arange(k, dtype=np.int64)):
-        raise RuntimeError("family invariant broken: representatives are not 0..k-1")
-    n = g.n
-    # old representative j moves to n + j, everything else keeps its index,
-    # and the new leaf attached to it takes index j
-    relabel = np.arange(n, dtype=np.int64)
-    relabel[:k] += n
-    old_edges = relabel[g.edge_array()] if g.m else np.empty((0, 2), dtype=np.int64)
-    leaf_edges = np.column_stack([np.arange(k, dtype=np.int64), np.arange(k, dtype=np.int64) + n])
-    edges = np.vstack([old_edges, leaf_edges])
-    grown = new_graph(n + k, edges, np.zeros(n + k, dtype=np.int64))
-    roles = (ROLE_PAIR_ROOT,) * k + (ROLE_LONE_ROOT,) * (n - k) + (ROLE_NON_ROOT,) * k
-    return grown, roles, n
-
-
 def generate_fib_instance(level: int) -> FibInstance:
-    """Build the level-i instance by iterated growth from the single vertex."""
+    """Build the level-i instance from the closed form of its step map.
+
+    Level i + 1 comes from level i with n = fib_number(i + 2) vertices and
+    k = fib_number(i + 1) representatives: every representative j < k moves
+    to n + j, and a new leaf takes index j with the edge (j, n + j).  The
+    family is a tree, so level i has n - 1 edges.
+    """
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_LEVEL}]")
-    graph = new_graph(1, [], [0])
-    roles: tuple[str, ...] = (ROLE_LONE_ROOT,)
-    prev_order = 0
+    order = fib_number(level + 2)
+    edges = np.empty((order - 1, 2), dtype=np.int64)
+    n, k = 1, 1  # fib_number(i + 2), fib_number(i + 1) at level i
     for _ in range(level):
-        graph, roles, prev_order = _grow(graph)
-    return FibInstance(graph=graph, level=level, roles=roles, prev_order=prev_order)
+        old = edges[:n - 1]
+        old[old < k] += n
+        leaves = np.arange(k, dtype=np.int64)
+        edges[n - 1:n - 1 + k, 0] = leaves
+        edges[n - 1:n - 1 + k, 1] = leaves + n
+        n, k = n + k, n
+    graph = new_graph(order, edges, np.zeros(order, dtype=np.int64))
+    if level == 0:
+        return FibInstance(graph=graph, level=0, roles=(ROLE_LONE_ROOT,), prev_order=0)
+    pairs = fib_number(level)
+    roles = (ROLE_PAIR_ROOT,) * pairs + (ROLE_LONE_ROOT,) * fib_number(level - 1) + (ROLE_NON_ROOT,) * pairs
+    return FibInstance(graph=graph, level=level, roles=roles, prev_order=fib_number(level + 1))
 
 
 def classify_roles(g: ColouredGraph) -> tuple[str, ...]:

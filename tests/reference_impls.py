@@ -3,17 +3,20 @@
 Nothing here shares code with the package internals: components come from a
 plain BFS and a union-find, root projection from per-vertex iterated lookup,
 contraction from set relabelling, and the graph file format from a plain
-line-by-line reader.  The one exception is ``equivalent_by_sets``, the
-set-based form of ``equivalent_contractions``: it reuses the engine's
-composition and round application and differs only in how it compares.
+line-by-line reader.  Two exceptions use the engine on purpose:
+``equivalent_by_sets``, the set-based form of ``equivalent_contractions``,
+reuses the engine's composition and round application and differs only in
+how it compares; ``fib_by_growth`` builds the worst-case family by running
+one engine evaluation per level, the construction that the closed-form
+generator replaced.
 """
 
 from collections import deque
 
 import numpy as np
 
-from colourcontract.engine import _compose, apply_contraction
-from colourcontract.graph import _sorted_unique
+from colourcontract.engine import _compose, apply_contraction, evaluate_contraction_mapping
+from colourcontract.graph import _sorted_unique, new_graph
 
 
 class UnionFind:
@@ -225,3 +228,33 @@ def equivalent_by_sets(g, trace, partition):
         if bu != bv:
             oracle_edges.add((min(bu, bv), max(bu, bv)))
     return engine_edges == oracle_edges
+
+
+def fib_by_growth(level):
+    """Level-i worst-case instance grown level by level through the engine.
+
+    Each level attaches one new leaf to every cluster representative of the
+    current pointer forest, then renumbers so that each leaf steals its
+    representative's old index and the representative moves past every
+    existing vertex.  Returns (graph, roles, previous order).
+    """
+    g = new_graph(1, [], [0])
+    roles = ("R",)
+    prev_order = 0
+    for _ in range(level):
+        mapping = evaluate_contraction_mapping(g)
+        k = mapping.n_prime
+        if not np.array_equal(mapping.representatives, np.arange(k, dtype=np.int64)):
+            raise RuntimeError("family invariant broken: representatives are not 0..k-1")
+        n = g.n
+        # old representative j moves to n + j, everything else keeps its
+        # index, and the new leaf attached to it takes index j
+        relabel = np.arange(n, dtype=np.int64)
+        relabel[:k] += n
+        old_edges = relabel[g.edge_array()] if g.m else np.empty((0, 2), dtype=np.int64)
+        leaves = np.arange(k, dtype=np.int64)
+        edges = np.vstack([old_edges, np.column_stack([leaves, leaves + n])])
+        g = new_graph(n + k, edges, np.zeros(n + k, dtype=np.int64))
+        roles = ("P",) * k + ("R",) * (n - k) + ("Q",) * k
+        prev_order = n
+    return g, roles, prev_order

@@ -1,5 +1,7 @@
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,11 +183,45 @@ def test_export_dot_roles(tmp_path, capsys):
     assert 'role="P"' in out and 'role="Q"' in out and 'role="R"' in out
 
 
-def test_bench_reports_summary(capsys):
-    assert run_cli(["bench", "--n", "60", "--m", "120", "--colours", "1", "--seeds", "3"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert len(report["runs"]) == 3
-    assert report["summary"]["max_iterations"] <= report["summary"]["iteration_bound"]
+def _iteration_experiment():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "iteration_experiment.py"
+    spec = importlib.util.spec_from_file_location("iteration_experiment", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_reports_summary(tmp_path, capsys):
+    # the round-count experiment lives in the script, not in a CLI subcommand
+    out = tmp_path / "report.json"
+    argv = ["--n", "60", "--m", "120", "--seeds", "3", "--colour-counts", "1", "3", "--out", str(out)]
+    assert _iteration_experiment().main(argv) == 0
+    assert f"wrote {out}" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["n"] == 60 and report["m"] == 120
+    assert [c["colours"] for c in report["conditions"]] == [1, 3]
+    for condition in report["conditions"]:
+        assert [r["seed"] for r in condition["runs"]] == [0, 1, 2]
+        summary = condition["summary"]
+        assert summary["max_iterations"] <= summary["iteration_bound"] == report["iteration_bound"]
+        for run in condition["runs"]:
+            assert len(run["per_iteration_n"]) == run["iterations"]
+
+
+def test_iteration_experiment_rejects_impossible_sizes(capsys):
+    experiment = _iteration_experiment()
+    for argv in (["--n", "10", "--m", "46"], ["--n", "3"], ["--n", "10", "--m", "-1"], ["--n", "10", "--colour-counts", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            experiment.main(argv + ["--seeds", "1"])
+        assert exc.value.code == 2, argv
+        assert "error:" in capsys.readouterr().err
+    assert experiment.main(["--n", "10", "--m", "45", "--seeds", "1"]) == 0
+    capsys.readouterr()
+
+
+def test_bench_subcommand_is_gone(capsys):
+    assert run_cli(["bench", "--n", "60", "--m", "120", "--colours", "1", "--seeds", "3"]) == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_missing_file_is_failure_not_usage_error(capsys):

@@ -398,6 +398,23 @@ def test_compose_chain_mismatch(p4, fig24):
         compose_total_mapping(mixed)
 
 
+def test_compose_rejects_targets_outside_the_next_order(p4):
+    _, trace = contract_to_fixpoint(p4)
+    partition = colour_partition(p4)
+    first, second = trace.per_iteration
+
+    # a negative target and one past the round's own order, as the last round
+    # and with a round after it: both are chain mismatches
+    for becomes in ([0, -1, 1, 1], [0, 2, 0, 1]):
+        record = dataclasses.replace(first, mapping=dataclasses.replace(first.mapping, becomes=np.asarray(becomes)))
+        alone = ContractionTrace(iterations=1, per_iteration=(record,), total_map=np.asarray(becomes))
+        chained = ContractionTrace(iterations=2, per_iteration=(record, second), total_map=np.zeros(4, dtype=np.int64))
+        for tampered in (alone, chained):
+            with pytest.raises(ValueError, match="targets"):
+                compose_total_mapping(tampered)
+            assert not equivalent_contractions(p4, tampered, partition)
+
+
 def test_total_map_matches_oracle_blocks(fig24):
     _, trace = contract_to_fixpoint(fig24)
     part = colour_partition(fig24)
@@ -516,8 +533,7 @@ def test_equivalent_false_on_malformed_trace(p4):
         "float targets in the last round": ((first, replaced(second, [0.0, 0.0])), np.zeros(4)),
         "final map past the order": ((first, replaced(second, [0, 10**12])), np.array([0, 10**12, 0, 10**12])),
     }
-    with pytest.raises(IndexError):
-        equivalent_by_sets(p4, ContractionTrace(2, *cases["target out of range"]), partition)
+    assert not equivalent_by_sets(p4, ContractionTrace(2, *cases["target out of range"]), partition)
     for name, (records, total) in cases.items():
         tampered = ContractionTrace(iterations=len(records), per_iteration=records, total_map=total)
         assert not equivalent_contractions(p4, tampered, partition), name

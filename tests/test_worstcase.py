@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from colourcontract import engine, worstcase
 from colourcontract import (
     apply_contraction,
     classify_roles,
@@ -12,6 +13,7 @@ from colourcontract import (
     iteration_bound,
     verify_fib_instance,
 )
+from reference_impls import fib_by_growth
 
 
 def test_fib_number_values():
@@ -129,3 +131,27 @@ def test_level_ceiling_enforced():
         generate_fib_instance(31)
     with pytest.raises(ValueError, match="level"):
         generate_fib_instance(-1)
+
+
+def test_closed_form_matches_growth_through_the_engine():
+    for i in range(0, 21):
+        inst = generate_fib_instance(i)
+        graph, roles, prev_order = fib_by_growth(i)
+        assert graphs_equal(inst.graph, graph), i
+        assert inst.roles == roles and inst.prev_order == prev_order, i
+
+
+def test_generator_runs_no_engine_code(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the generator called the engine")
+
+    # worstcase imports engine functions by name, so patch both modules
+    for name in ("evaluate_contraction_mapping", "apply_contraction", "contract_to_fixpoint",
+                 "build_functional_digraph", "project_to_roots", "compact_mapping"):
+        for module in (engine, worstcase):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    inst = generate_fib_instance(12)
+    assert inst.graph.n == fib_number(14) and inst.graph.m == fib_number(14) - 1
+    monkeypatch.undo()
+    assert graphs_equal(inst.graph, fib_by_growth(12)[0])
