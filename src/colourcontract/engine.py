@@ -17,6 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .graph import ColouredGraph, _sorted_unique
+from .oracle import _grow
 
 
 def iteration_bound(n: int) -> int:
@@ -97,19 +98,15 @@ class ContractionMapping:
             raise ValueError("fibres are not ordered by ascending representative")
         if self.is_trivial != bool((self.cluster_sizes == 1).all()):
             raise ValueError("trivial mapping must mean all-singleton fibres")
-        offsets = self.offsets
-        for t in np.flatnonzero(self.cluster_sizes > 1).tolist():
-            members = set(self.order[offsets[t]:offsets[t + 1]].tolist())
-            seen = {int(self.order[offsets[t]])}
-            stack = list(seen)
-            while stack:
-                u = stack.pop()
-                for w in g.neighbours(u).tolist():
-                    if w in members and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(members):
-                raise ValueError(f"fibre {t} does not induce a connected subgraph")
+        # coloured by target, g's colour components are the connected pieces
+        # of the fibres; grown from every representative at once, they cover
+        # g exactly when every fibre is connected
+        by_target = ColouredGraph(n=g.n, m=g.m, colours=self.becomes, indptr=g.indptr, indices=g.indices)
+        covered = np.zeros(g.n, dtype=bool)
+        _grow(by_target, self.representatives, covered)
+        if not covered.all():
+            t = int(self.becomes[~covered].min())
+            raise ValueError(f"fibre {t} does not induce a connected subgraph")
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,8 @@ def _sample_pairs_exact(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
         hi = np.maximum(draw[:, 0], draw[:, 1])
         keep = lo != hi
         collected = np.concatenate([collected, lo[keep] * n + hi[keep]])
+        # dead before the next pass sorts every collected key: not on top of its peak
+        del draw, lo, hi, keep
     keys = collected[np.sort(first_pos)[:m]]
     return np.column_stack([keys // n, keys % n])
 

@@ -39,14 +39,20 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # the adjacency keys lo*n + hi stay inside int64 for every n below this
 _MAX_ORDER = 2**31
 
-# the bytes str.split() treats as whitespace, as a lookup table over UTF-8 bytes
-_ASCII_SPACE = np.zeros(256, dtype=bool)
-_ASCII_SPACE[[0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20]] = True
-_ASCII_SPACE.setflags(write=False)
 # line breaks of str.splitlines() besides \n and \r\n (a lone \r is checked apart)
 _OTHER_ASCII_BREAKS = b"\x0b\x0c\x1c\x1d\x1e"
 # the non-ASCII characters str.split() treats as whitespace, \x85 and \u2028-9 line breaks too
 _NON_ASCII_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
+# plain text, read straight from its bytes: these bytes only, numbers of at
+# most this many digits (every 18-digit number fits in int64)
+_PLAIN_BYTES = b"0123456789 \t\r\n"
+_PLAIN_MAX_DIGITS = 18
+
+
+def _ascii_space(raw: np.ndarray) -> np.ndarray:
+    """Mask of the UTF-8 bytes str.split() treats as whitespace: 0x09-0x0D
+    and 0x1C-0x20.  uint8 subtraction wraps, so each range is one compare."""
+    return ((raw - 0x09) <= 4) | ((raw - 0x1C) <= 4)
 
 
 class GraphParseError(ValueError):
@@ -133,11 +139,32 @@ def _needs_line_path(text: str, data: bytes) -> bool:
     return not data.isascii() and _NON_ASCII_SPACE.search(text) is not None
 
 
+def _plain_values(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """Every token's value read straight from the bytes, or None when the
+    text is not plain: only ASCII digits, spaces, tabs and line breaks, with
+    no token longer than ``_PLAIN_MAX_DIGITS``.
+
+    ``np.fromstring`` clamps an overflowing number to the int64 extreme and
+    stops silently at bytes it cannot read, so the digit cap and the count
+    check against the byte mask's tokens are what make its result exact.
+    """
+    if data.translate(None, _PLAIN_BYTES) or int((ends - starts).max()) > _PLAIN_MAX_DIGITS:
+        return None
+    try:
+        values = np.fromstring(data, dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    return values if values.size == starts.size else None
+
+
 def _parse_whole(text: str) -> ColouredGraph | None:
     """Whole-text parse of well-formed input; None when anything is off.
 
-    Tokenises the text once and finds each token's line from a byte mask of
-    whitespace and newlines, then checks the layout with array operations.
+    Finds the tokens and each token's line from one byte mask of whitespace
+    and newlines, then checks the layout with array operations.  Plain text
+    (see ``_plain_values``), which is all that ``serialize_graph`` writes, is
+    converted straight from its bytes; any other text is split into token
+    strings, comment lines dropped, and converted as ``int()`` would.
     Accepts exactly the inputs the line-by-line parse accepts, with the same
     result; on any other input it returns None and leaves the error to that
     parse.
@@ -145,33 +172,35 @@ def _parse_whole(text: str) -> ColouredGraph | None:
     data = text.encode("utf-8", "surrogatepass")
     if _needs_line_path(text, data):
         return None
-    tokens = text.split()
-    if not tokens:
-        return None
     raw = np.frombuffer(data, dtype=np.uint8)
-    space = _ASCII_SPACE[raw]
-    boundary = np.empty(raw.size, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = space[:-1]
-    starts = np.flatnonzero(boundary & ~space)  # one per token of text.split()
-    del space, boundary
+    # token i is data[starts[i]:ends[i]], one per token of text.split()
+    word = np.zeros(raw.size + 2, dtype=bool)
+    np.logical_not(_ascii_space(raw), out=word[1:-1])
+    starts, ends = np.flatnonzero(word[1:] != word[:-1]).reshape(-1, 2).T
+    del word
+    if starts.size == 0:
+        return None
     # opens[i]: a newline lies before token i and after token i - 1
     opens = np.zeros(starts.size + 1, dtype=bool)
     opens[np.searchsorted(starts, np.flatnonzero(raw == 0x0A))] = True
     opens = opens[:-1]
     opens[0] = True
-    # a line whose first token starts with '#' is a comment: drop all its tokens
-    comment = opens & (raw[starts] == 0x23)
-    if comment.any():
-        line = np.cumsum(opens) - 1
-        keep = ~comment[opens][line]
-        tokens = list(compress(tokens, keep.tolist()))
-        opens = opens[keep]
-    try:
-        values = np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    del tokens  # the token strings outweigh every array here
+
+    values = _plain_values(data, starts, ends)
+    if values is None:
+        tokens = text.split()
+        # a line whose first token starts with '#' is a comment: drop all its tokens
+        comment = opens & (raw[starts] == 0x23)
+        if comment.any():
+            line = np.cumsum(opens) - 1
+            keep = ~comment[opens][line]
+            tokens = list(compress(tokens, keep.tolist()))
+            opens = opens[keep]
+        try:
+            values = np.array(tokens, dtype=np.int64)
+        except (ValueError, OverflowError):
+            return None
+        del tokens  # the token strings outweigh every array here
 
     widths = np.diff(np.append(np.flatnonzero(opens), opens.size))  # tokens per content line
     if widths.size == 0 or widths[0] != 2:
@@ -191,9 +220,15 @@ def _parse_whole(text: str) -> ColouredGraph | None:
 def parse_graph(source: str | IO[str]) -> ColouredGraph:
     """Parse the text format; errors report the offending line number.
 
-    Well-formed text is parsed in whole-array passes.  Anything else goes
-    through the line-by-line parse, which raises the exact error (or handles
-    the rare line breaks other than \\n and \\r\\n).
+    Well-formed text is parsed in whole-array passes.  Plain text (ASCII
+    digits and whitespace only, no number longer than 18 digits, as
+    ``serialize_graph`` writes it) is read straight from its bytes by
+    ``np.fromstring``; as that clamps overflows and stops silently at bytes
+    it cannot read, the digit cap and a count check against the byte mask
+    guard it.  Other well-formed text is converted token by token as
+    ``int()`` reads it.  Anything else goes through the line-by-line parse,
+    which raises the exact error (or handles the rare line breaks other than
+    \\n and \\r\\n).
     """
     text = source if isinstance(source, str) else source.read()
     g = _parse_whole(text)

@@ -2,7 +2,8 @@
 
 This path is deliberately simple (breadth-first search over the CSR rows) and
 shares no machinery with the iterative engine, so the two can cross-check
-each other.
+each other.  ``ContractionMapping.validate`` borrows its frontier BFS to
+check that every fibre of a mapping is connected.
 """
 
 from __future__ import annotations
@@ -49,15 +50,17 @@ def colour_component(g: ColouredGraph, v: int) -> np.ndarray:
     return _grow(g, v, np.zeros(g.n, dtype=bool))
 
 
-def _grow(g: ColouredGraph, v: int, covered: np.ndarray) -> np.ndarray:
-    """Component of v by frontier BFS, marking it in ``covered``.
+def _grow(g: ColouredGraph, seeds: int | np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """Vertices joined to the seeds by monochromatic paths, by frontier BFS,
+    marking them in ``covered``; ascending.
 
+    A vertex joins the frontier through an edge from a vertex of its own
+    colour, so seeds of different colours grow their components side by side.
     Vertices of other components may already be marked: same-colour edges
     never lead to them, so one mask can serve a whole sweep.
     """
-    colour = g.colours[v]
-    covered[v] = True
-    frontier = np.array([v], dtype=np.int64)
+    frontier = np.unique(seeds)
+    covered[frontier] = True
     reached = [frontier]
     while frontier.size:
         starts = g.indptr[frontier]
@@ -65,7 +68,8 @@ def _grow(g: ColouredGraph, v: int, covered: np.ndarray) -> np.ndarray:
         # positions of the frontier's rows in g.indices, row after row
         row_base = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
         gathered = g.indices[row_base + np.arange(row_base.size)]
-        fresh = gathered[(g.colours[gathered] == colour) & ~covered[gathered]]
+        same = g.colours[gathered] == np.repeat(g.colours[frontier], lengths)
+        fresh = gathered[same & ~covered[gathered]]
         frontier = np.unique(fresh)
         covered[frontier] = True
         reached.append(frontier)

@@ -214,6 +214,23 @@ def test_mapping_validate_catches_tampering(p4):
     mp.validate(p4)  # the genuine mapping passes
 
 
+def test_mapping_validate_names_the_one_disconnected_fibre():
+    # fibres {2i, 2i + 1} on a path; dropping the edge inside pair j leaves
+    # that fibre, and no other, disconnected
+    k, j = 500, 317
+    pairs = ContractionMapping(
+        n=2 * k, n_prime=k,
+        becomes=np.arange(2 * k) // 2,
+        order=np.arange(2 * k),
+        cluster_sizes=np.full(k, 2),
+    )
+    path = [(i, i + 1) for i in range(2 * k - 1)]
+    pairs.validate(new_graph(2 * k, path, [0] * (2 * k)))
+    cut = new_graph(2 * k, [e for e in path if e[0] != 2 * j], [0] * (2 * k))
+    with pytest.raises(ValueError, match=f"^fibre {j} does not induce a connected subgraph$"):
+        pairs.validate(cut)
+
+
 # ---------------------------------------------------------- application
 
 def test_apply_identity_mapping_is_noop(triangle_two_colours):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from colourcontract import (
     new_graph,
     permute_enumeration,
 )
+from colourcontract import generators
 
 
 def test_spec_requires_exactly_one_edge_target():
@@ -37,6 +40,21 @@ def test_exact_edge_count():
     g = gen_erdos_renyi(RandomSpec(n=30, m=100, seed=1))
     assert g.n == 30 and g.m == 100
     assert g.colours.tolist() == [0] * 30
+
+
+def test_exact_sampler_frees_each_batch_before_the_next_sort():
+    # a batch's draws, their min and max columns and the self-loop mask are
+    # dead once its keys are collected; kept over the next pass's sort of
+    # every key they lift the peak from about 13 to about 19 times the
+    # output's bytes
+    tracemalloc.start()
+    try:
+        pairs = generators._sample_pairs_exact(20_000, 100_000, generators._rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pairs.shape == (100_000, 2)
+    assert peak < 15 * pairs.nbytes
 
 
 def test_zero_edges():

@@ -134,7 +134,7 @@ def test_other_line_breaks_take_the_line_path(line_parses, p4):
 def test_line_path_tables_match_str_methods():
     spaces = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
     breaks = {chr(c) for c in range(sys.maxunicode + 1) if len(f"a{chr(c)}b".splitlines()) == 2}
-    ascii_spaces = {chr(b) for b in range(256) if graph_io._ASCII_SPACE[b]}
+    ascii_spaces = {chr(b) for b in np.flatnonzero(graph_io._ascii_space(np.arange(256, dtype=np.uint8)))}
     assert ascii_spaces == {c for c in spaces if c.isascii()}
     assert {c for c in spaces if not c.isascii()} == {
         c for c in spaces if graph_io._NON_ASCII_SPACE.fullmatch(c)
@@ -207,6 +207,98 @@ def test_ids_outside_int64_are_parse_errors():
     assert err.value.line_no == 3
 
 
+@pytest.fixture
+def plain_reads(monkeypatch):
+    """Record, per whole-text parse, whether it read the text straight from its bytes."""
+    calls = []
+    plain_values = graph_io._plain_values
+
+    def spy(*args):
+        values = plain_values(*args)
+        calls.append(values is not None)
+        return values
+
+    monkeypatch.setattr(graph_io, "_plain_values", spy)
+    return calls
+
+
+def test_serialized_text_is_read_from_bytes_and_other_text_is_not(plain_reads):
+    rng = np.random.default_rng(7)
+    n, edges, colours = random_coloured_graph(rng)
+    for g in (generate_fib_instance(8).graph, new_graph(n, edges, colours), new_graph(0, [], [])):
+        text = serialize_graph(g)
+        assert graphs_equal(parse_graph(text), g)
+        assert plain_reads.pop() is True
+        for other in ("# a comment\n" + text, "+" + text, text.replace(" ", " 0_", 1)):
+            assert graphs_equal(parse_graph(other), g)
+            assert plain_reads.pop() is False
+
+
+def test_plain_layouts_match_line_reference(plain_reads):
+    lines = ["3 2", "0 1 2", "0 1", "1 2"]
+    texts = [
+        "\n".join(lines) + "\n",
+        "\n".join(lines),  # no final newline
+        "\r\n".join(lines) + "\r\n",
+        "\t3\t2 \n\n0\t1  2\n\n\r\n0 1\r\n  1\t2",  # tabs, blank lines, both breaks
+        "0 0\n",
+        " 0\t0 \r\n\r\n",  # a 0-vertex graph
+        "3 2\n0 1 2\n0 1\n",  # missing line
+        "3 2\n0 1 2\n0 1 2\n1 2\n",  # wrong width
+        "3 2\n0 1 2\n0 3\n1 2\n",  # endpoint out of range
+    ]
+    for text in texts:
+        check_against_line_reference(text)
+    # the malformed ones too: the layout check sends them on to the line parse
+    assert plain_reads == [True] * len(texts)
+
+
+def test_short_byte_read_falls_back_to_tokens(monkeypatch, plain_reads, p4):
+    # np.fromstring stops silently at bytes it cannot read; a read that comes
+    # up short of the byte mask's token count is not trusted
+    fromstring = np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda *args, **kwargs: fromstring(*args, **kwargs)[:-1])
+    assert graphs_equal(parse_graph(P4_TEXT), p4)
+    assert plain_reads == [False]
+
+
+@pytest.mark.parametrize("digits", [17, 18, 19])
+def test_zero_padded_long_tokens(plain_reads, digits):
+    # up to 18 digits the text is read from its bytes; longer tokens go
+    # through int(), which reads the same value
+    def pad(x):
+        return str(x).zfill(digits)
+
+    text = f"{pad(3)} {pad(2)}\n{pad(0)} {pad(1)} {pad(1)}\n{pad(0)} {pad(1)}\n{pad(2)} {pad(1)}\n"
+    check_against_line_reference(text)
+    assert graphs_equal(parse_graph(text), new_graph(3, [(0, 1), (1, 2)], [0, 1, 1]))
+    assert plain_reads == [digits <= 18] * 2
+
+
+def test_int64_extremes_in_id_and_colour_position(plain_reads):
+    largest = "9" * 18  # the largest token read from bytes
+    g = parse_graph(f"2 1\n{largest} 0\n0 1\n")
+    assert g.colours.tolist() == [10**18 - 1, 0] and plain_reads == [True]
+    g = parse_graph("2 1\n9223372036854775807 0\n0 1\n")
+    assert g.colours.tolist() == [2**63 - 1, 0] and plain_reads[1] is False
+    cases = [
+        ("2 1\n9223372036854775808 0\n0 1\n", 2, "64-bit"),
+        ("2 1\n0 0\n9223372036854775808 1\n", 3, "64-bit"),
+        ("2 1\n0 0\n9223372036854775807 1\n", 3, "out of range"),
+        ("9223372036854775808 0\n", 1, "64-bit"),
+        ("9223372036854775807 0\n", 1, "below"),
+        ("1 9223372036854775808\n0\n", 1, "64-bit"),
+        ("1 9223372036854775807\n0\n", 3, "missing edge 1"),
+    ]
+    for text, line_no, message in cases:
+        check_against_line_reference(text)
+        with pytest.raises(GraphParseError, match=message) as err:
+            parse_graph(text)
+        assert err.value.line_no == line_no
+    # 19 digits are never converted from bytes, where they could clamp
+    assert not any(plain_reads[1:])
+
+
 def test_order_at_or_above_two_to_the_31_is_rejected():
     with pytest.raises(GraphParseError, match="below 2147483648") as err:
         parse_graph("2147483648 0\n0\n")
@@ -257,6 +349,8 @@ _TOKEN_REWRITES = (
     lambda t: t + "0",
     lambda t: "99999999999999999999999",
     lambda t: "9223372036854775807",
+    lambda t: t.zfill(18),
+    lambda t: t.zfill(19),
     lambda t: "x",
     lambda t: "1.0",
     lambda t: "#",
