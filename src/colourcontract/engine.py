@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import ColouredGraph, _sorted_unique
+from .graph import ColouredGraph, _integers, _sorted_unique
 from .oracle import _grow
 
 
@@ -42,68 +42,61 @@ def iteration_bound(n: int) -> int:
 
 @dataclass(frozen=True)
 class ContractionMapping:
-    """Vertex-to-cluster mapping for one contraction step, held as CSR.
+    """Vertex-to-cluster map of one contraction round: one target array.
 
-    ``becomes[v]`` is the target index of source vertex ``v``.  ``order``
-    lists the source vertices grouped by target, ascending within each group,
-    and ``cluster_sizes[t]`` is the size of group ``t``; their running sum
-    from 0, ``offsets``, delimits the groups, so target ``t`` owns
-    ``order[offsets[t]:offsets[t + 1]]``.  Targets are numbered by ascending
-    cluster representative, and the first member of a group is both its
-    minimum and its representative, so ``representatives`` is
-    ``order[offsets[:-1]]``.  ``fibres`` splits ``order`` into one read-only
-    view per target, for tests and small callers.
+    ``becomes[v]`` is the target, in ``0..n_prime-1``, of source vertex
+    ``v``; the fibre of target ``t`` is every vertex that becomes ``t``, and
+    its smallest member is its representative.  Targets are numbered by
+    ascending representative.  ``cluster_sizes``, ``representatives`` and
+    ``fibres`` are derived from ``becomes`` on each access, for tests and
+    other callers; the contraction path itself reads ``becomes`` alone.
     """
 
     n: int
     n_prime: int
     becomes: np.ndarray
-    order: np.ndarray
-    cluster_sizes: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.becomes, self.order, self.cluster_sizes):
-            arr.setflags(write=False)
+        self.becomes.setflags(write=False)
 
     @property
     def is_trivial(self) -> bool:
         return self.n_prime == self.n
 
     @property
-    def offsets(self) -> np.ndarray:
-        out = np.zeros(self.cluster_sizes.size + 1, dtype=np.int64)
-        np.cumsum(self.cluster_sizes, out=out[1:])
-        return out
+    def cluster_sizes(self) -> np.ndarray:
+        return np.bincount(self.becomes, minlength=self.n_prime)
 
     @property
     def representatives(self) -> np.ndarray:
-        return self.order[self.offsets[:-1]]
+        """Smallest member of each fibre; ``n`` for a target without one."""
+        reps = np.full(self.n_prime, self.n, dtype=np.int64)
+        np.minimum.at(reps, self.becomes, np.arange(self.n, dtype=np.int64))
+        return reps
 
     @property
     def fibres(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.split(self.order, self.offsets[1:-1])) if self.n_prime else ()
+        """Members of each fibre, ascending: the runs of a stable sort by target."""
+        order = np.argsort(self.becomes, kind="stable")
+        return tuple(np.split(order, np.cumsum(self.cluster_sizes)[:-1])) if self.n_prime else ()
 
     def validate(self, g: ColouredGraph) -> None:
         """Check every structural invariant against the source graph.
 
-        Raises ValueError on the first violation.  Covers the cheap checks
-        run on every application plus member and representative ordering,
-        the singleton characterisation of triviality and fibre connectivity.
+        Raises ValueError on the first violation.  Covers the checks run on
+        every application, plus the numbering of targets by ascending
+        representative and the connectivity of every fibre.
         """
         _check_mapping_structure(g, self)
-        same_fibre = self.becomes[self.order[1:]] == self.becomes[self.order[:-1]]
-        if (np.diff(self.order)[same_fibre] <= 0).any():
-            raise ValueError("fibre members are not ascending")
-        if (np.diff(self.representatives) <= 0).any():
+        reps = self.representatives
+        if (np.diff(reps) <= 0).any():
             raise ValueError("fibres are not ordered by ascending representative")
-        if self.is_trivial != bool((self.cluster_sizes == 1).all()):
-            raise ValueError("trivial mapping must mean all-singleton fibres")
         # coloured by target, g's colour components are the connected pieces
         # of the fibres; grown from every representative at once, they cover
         # g exactly when every fibre is connected
         by_target = ColouredGraph(n=g.n, m=g.m, colours=self.becomes, indptr=g.indptr, indices=g.indices)
         covered = np.zeros(g.n, dtype=bool)
-        _grow(by_target, self.representatives, covered)
+        _grow(by_target, reps, covered)
         if not covered.all():
             t = int(self.becomes[~covered].min())
             raise ValueError(f"fibre {t} does not induce a connected subgraph")
@@ -111,18 +104,24 @@ class ContractionMapping:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Shape of one executed contraction: sizes before, target count, mapping."""
+    """One executed contraction: edge count before, mapping, wall time."""
 
-    n: int
     m: int
-    n_prime: int
     mapping: ContractionMapping
     wall_time_ms: float
+
+    @property
+    def n(self) -> int:
+        return self.mapping.n
+
+    @property
+    def n_prime(self) -> int:
+        return self.mapping.n_prime
 
 
 @dataclass(frozen=True)
 class ContractionTrace:
-    """Record of a full run: one entry per executed application.
+    """Record of a full run: one entry per executed application, ``iterations`` in all.
 
     ``total_map`` sends every original vertex to its final vertex.  When the
     run kept intermediate graphs, ``graphs[k]`` is the graph before iteration
@@ -131,7 +130,6 @@ class ContractionTrace:
     plus the composition of ``total_map``.
     """
 
-    iterations: int
     per_iteration: tuple[IterationRecord, ...]
     total_map: np.ndarray
     graphs: tuple[ColouredGraph, ...] | None = None
@@ -139,6 +137,10 @@ class ContractionTrace:
 
     def __post_init__(self) -> None:
         self.total_map.setflags(write=False)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.per_iteration)
 
 
 def build_functional_digraph(g: ColouredGraph) -> np.ndarray:
@@ -168,7 +170,7 @@ def project_to_roots(parents: np.ndarray) -> np.ndarray:
     forest of depth d settles after about log2(d) + 1 passes.  No pass
     depends on the order in which vertices are visited.
     """
-    b = np.asarray(parents, dtype=np.int64)
+    b = _integers(parents, "parent pointers")
     n = b.size
     if n:
         if int(b.min()) < 0:
@@ -188,7 +190,7 @@ def compact_mapping(g: ColouredGraph, roots: np.ndarray) -> ContractionMapping:
     Roots are numbered in index order, so target indices ascend with the
     cluster representatives.
     """
-    r = np.asarray(roots, dtype=np.int64)
+    r = _integers(roots, "roots")
     if r.size != g.n:
         raise ValueError("root array length must equal graph order")
     if r.size:
@@ -197,15 +199,7 @@ def compact_mapping(g: ColouredGraph, roots: np.ndarray) -> ContractionMapping:
         if not (r[r] == r).all():
             raise ValueError("roots are not projected (roots[roots[v]] != roots[v])")
     is_root = r == np.arange(r.size, dtype=np.int64)
-    becomes = (np.cumsum(is_root) - 1)[r]
-    k = int(is_root.sum())
-    return ContractionMapping(
-        n=g.n,
-        n_prime=k,
-        becomes=becomes,
-        order=np.argsort(becomes, kind="stable"),
-        cluster_sizes=np.bincount(becomes, minlength=k),
-    )
+    return ContractionMapping(n=g.n, n_prime=int(is_root.sum()), becomes=(np.cumsum(is_root) - 1)[r])
 
 
 def evaluate_contraction_mapping(g: ColouredGraph) -> ContractionMapping:
@@ -213,39 +207,42 @@ def evaluate_contraction_mapping(g: ColouredGraph) -> ContractionMapping:
     return compact_mapping(g, project_to_roots(build_functional_digraph(g)))
 
 
-def _check_mapping_structure(g: ColouredGraph, mapping: ContractionMapping) -> None:
-    """O(n) whole-array checks shared by every application: graph order,
-    partition shape, index ranges, group sizes, monochromatic fibres."""
-    n, k = mapping.n, mapping.n_prime
-    becomes, order, sizes = mapping.becomes, mapping.order, mapping.cluster_sizes
-    if n != g.n:
+def _check_targets(mapping: ContractionMapping) -> None:
+    """One integer target in 0..n_prime-1 per source vertex, as indexing by ``becomes`` needs."""
+    n, k, becomes = mapping.n, mapping.n_prime, mapping.becomes
+    integral = becomes.shape == (n,) and becomes.dtype.kind in "iu"
+    if not integral or (n and (int(becomes.min()) < 0 or int(becomes.max()) >= k)):
+        raise ValueError(f"mapping of order {n} needs {n} integer targets in [0, {k})")
+
+
+def _check_mapping_structure(g: ColouredGraph, mapping: ContractionMapping) -> np.ndarray:
+    """O(n) checks run on every application: graph order, ``n_prime <= n``,
+    target range, a member for every target, monochromatic fibres.  Returns
+    every target's colour, scattered from ``g.colours`` through ``becomes``."""
+    if mapping.n != g.n:
         raise ValueError("mapping was built for a different graph order")
-    if becomes.size != n or order.size != n or sizes.size != k:
-        raise ValueError("mapping arrays disagree on n or n_prime")
-    if k > n:
+    # also bounds the scatter array below by the graph, whatever n_prime claims
+    if mapping.n_prime > mapping.n:
         raise ValueError("mapping cannot increase the order")
-    if n == 0:
-        return
-    if int(becomes.min()) < 0 or int(becomes.max()) >= k:
-        raise ValueError("becomes target out of range")
-    if int(order.min()) < 0 or int(order.max()) >= n or (np.bincount(order, minlength=n) != 1).any():
-        raise ValueError("fibres do not partition the vertices")
-    if int(sizes.min()) < 1 or int(sizes.sum()) != n:
-        raise ValueError("cluster_sizes must be positive and sum to n")
-    if not np.array_equal(becomes[order], np.repeat(np.arange(k, dtype=np.int64), sizes)):
-        raise ValueError("becomes disagrees with fibres")
-    if not np.array_equal(g.colours, g.colours[mapping.representatives][becomes]):
+    _check_targets(mapping)
+    # colours are non-negative, so -1 survives only at a target nobody maps to
+    colours = np.full(mapping.n_prime, -1, dtype=np.int64)
+    colours[mapping.becomes] = g.colours
+    if (colours < 0).any():
+        raise ValueError(f"target {int(np.argmin(colours))} has no member")
+    if not np.array_equal(colours[mapping.becomes], g.colours):
         raise ValueError("some fibre is not monochromatic")
+    return colours
 
 
 def apply_contraction(g: ColouredGraph, mapping: ContractionMapping) -> ColouredGraph:
     """Quotient of g by the mapping: one vertex per fibre.
 
     Edges are relabelled through ``becomes``; duplicates collapse and
-    self-edges vanish.  Each new vertex takes the colour of its fibre
-    representative.  The result is validated before it is returned.
+    self-edges vanish.  Each new vertex takes the colour its fibre shares.
+    The result is validated before it is returned.
     """
-    _check_mapping_structure(g, mapping)
+    colours = _check_mapping_structure(g, mapping)
     k = mapping.n_prime
     src = mapping.becomes[np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)]
     dst = mapping.becomes[g.indices]
@@ -259,7 +256,6 @@ def apply_contraction(g: ColouredGraph, mapping: ContractionMapping) -> Coloured
         keys = keys[distinct]
     indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // k, minlength=k), out=indptr[1:])
-    colours = g.colours[mapping.representatives].astype(np.int64)
     return ColouredGraph(n=k, m=int(keys.size) // 2, colours=colours, indptr=indptr, indices=keys % k)
 
 
@@ -269,16 +265,8 @@ def _compose(n0: int, mappings: Iterable[ContractionMapping]) -> np.ndarray:
     for mapping in mappings:
         if mapping.n != width:
             raise ValueError(f"mapping chain mismatch: expected source order {width}, got {mapping.n}")
-        # every target must index the next round's vertices: a negative one
-        # would wrap and a float or too-large one would raise IndexError
-        becomes = mapping.becomes
-        if (
-            becomes.shape != (width,)
-            or becomes.dtype.kind not in "iu"
-            or (width and (int(becomes.min()) < 0 or int(becomes.max()) >= mapping.n_prime))
-        ):
-            raise ValueError(f"mapping chain mismatch: targets of order {width} must be integers in [0, {mapping.n_prime})")
-        total = becomes[total]
+        _check_targets(mapping)
+        total = mapping.becomes[total]
         width = mapping.n_prime
     return total
 
@@ -325,15 +313,12 @@ def contract_to_fixpoint(
             )
         contracted = apply_contraction(current, mapping)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        records.append(
-            IterationRecord(n=current.n, m=current.m, n_prime=mapping.n_prime, mapping=mapping, wall_time_ms=wall_ms)
-        )
+        records.append(IterationRecord(m=current.m, mapping=mapping, wall_time_ms=wall_ms))
         current = contracted
         if graphs is not None:
             graphs.append(current)
     total = _compose(n0, [r.mapping for r in records])
     trace = ContractionTrace(
-        iterations=len(records),
         per_iteration=tuple(records),
         total_map=total,
         graphs=tuple(graphs) if graphs is not None else None,
@@ -366,7 +351,8 @@ def equivalent_contractions(g: ColouredGraph, trace: ContractionTrace, partition
         return False
     if not np.array_equal(total, trace.total_map):
         return False
-    if total.dtype.kind not in "iu" or (n and (int(total.min()) < 0 or int(total.max()) >= n)):
+    # _compose checked every round's targets; this bounds bincount's length
+    if n and int(total.max()) >= n:
         return False
     total = total.astype(np.int64, copy=False)
     sizes = np.bincount(total)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -110,24 +111,36 @@ def _sorted_unique(values: np.ndarray, return_index: bool = False):
     return uniq, np.minimum.reduceat(order, starts) if starts.size else order[:0]
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as int64, refusing rather than truncating a non-integer:
+    arrays by dtype kind, other sequences through ``operator.index``."""
+    if isinstance(values, np.ndarray):
+        if values.size and values.dtype.kind not in "iu":
+            raise ValueError(f"{what} must be integers, got dtype {values.dtype}")
+        return values.astype(np.int64, copy=False)
+    try:
+        return np.array([operator.index(x) for x in values], dtype=np.int64)
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
+
+
 def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequence[int] | np.ndarray) -> ColouredGraph:
     """Build a validated graph from an unordered edge list.
 
     Edges may arrive in any order and orientation; duplicates collapse to a
-    single edge.  Self-loops and out-of-range endpoints are rejected.
+    single edge.  Self-loops, out-of-range endpoints and endpoints or colours
+    that are not integers are rejected.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    col = np.asarray(colours, dtype=np.int64)
+    # the graph checks the colours again, but n sizes arrays before it does
+    col = _integers(colours, "colour ids")
     if col.ndim != 1 or col.size != n:
         raise ValueError(f"expected {n} colours, got {col.size}")
-    if col.size and int(col.min()) < 0:
-        raise ValueError("colour ids must be non-negative")
 
-    if isinstance(edges, np.ndarray):
-        pairs = edges.astype(np.int64, copy=False).reshape(-1, 2)
-    else:
-        pairs = np.array([(int(u), int(v)) for u, v in edges], dtype=np.int64).reshape(-1, 2)
+    if not isinstance(edges, np.ndarray):
+        edges = [x for u, v in edges for x in (u, v)]
+    pairs = _integers(edges, "edge endpoints").reshape(-1, 2)
 
     if pairs.size:
         if int(pairs.min()) < 0 or int(pairs.max()) >= n:

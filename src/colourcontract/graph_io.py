@@ -298,7 +298,7 @@ def stats_dict(initial: ColouredGraph, final: ColouredGraph, trace: ContractionT
     per_iteration = [asdict(r) for r in stats_records(trace)]
     if include_trace:
         for row, record in zip(per_iteration, trace.per_iteration):
-            row["becomes"] = [int(x) for x in record.mapping.becomes.tolist()]
+            row["becomes"] = record.mapping.becomes.tolist()
     return {
         "n0": initial.n,
         "m0": initial.m,

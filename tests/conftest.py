@@ -61,7 +61,7 @@ def tampered_inputs(g, trace, partition, rng):
         return ColourPartition(blocks=tuple(bs), block_colour=cs)
 
     def with_maps(records, total):
-        return ContractionTrace(iterations=len(records), per_iteration=tuple(records), total_map=total)
+        return ContractionTrace(per_iteration=tuple(records), total_map=total)
 
     out = [("untouched", trace, part({}))]
     shuffle = rng.permutation(nb)
@@ -104,12 +104,8 @@ def tampered_inputs(g, trace, partition, rng):
             becomes[becomes == last.mapping.n_prime - 1] = int(rng.integers(last.mapping.n_prime - 1))
         else:
             becomes[int(rng.integers(becomes.size))] = 1
-        k = int(becomes.max()) + 1
-        mapping = ContractionMapping(
-            n=last.mapping.n, n_prime=k, becomes=becomes,
-            order=np.argsort(becomes, kind="stable"), cluster_sizes=np.bincount(becomes, minlength=k),
-        )
-        records = trace.per_iteration[:-1] + (dataclasses.replace(last, n_prime=k, mapping=mapping),)
+        mapping = ContractionMapping(n=last.mapping.n, n_prime=int(becomes.max()) + 1, becomes=becomes)
+        records = trace.per_iteration[:-1] + (dataclasses.replace(last, mapping=mapping),)
         total = np.arange(n, dtype=np.int64)
         for r in records:
             total = r.mapping.becomes[total]

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package internals: components come from a
 plain BFS and a union-find, root projection from per-vertex iterated lookup,
-contraction from set relabelling, and the graph file format from a plain
+fibres from appending each vertex to its target's list, contraction from set
+relabelling, and the graph file format from a plain
 line-by-line reader.  Two exceptions use the engine on purpose:
 ``equivalent_by_sets``, the set-based form of ``equivalent_contractions``,
 reuses the engine's composition and round application and differs only in
@@ -70,6 +71,15 @@ def roots_by_iterated_lookup(parents):
             x = parents[x]
         out.append(int(x))
     return out
+
+
+def fibres_by_grouping(becomes):
+    """Members of every target of a target list, each ascending, by one pass
+    that appends each source to its target's list."""
+    fibres = [[] for _ in range(max(becomes, default=-1) + 1)]
+    for v, t in enumerate(becomes):
+        fibres[t].append(v)
+    return fibres
 
 
 def contract_by_relabel(g, block_of):

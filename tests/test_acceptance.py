@@ -32,7 +32,7 @@ from colourcontract import (
 )
 
 from conftest import FIG24_COLOURS, FIG24_EDGES, FIG24_EXPECTED, P4_EDGES, tampered_inputs
-from reference_impls import contract_by_relabel, equivalent_by_sets, relabel_form
+from reference_impls import contract_by_relabel, equivalent_by_sets, fibres_by_grouping, relabel_form
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -190,6 +190,23 @@ def test_criterion_4_structural_invariants_every_iteration():
         True,
         f"{len(graphs)} graphs, {elapsed:.1f}s",
     )
+
+
+def test_criterion_4_derived_views_equal_plain_grouping():
+    # a round is stored as its target array alone; its fibres, sizes and
+    # representatives are derived, and must equal a plain grouping of it
+    rounds = 0
+    for i, g in _random_corpus():
+        _, trace = contract_to_fixpoint(g)
+        for k, record in enumerate(trace.per_iteration):
+            mapping = record.mapping
+            fibres = fibres_by_grouping(mapping.becomes.tolist())
+            assert len(fibres) == mapping.n_prime, f"case {i}, round {k + 1}"
+            assert [f.tolist() for f in mapping.fibres] == fibres, f"case {i}, round {k + 1}"
+            assert mapping.cluster_sizes.tolist() == [len(f) for f in fibres], f"case {i}, round {k + 1}"
+            assert mapping.representatives.tolist() == [f[0] for f in fibres], f"case {i}, round {k + 1}"
+            rounds += 1
+    _report("criterion 4, derived fibre views equal a plain grouping on all 512 cases", rounds > 512, f"{rounds} rounds")
 
 
 def test_criterion_5_scratchpad_variants_identical():

@@ -114,6 +114,18 @@ def test_project_rejects_increasing_pointer():
         project_to_roots(np.array([-1, 0]))
 
 
+def test_pointers_must_be_integers(p4):
+    for parents in (np.array([0, 0.9, 1.5]), [0, 0.9, 1.5]):
+        with pytest.raises(ValueError, match="must be integers"):
+            project_to_roots(parents)
+    for roots in (np.array([0.0, 1.0, 0.0, 1.0]), [0, 1, 0.0, 1]):
+        with pytest.raises(ValueError, match="must be integers"):
+            compact_mapping(p4, roots)
+    assert project_to_roots([0, 0, 1]).tolist() == [0, 0, 0]
+    assert compact_mapping(p4, [0, 1, 0, 1]).becomes.tolist() == [0, 1, 0, 1]
+    assert project_to_roots(np.empty(0)).size == 0
+
+
 def test_project_matches_iterated_lookup():
     rng = np.random.default_rng(11)
     for _ in range(60):
@@ -193,37 +205,44 @@ def test_evaluate_figure_graph(fig24):
 
 def test_mapping_validate_catches_tampering(p4):
     mp = evaluate_contraction_mapping(p4)
-    # becomes disagreeing with fibres
-    broken = ContractionMapping(
-        n=4, n_prime=2,
-        becomes=np.array([0, 0, 1, 1]),
-        order=np.array([0, 2, 1, 3]),
-        cluster_sizes=np.array([2, 2]),
-    )
-    with pytest.raises(ValueError):
-        broken.validate(p4)
     # disconnected fibre: 0 and 3 are not adjacent in p4
-    disconnected = ContractionMapping(
-        n=4, n_prime=2,
-        becomes=np.array([0, 1, 1, 0]),
-        order=np.array([0, 3, 1, 2]),
-        cluster_sizes=np.array([2, 2]),
-    )
+    disconnected = ContractionMapping(n=4, n_prime=2, becomes=np.array([0, 1, 1, 0]))
     with pytest.raises(ValueError, match="connected"):
         disconnected.validate(p4)
+    # fibres {0, 1} and {2, 3} numbered out of representative order
+    misnumbered = ContractionMapping(n=4, n_prime=2, becomes=np.array([1, 1, 0, 0]))
+    with pytest.raises(ValueError, match="^fibres are not ordered by ascending representative$"):
+        misnumbered.validate(p4)
     mp.validate(p4)  # the genuine mapping passes
+
+
+def test_mapping_checks_reject_an_empty_target(p4):
+    # [0, 0, 2, 2] leaves target 1 empty; with n_prime 5 it also claims more targets than vertices
+    for n_prime, message in ((3, "^target 1 has no member$"), (5, "cannot increase the order")):
+        gap = ContractionMapping(n=4, n_prime=n_prime, becomes=np.array([0, 0, 2, 2]))
+        with pytest.raises(ValueError, match=message):
+            apply_contraction(p4, gap)
+        with pytest.raises(ValueError, match=message):
+            gap.validate(p4)
+
+
+def test_mapping_target_check_is_shared(p4):
+    _, trace = contract_to_fixpoint(p4)
+    message = r"^mapping of order 4 needs 4 integer targets in \[0, 2\)$"
+    for becomes in ([0.0, 1.0, 0.0, 1.0], [0, 1, 0], [0, 2, 0, 1], [0, -1, 0, 1]):
+        bad = ContractionMapping(n=4, n_prime=2, becomes=np.array(becomes))
+        with pytest.raises(ValueError, match=message):
+            apply_contraction(p4, bad)
+        record = dataclasses.replace(trace.per_iteration[0], mapping=bad)
+        with pytest.raises(ValueError, match=message):
+            compose_total_mapping(ContractionTrace(per_iteration=(record,), total_map=np.zeros(4, dtype=np.int64)))
 
 
 def test_mapping_validate_names_the_one_disconnected_fibre():
     # fibres {2i, 2i + 1} on a path; dropping the edge inside pair j leaves
     # that fibre, and no other, disconnected
     k, j = 500, 317
-    pairs = ContractionMapping(
-        n=2 * k, n_prime=k,
-        becomes=np.arange(2 * k) // 2,
-        order=np.arange(2 * k),
-        cluster_sizes=np.full(k, 2),
-    )
+    pairs = ContractionMapping(n=2 * k, n_prime=k, becomes=np.arange(2 * k) // 2)
     path = [(i, i + 1) for i in range(2 * k - 1)]
     pairs.validate(new_graph(2 * k, path, [0] * (2 * k)))
     cut = new_graph(2 * k, [e for e in path if e[0] != 2 * j], [0] * (2 * k))
@@ -273,12 +292,7 @@ def test_apply_rejects_size_mismatch(p4, triangle_two_colours):
 
 
 def test_apply_rejects_non_monochromatic_fibre(triangle_two_colours):
-    mp = ContractionMapping(
-        n=3, n_prime=1,
-        becomes=np.array([0, 0, 0]),
-        order=np.array([0, 1, 2]),
-        cluster_sizes=np.array([3]),
-    )
+    mp = ContractionMapping(n=3, n_prime=1, becomes=np.array([0, 0, 0]))
     with pytest.raises(ValueError, match="monochromatic"):
         apply_contraction(triangle_two_colours, mp)
 
@@ -407,7 +421,6 @@ def test_compose_chain_mismatch(p4, fig24):
     _, trace_a = contract_to_fixpoint(p4)
     _, trace_b = contract_to_fixpoint(fig24)
     mixed = ContractionTrace(
-        iterations=2,
         per_iteration=(trace_b.per_iteration[0], trace_a.per_iteration[1]),
         total_map=np.arange(24),
     )
@@ -424,8 +437,8 @@ def test_compose_rejects_targets_outside_the_next_order(p4):
     # and with a round after it: both are chain mismatches
     for becomes in ([0, -1, 1, 1], [0, 2, 0, 1]):
         record = dataclasses.replace(first, mapping=dataclasses.replace(first.mapping, becomes=np.asarray(becomes)))
-        alone = ContractionTrace(iterations=1, per_iteration=(record,), total_map=np.asarray(becomes))
-        chained = ContractionTrace(iterations=2, per_iteration=(record, second), total_map=np.zeros(4, dtype=np.int64))
+        alone = ContractionTrace(per_iteration=(record,), total_map=np.asarray(becomes))
+        chained = ContractionTrace(per_iteration=(record, second), total_map=np.zeros(4, dtype=np.int64))
         for tampered in (alone, chained):
             with pytest.raises(ValueError, match="targets"):
                 compose_total_mapping(tampered)
@@ -452,7 +465,6 @@ def test_equivalent_false_on_tampered_total_map():
     g = new_graph(4, [(0, 1), (1, 2), (2, 3)], [0, 0, 1, 1])
     _, trace = contract_to_fixpoint(g)
     tampered = ContractionTrace(
-        iterations=trace.iterations,
         per_iteration=trace.per_iteration,
         total_map=np.zeros(4, dtype=np.int64),  # merges the two different-colour blocks
     )
@@ -462,14 +474,9 @@ def test_equivalent_false_on_tampered_total_map():
 def test_equivalent_false_on_tampered_mapping():
     g = new_graph(4, [(0, 1), (1, 2), (2, 3)], [0, 0, 1, 1])
     _, trace = contract_to_fixpoint(g)
-    fake = ContractionMapping(
-        n=4, n_prime=1,
-        becomes=np.zeros(4, dtype=np.int64),
-        order=np.arange(4),
-        cluster_sizes=np.array([4]),
-    )
-    tampered = ContractionTrace(iterations=1, per_iteration=trace.per_iteration[:0] + (
-        type(trace.per_iteration[0])(n=4, m=3, n_prime=1, mapping=fake, wall_time_ms=0.0),),
+    fake = ContractionMapping(n=4, n_prime=1, becomes=np.zeros(4, dtype=np.int64))
+    tampered = ContractionTrace(per_iteration=trace.per_iteration[:0] + (
+        type(trace.per_iteration[0])(m=3, mapping=fake, wall_time_ms=0.0),),
         total_map=np.zeros(4, dtype=np.int64))
     assert not equivalent_contractions(g, tampered, colour_partition(g))
 
@@ -550,9 +557,9 @@ def test_equivalent_false_on_malformed_trace(p4):
         "float targets in the last round": ((first, replaced(second, [0.0, 0.0])), np.zeros(4)),
         "final map past the order": ((first, replaced(second, [0, 10**12])), np.array([0, 10**12, 0, 10**12])),
     }
-    assert not equivalent_by_sets(p4, ContractionTrace(2, *cases["target out of range"]), partition)
+    assert not equivalent_by_sets(p4, ContractionTrace(*cases["target out of range"]), partition)
     for name, (records, total) in cases.items():
-        tampered = ContractionTrace(iterations=len(records), per_iteration=records, total_map=total)
+        tampered = ContractionTrace(per_iteration=records, total_map=total)
         assert not equivalent_contractions(p4, tampered, partition), name
 
 

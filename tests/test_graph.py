@@ -48,6 +48,22 @@ def test_degree_sum_is_twice_m():
     assert int(g.degrees.sum()) == 2 * g.m
 
 
+def test_non_integer_endpoints_and_colours_rejected():
+    for edges, colours in (
+        (np.array([[0, 1.7]]), [0, 0, 1]),
+        ([(0, 1.7)], [0, 0, 1]),
+        ([(0, 1)], np.array([0, 0.5, 1])),
+        ([(0, 1)], [0, 0.5, 1]),
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            new_graph(3, edges, colours)
+    # empty inputs carry no values to refuse, whatever their dtype
+    for edges, colours in (([], []), (np.empty((0, 2)), np.empty(0))):
+        assert new_graph(0, edges, colours).n == 0
+    g = new_graph(3, np.array([[0, 1]], dtype=np.int32), [np.int64(0), 0, 1])
+    assert g.edge_array().tolist() == [[0, 1]] and g.colours.tolist() == [0, 0, 1]
+
+
 def test_self_loop_rejected():
     with pytest.raises(ValueError, match="self-loop"):
         new_graph(3, [(1, 1)], [0, 0, 0])
