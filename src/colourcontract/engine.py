@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import ColouredGraph, _integers, _sorted_unique
+from .graph import ColouredGraph, _from_arcs, _integers, _sorted_unique
 from .oracle import _grow
 
 
@@ -91,12 +91,11 @@ class ContractionMapping:
         reps = self.representatives
         if (np.diff(reps) <= 0).any():
             raise ValueError("fibres are not ordered by ascending representative")
-        # coloured by target, g's colour components are the connected pieces
-        # of the fibres; grown from every representative at once, they cover
-        # g exactly when every fibre is connected
-        by_target = ColouredGraph(n=g.n, m=g.m, colours=self.becomes, indptr=g.indptr, indices=g.indices)
+        # labelled by target, g's components are the connected pieces of the
+        # fibres; grown from every representative at once, they cover g
+        # exactly when every fibre is connected
         covered = np.zeros(g.n, dtype=bool)
-        _grow(by_target, reps, covered)
+        _grow(g, self.becomes, reps, covered)
         if not covered.all():
             t = int(self.becomes[~covered].min())
             raise ValueError(f"fibre {t} does not induce a connected subgraph")
@@ -123,16 +122,13 @@ class IterationRecord:
 class ContractionTrace:
     """Record of a full run: one entry per executed application, ``iterations`` in all.
 
-    ``total_map`` sends every original vertex to its final vertex.  When the
-    run kept intermediate graphs, ``graphs[k]`` is the graph before iteration
-    k and ``graphs[-1]`` is the final graph.  ``finish_wall_time_ms`` is the
-    time after the last application: the evaluation that finds the fixpoint
-    plus the composition of ``total_map``.
+    ``total_map`` sends every original vertex to its final vertex.
+    ``finish_wall_time_ms`` is the time after the last application: the
+    evaluation that finds the fixpoint plus the composition of ``total_map``.
     """
 
     per_iteration: tuple[IterationRecord, ...]
     total_map: np.ndarray
-    graphs: tuple[ColouredGraph, ...] | None = None
     finish_wall_time_ms: float = 0.0
 
     def __post_init__(self) -> None:
@@ -246,17 +242,8 @@ def apply_contraction(g: ColouredGraph, mapping: ContractionMapping) -> Coloured
     k = mapping.n_prime
     src = mapping.becomes[np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)]
     dst = mapping.becomes[g.indices]
-    # one key per arc between different targets; sorting orders the arcs by
-    # (source, neighbour), so the duplicates of an arc sit next to each other
     crossing = src != dst
-    keys = np.sort(src[crossing] * k + dst[crossing])
-    if keys.size:
-        distinct = np.ones(keys.size, dtype=bool)
-        distinct[1:] = keys[1:] != keys[:-1]
-        keys = keys[distinct]
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // k, minlength=k), out=indptr[1:])
-    return ColouredGraph(n=k, m=int(keys.size) // 2, colours=colours, indptr=indptr, indices=keys % k)
+    return _from_arcs(k, src[crossing] * k + dst[crossing], colours)
 
 
 def _compose(n0: int, mappings: Iterable[ContractionMapping]) -> np.ndarray:
@@ -282,11 +269,7 @@ def compose_total_mapping(trace: ContractionTrace) -> np.ndarray:
     return _compose(n0, (r.mapping for r in trace.per_iteration))
 
 
-def contract_to_fixpoint(
-    g: ColouredGraph,
-    max_iterations: int | None = None,
-    keep_graphs: bool = False,
-) -> tuple[ColouredGraph, ContractionTrace]:
+def contract_to_fixpoint(g: ColouredGraph, max_iterations: int | None = None) -> tuple[ColouredGraph, ContractionTrace]:
     """Iterate evaluation and application until nothing contracts.
 
     Returns the fully contracted graph plus a trace with one record per
@@ -299,7 +282,6 @@ def contract_to_fixpoint(
     if max_iterations is None:
         max_iterations = iteration_bound(n0) + 2 if n0 >= 1 else 0
     records: list[IterationRecord] = []
-    graphs: list[ColouredGraph] | None = [g] if keep_graphs else None
     current = g
     while True:
         t0 = time.perf_counter()
@@ -315,13 +297,10 @@ def contract_to_fixpoint(
         wall_ms = (time.perf_counter() - t0) * 1000.0
         records.append(IterationRecord(m=current.m, mapping=mapping, wall_time_ms=wall_ms))
         current = contracted
-        if graphs is not None:
-            graphs.append(current)
     total = _compose(n0, [r.mapping for r in records])
     trace = ContractionTrace(
         per_iteration=tuple(records),
         total_map=total,
-        graphs=tuple(graphs) if graphs is not None else None,
         finish_wall_time_ms=(time.perf_counter() - t0) * 1000.0,
     )
     return current, trace

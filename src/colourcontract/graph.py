@@ -124,6 +124,16 @@ def _integers(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be integers") from None
 
 
+def _from_arcs(n: int, arcs: np.ndarray, colours: np.ndarray) -> ColouredGraph:
+    """Graph on n vertices from arc keys ``src * n + dst`` that hold both
+    orientations of every edge, in any order and with repeats.  Sorted and
+    distinct, the keys list the rows in order, each row ascending."""
+    keys = _sorted_unique(arcs)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return ColouredGraph(n=n, m=keys.size // 2, colours=colours, indptr=indptr, indices=keys % n)
+
+
 def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequence[int] | np.ndarray) -> ColouredGraph:
     """Build a validated graph from an unordered edge list.
 
@@ -142,25 +152,14 @@ def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequ
         edges = [x for u, v in edges for x in (u, v)]
     pairs = _integers(edges, "edge endpoints").reshape(-1, 2)
 
-    if pairs.size:
-        if int(pairs.min()) < 0 or int(pairs.max()) >= n:
-            bad = pairs[(pairs.min(axis=1) < 0) | (pairs.max(axis=1) >= n)][0]
-            raise ValueError(f"edge endpoint out of range: ({bad[0]}, {bad[1]})")
-        u, v = pairs[:, 0], pairs[:, 1]
-        loops = u == v
-        if loops.any():
-            raise ValueError(f"self-loop at vertex {int(u[loops][0])}")
-        keys = _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v))
-        lo, hi = np.divmod(keys, n)
-    else:
-        keys = lo = hi = np.empty(0, dtype=np.int64)
-
-    # both orientations as arc keys src*n + dst; sorted, they list the rows in
-    # order, each row ascending
-    arcs = np.sort(np.concatenate([keys, hi * n + lo]))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
-    return ColouredGraph(n=n, m=int(keys.size), colours=col, indptr=indptr, indices=arcs % n)
+    if pairs.size and (int(pairs.min()) < 0 or int(pairs.max()) >= n):
+        bad = pairs[(pairs.min(axis=1) < 0) | (pairs.max(axis=1) >= n)][0]
+        raise ValueError(f"edge endpoint out of range: ({bad[0]}, {bad[1]})")
+    u, v = pairs[:, 0], pairs[:, 1]
+    loops = u == v
+    if loops.any():
+        raise ValueError(f"self-loop at vertex {int(u[loops][0])}")
+    return _from_arcs(n, np.concatenate([u * n + v, v * n + u]), col)
 
 
 def colour_neighbourhood(g: ColouredGraph, v: int) -> np.ndarray:

@@ -11,6 +11,12 @@ in either orientation, is one edge, so the parsed graph can have fewer than m.
 Numbers are read as Python's ``int()`` reads them and must fit in 64 bits;
 n must be below 2**31.
 
+Parsing takes one of two paths.  Text that is plain once its comment lines
+are cut, ASCII digits and whitespace as ``serialize_graph`` writes it, is
+read straight from its bytes in whole-array passes; all other text goes
+through the line-by-line reader, the reference, which reports the exact line
+of an error.
+
 Serialisation is canonical: colours on one line, edges as ``u v`` with
 ``u < v`` in lexicographic order, so parse(serialise(g)) reproduces g exactly.
 """
@@ -20,7 +26,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass
-from itertools import compress
 from typing import IO, Iterable
 
 import numpy as np
@@ -39,20 +44,14 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # the adjacency keys lo*n + hi stay inside int64 for every n below this
 _MAX_ORDER = 2**31
 
-# line breaks of str.splitlines() besides \n and \r\n (a lone \r is checked apart)
-_OTHER_ASCII_BREAKS = b"\x0b\x0c\x1c\x1d\x1e"
-# the non-ASCII characters str.split() treats as whitespace, \x85 and \u2028-9 line breaks too
-_NON_ASCII_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
+# a comment line, cut from the bytes up to the first byte at which
+# str.splitlines() or str.split() could read the text differently: an ASCII
+# line break, or any byte of a non-ASCII character
+_COMMENT = re.compile(rb"^[ \t]*#[^\n\r\x0b\x0c\x1c-\x1e\x80-\xff]*", re.M)
 # plain text, read straight from its bytes: these bytes only, numbers of at
 # most this many digits (every 18-digit number fits in int64)
 _PLAIN_BYTES = b"0123456789 \t\r\n"
 _PLAIN_MAX_DIGITS = 18
-
-
-def _ascii_space(raw: np.ndarray) -> np.ndarray:
-    """Mask of the UTF-8 bytes str.split() treats as whitespace: 0x09-0x0D
-    and 0x1C-0x20.  uint8 subtraction wraps, so each range is one compare."""
-    return ((raw - 0x09) <= 4) | ((raw - 0x1C) <= 4)
 
 
 class GraphParseError(ValueError):
@@ -129,56 +128,38 @@ def _parse_lines(text: str) -> ColouredGraph:
     return new_graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), np.asarray(colour_values, dtype=np.int64))
 
 
-def _needs_line_path(text: str, data: bytes) -> bool:
-    """True when the text holds a line break other than \\n or \\r\\n, or
-    whitespace outside ASCII: the byte mask of the whole-text parse sees neither."""
-    if any(ch in data for ch in _OTHER_ASCII_BREAKS):
-        return True
-    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        return True
-    return not data.isascii() and _NON_ASCII_SPACE.search(text) is not None
+def _parse_whole(text: str) -> ColouredGraph | None:
+    """Whole-text parse of well-formed text read straight from its bytes;
+    None for any other text, which the line-by-line parse then handles.
 
-
-def _plain_values(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """Every token's value read straight from the bytes, or None when the
-    text is not plain: only ASCII digits, spaces, tabs and line breaks, with
-    no token longer than ``_PLAIN_MAX_DIGITS``.
-
-    ``np.fromstring`` clamps an overflowing number to the int64 extreme and
-    stops silently at bytes it cannot read, so the digit cap and the count
-    check against the byte mask's tokens are what make its result exact.
+    Comment lines are cut from the bytes first.  What remains must be plain:
+    ASCII digits, spaces, tabs and ``\\n`` or ``\\r\\n`` line breaks, with no
+    number longer than ``_PLAIN_MAX_DIGITS``.  Its tokens, and each token's
+    line, come from one byte mask; ``np.fromstring`` reads their values and
+    array operations check the layout.  ``np.fromstring`` clamps an
+    overflowing number to the int64 extreme and stops silently at bytes it
+    cannot read, so the digit cap and the count check against the mask's
+    tokens are what make its result exact.  On the text it accepts, the
+    result equals the line-by-line parse's.
     """
-    if data.translate(None, _PLAIN_BYTES) or int((ends - starts).max()) > _PLAIN_MAX_DIGITS:
+    data = text.encode("utf-8", "surrogatepass")
+    if b"#" in data:
+        data = _COMMENT.sub(b"", data)
+    if data.translate(None, _PLAIN_BYTES) or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    # token i is data[starts[i]:ends[i]]: a run of digits, the only bytes >= 0x30 left
+    word = np.zeros(raw.size + 2, dtype=bool)
+    np.greater_equal(raw, 0x30, out=word[1:-1])
+    starts, ends = np.flatnonzero(word[1:] != word[:-1]).reshape(-1, 2).T
+    del word
+    if starts.size == 0 or int((ends - starts).max()) > _PLAIN_MAX_DIGITS:
         return None
     try:
         values = np.fromstring(data, dtype=np.int64, sep=" ")
     except ValueError:
         return None
-    return values if values.size == starts.size else None
-
-
-def _parse_whole(text: str) -> ColouredGraph | None:
-    """Whole-text parse of well-formed input; None when anything is off.
-
-    Finds the tokens and each token's line from one byte mask of whitespace
-    and newlines, then checks the layout with array operations.  Plain text
-    (see ``_plain_values``), which is all that ``serialize_graph`` writes, is
-    converted straight from its bytes; any other text is split into token
-    strings, comment lines dropped, and converted as ``int()`` would.
-    Accepts exactly the inputs the line-by-line parse accepts, with the same
-    result; on any other input it returns None and leaves the error to that
-    parse.
-    """
-    data = text.encode("utf-8", "surrogatepass")
-    if _needs_line_path(text, data):
-        return None
-    raw = np.frombuffer(data, dtype=np.uint8)
-    # token i is data[starts[i]:ends[i]], one per token of text.split()
-    word = np.zeros(raw.size + 2, dtype=bool)
-    np.logical_not(_ascii_space(raw), out=word[1:-1])
-    starts, ends = np.flatnonzero(word[1:] != word[:-1]).reshape(-1, 2).T
-    del word
-    if starts.size == 0:
+    if values.size != starts.size:
         return None
     # opens[i]: a newline lies before token i and after token i - 1
     opens = np.zeros(starts.size + 1, dtype=bool)
@@ -186,24 +167,8 @@ def _parse_whole(text: str) -> ColouredGraph | None:
     opens = opens[:-1]
     opens[0] = True
 
-    values = _plain_values(data, starts, ends)
-    if values is None:
-        tokens = text.split()
-        # a line whose first token starts with '#' is a comment: drop all its tokens
-        comment = opens & (raw[starts] == 0x23)
-        if comment.any():
-            line = np.cumsum(opens) - 1
-            keep = ~comment[opens][line]
-            tokens = list(compress(tokens, keep.tolist()))
-            opens = opens[keep]
-        try:
-            values = np.array(tokens, dtype=np.int64)
-        except (ValueError, OverflowError):
-            return None
-        del tokens  # the token strings outweigh every array here
-
     widths = np.diff(np.append(np.flatnonzero(opens), opens.size))  # tokens per content line
-    if widths.size == 0 or widths[0] != 2:
+    if widths[0] != 2:
         return None
     n, m = int(values[0]), int(values[1])
     if not (0 <= n < _MAX_ORDER and m >= 0):
@@ -220,15 +185,13 @@ def _parse_whole(text: str) -> ColouredGraph | None:
 def parse_graph(source: str | IO[str]) -> ColouredGraph:
     """Parse the text format; errors report the offending line number.
 
-    Well-formed text is parsed in whole-array passes.  Plain text (ASCII
-    digits and whitespace only, no number longer than 18 digits, as
-    ``serialize_graph`` writes it) is read straight from its bytes by
-    ``np.fromstring``; as that clamps overflows and stops silently at bytes
-    it cannot read, the digit cap and a count check against the byte mask
-    guard it.  Other well-formed text is converted token by token as
-    ``int()`` reads it.  Anything else goes through the line-by-line parse,
-    which raises the exact error (or handles the rare line breaks other than
-    \\n and \\r\\n).
+    Two paths.  Well-formed text whose comment lines, once cut, leave only
+    ASCII digits and whitespace (all that ``serialize_graph`` and ``gen``
+    write) is read straight from its bytes by ``_parse_whole``.  Everything
+    else, malformed input and spellings such as ``+5``, ``1_0``, non-ASCII
+    digits, 19-digit numbers or line breaks other than \\n and \\r\\n, goes
+    through the line-by-line parse, which reads numbers as ``int()`` does and
+    raises the exact error line.
     """
     text = source if isinstance(source, str) else source.read()
     g = _parse_whole(text)

@@ -47,11 +47,12 @@ def colour_component(g: ColouredGraph, v: int) -> np.ndarray:
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for order {g.n}")
-    return _grow(g, v, np.zeros(g.n, dtype=bool))
+    return _grow(g, g.colours, v, np.zeros(g.n, dtype=bool))
 
 
-def _grow(g: ColouredGraph, seeds: int | np.ndarray, covered: np.ndarray) -> np.ndarray:
-    """Vertices joined to the seeds by monochromatic paths, by frontier BFS,
+def _grow(g: ColouredGraph, colours: np.ndarray, seeds: int | np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """Vertices joined to the seeds by paths of g along which ``colours``
+    (g's own, or any other vertex labelling) stays the same, by frontier BFS,
     marking them in ``covered``; ascending.
 
     A vertex joins the frontier through an edge from a vertex of its own
@@ -68,7 +69,7 @@ def _grow(g: ColouredGraph, seeds: int | np.ndarray, covered: np.ndarray) -> np.
         # positions of the frontier's rows in g.indices, row after row
         row_base = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
         gathered = g.indices[row_base + np.arange(row_base.size)]
-        same = g.colours[gathered] == np.repeat(g.colours[frontier], lengths)
+        same = colours[gathered] == np.repeat(colours[frontier], lengths)
         fresh = gathered[same & ~covered[gathered]]
         frontier = np.unique(fresh)
         covered[frontier] = True
@@ -82,7 +83,7 @@ def colour_partition(g: ColouredGraph) -> ColourPartition:
     blocks: list[np.ndarray] = []
     for v in range(g.n):
         if not covered[v]:
-            blocks.append(_grow(g, v, covered))
+            blocks.append(_grow(g, g.colours, v, covered))
     block_colour = np.array([int(g.colours[b[0]]) for b in blocks], dtype=np.int64)
     return ColourPartition(blocks=tuple(blocks), block_colour=block_colour)
 

@@ -7,9 +7,10 @@ relabelling, and the graph file format from a plain
 line-by-line reader.  Two exceptions use the engine on purpose:
 ``equivalent_by_sets``, the set-based form of ``equivalent_contractions``,
 reuses the engine's composition and round application and differs only in
-how it compares; ``fib_by_growth`` builds the worst-case family by running
-one engine evaluation per level, the construction that the closed-form
-generator replaced.
+how it compares; ``replay`` rebuilds the graph before every round of a
+trace by applying the rounds' mappings in turn; ``fib_by_growth`` builds the
+worst-case family by running one engine evaluation per level, the
+construction that the closed-form generator replaced.
 """
 
 from collections import deque
@@ -238,6 +239,15 @@ def equivalent_by_sets(g, trace, partition):
         if bu != bv:
             oracle_edges.add((min(bu, bv), max(bu, bv)))
     return engine_edges == oracle_edges
+
+
+def replay(g, trace):
+    """The graphs of a run: g, then g after each round's mapping in turn;
+    the last is the run's final graph."""
+    graphs = [g]
+    for record in trace.per_iteration:
+        graphs.append(apply_contraction(graphs[-1], record.mapping))
+    return graphs
 
 
 def fib_by_growth(level):

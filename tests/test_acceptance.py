@@ -32,7 +32,7 @@ from colourcontract import (
 )
 
 from conftest import FIG24_COLOURS, FIG24_EDGES, FIG24_EXPECTED, P4_EDGES, tampered_inputs
-from reference_impls import contract_by_relabel, equivalent_by_sets, fibres_by_grouping, relabel_form
+from reference_impls import contract_by_relabel, equivalent_by_sets, fibres_by_grouping, relabel_form, replay
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -132,9 +132,10 @@ def test_criterion_2_equivalence_matches_set_reference():
 def test_criterion_3_pinned_examples():
     started = time.perf_counter()
     p4 = new_graph(4, P4_EDGES, [0, 0, 0, 0])
-    final, trace = contract_to_fixpoint(p4, keep_graphs=True)
+    final, trace = contract_to_fixpoint(p4)
+    graphs = replay(p4, trace)
     assert trace.iterations == 2
-    mid = trace.graphs[1]
+    mid = graphs[1]
     assert mid.n == 2 and mid.m == 1 and np.unique(mid.colours).size == 1
     assert final.n == 1 and final.m == 0
 
@@ -154,10 +155,11 @@ def test_criterion_3_pinned_examples():
 
 
 def _check_iteration_invariants(g):
-    final, trace = contract_to_fixpoint(g, keep_graphs=True)
+    final, trace = contract_to_fixpoint(g)
+    graphs = replay(g, trace)
     assert final.is_properly_coloured()
     for k, record in enumerate(trace.per_iteration):
-        step_graph = trace.graphs[k]
+        step_graph = graphs[k]
         mapping = record.mapping
         mapping.validate(step_graph)
         assert record.n_prime < record.n
@@ -168,7 +170,7 @@ def _check_iteration_invariants(g):
         next_mapping = (
             trace.per_iteration[k + 1].mapping
             if k + 1 < trace.iterations
-            else evaluate_contraction_mapping(trace.graphs[k + 1])
+            else evaluate_contraction_mapping(graphs[k + 1])
         )
         for t, fibre in enumerate(mapping.fibres):
             if fibre.size == 1 and colour_neighbourhood(step_graph, int(fibre[0])).size:
@@ -215,10 +217,11 @@ def test_criterion_5_scratchpad_variants_identical():
     started = time.perf_counter()
     rounds = 0
     for i, g in _random_corpus():
-        final, trace = contract_to_fixpoint(g, keep_graphs=True)
+        final, trace = contract_to_fixpoint(g)
+        graphs = replay(g, trace)
         for k, record in enumerate(trace.per_iteration):
-            expected = contract_by_relabel(trace.graphs[k], record.mapping.becomes.tolist())
-            assert relabel_form(trace.graphs[k + 1]) == expected, f"case {i}, round {k + 1}: merge differs"
+            expected = contract_by_relabel(graphs[k], record.mapping.becomes.tolist())
+            assert relabel_form(graphs[k + 1]) == expected, f"case {i}, round {k + 1}: merge differs"
             rounds += 1
         assert relabel_form(final) == contract_by_relabel(g, trace.total_map.tolist()), f"case {i}: final differs"
     elapsed = time.perf_counter() - started

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from colourcontract import (
+    ColouredGraph,
     ColourPartition,
     ContractionMapping,
     ContractionTrace,
@@ -25,7 +26,7 @@ from colourcontract import (
     stats_dict,
 )
 from colourcontract import engine
-from reference_impls import contract_by_relabel, equivalent_by_sets, relabel_form, roots_by_iterated_lookup
+from reference_impls import contract_by_relabel, equivalent_by_sets, relabel_form, replay, roots_by_iterated_lookup
 
 from conftest import FIG24_EXPECTED
 
@@ -250,6 +251,24 @@ def test_mapping_validate_names_the_one_disconnected_fibre():
         pairs.validate(cut)
 
 
+def test_mapping_validate_builds_no_graph(monkeypatch, fig24):
+    # the fibre connectivity check runs on g itself, labelled by target: no
+    # second graph, and so no second validation of g's adjacency
+    mp = evaluate_contraction_mapping(fig24)
+    built = []
+    post_init = ColouredGraph.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(ColouredGraph, "__post_init__", counting)
+    mp.validate(fig24)
+    assert built == []
+    apply_contraction(fig24, mp)  # the counter does see a construction
+    assert built == [mp.n_prime]
+
+
 # ---------------------------------------------------------- application
 
 def test_apply_identity_mapping_is_noop(triangle_two_colours):
@@ -323,10 +342,11 @@ def test_merge_duplicate_heavy_and_edgeless():
     # the same with a path inside each side, so the engine itself collapses the sides
     paths = [(u, u + 1) for u in range(a - 1)] + [(a + v, a + v + 1) for v in range(b - 1)]
     g = new_graph(a + b, cross + paths, [0] * a + [1] * b)
-    final, trace = contract_to_fixpoint(g, keep_graphs=True)
+    final, trace = contract_to_fixpoint(g)
+    graphs = replay(g, trace)
     assert (final.n, final.m) == (2, 1)
     for k, record in enumerate(trace.per_iteration):
-        assert relabel_form(trace.graphs[k + 1]) == contract_by_relabel(trace.graphs[k], record.mapping.becomes.tolist())
+        assert relabel_form(graphs[k + 1]) == contract_by_relabel(graphs[k], record.mapping.becomes.tolist())
     # edgeless graph, merged by a mapping (apply does not require connected fibres) and by identity
     g = new_graph(5, [], [0, 0, 1, 1, 1])
     for roots in ([0, 0, 2, 2, 2], [0, 1, 2, 3, 4]):
@@ -354,12 +374,13 @@ def test_fixpoint_degenerate_orders():
 
 
 def test_fixpoint_p4(p4):
-    final, trace = contract_to_fixpoint(p4, keep_graphs=True)
+    final, trace = contract_to_fixpoint(p4)
+    graphs = replay(p4, trace)
     assert trace.iterations == 2
     assert final.n == 1 and final.m == 0
     assert trace.total_map.tolist() == [0, 0, 0, 0]
-    assert [g.n for g in trace.graphs] == [4, 2, 1]
-    mid = trace.graphs[1]
+    assert [g.n for g in graphs] == [4, 2, 1]
+    mid = graphs[1]
     assert mid.m == 1 and np.unique(mid.colours).size == 1
 
 
@@ -379,11 +400,6 @@ def test_fixpoint_respects_bound(fig24, p4):
 def test_fixpoint_max_iterations_exceeded(p4):
     with pytest.raises(RuntimeError, match="fixpoint"):
         contract_to_fixpoint(p4, max_iterations=1)
-
-
-def test_fixpoint_trace_graphs_off_by_default(p4):
-    _, trace = contract_to_fixpoint(p4)
-    assert trace.graphs is None
 
 
 def test_stats_wall_time_accounts_for_whole_run():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colourcontract import graph_io
+from colourcontract.cli import run_cli
 from colourcontract import (
     GraphParseError,
     export_dot,
@@ -114,7 +115,7 @@ def test_well_formed_text_takes_the_whole_text_path(line_parses, p4):
         P4_TEXT,
         "# header next\n\n4 3\n   # colours\n0 0 0 0\n2 0\n\n3 1\n# last\n2 3",
         P4_TEXT.replace("\n", "\r\n"),
-        "\t4\x1f 3 \n+0 00 0_0 \u0660\n0\t2\n1 3\n2 3\n",
+        "\t4 3 \n0\t0  0 0\n0\t2\n1 3\n2 3\n",
     ]
     for text in texts:
         assert graphs_equal(parse_graph(text), p4)
@@ -129,19 +130,25 @@ def test_other_line_breaks_take_the_line_path(line_parses, p4):
     # non-ASCII whitespace inside a line goes the same way
     assert graphs_equal(parse_graph(P4_TEXT.replace("0 2", "0\xa02")), p4)
     assert len(line_parses) == 7
+    # and so do other spellings that int() and str.split() read: a sign,
+    # leading zeros, an underscore, a non-ASCII digit, the separator \x1f
+    assert graphs_equal(parse_graph("\t4\x1f 3 \n+0 00 0_0 \u0660\n0\t2\n1 3\n2 3\n"), p4)
+    assert len(line_parses) == 8
 
 
-def test_line_path_tables_match_str_methods():
-    spaces = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
-    breaks = {chr(c) for c in range(sys.maxunicode + 1) if len(f"a{chr(c)}b".splitlines()) == 2}
-    ascii_spaces = {chr(b) for b in np.flatnonzero(graph_io._ascii_space(np.arange(256, dtype=np.uint8)))}
-    assert ascii_spaces == {c for c in spaces if c.isascii()}
-    assert {c for c in spaces if not c.isascii()} == {
-        c for c in spaces if graph_io._NON_ASCII_SPACE.fullmatch(c)
-    }
-    assert breaks - {"\n", "\r"} == set(graph_io._OTHER_ASCII_BREAKS.decode()) | {
-        c for c in breaks if not c.isascii()
-    }
+def test_comment_cut_stops_at_line_breaks_and_non_ascii():
+    # "# a{c}b" is one comment line unless c is a line break of
+    # str.splitlines().  The cut removes the whole line, but stops at c when
+    # c is a line break or non-ASCII, and leaves c and what follows to the line parse
+    chars = [chr(c) for c in range(sys.maxunicode + 1)]
+
+    def stops_at(c):
+        return not c.isascii() or len(f"a{c}b".splitlines()) == 2
+
+    text = "".join(f"# a{c}b\n" for c in chars)
+    expected = "".join(f"{c}b\n" if stops_at(c) else "\n" for c in chars)
+    cut = graph_io._COMMENT.sub(b"", text.encode("utf-8", "surrogatepass"))
+    assert cut == expected.encode("utf-8", "surrogatepass")
 
 
 def test_duplicate_edges_count_once(line_parses):
@@ -209,16 +216,16 @@ def test_ids_outside_int64_are_parse_errors():
 
 @pytest.fixture
 def plain_reads(monkeypatch):
-    """Record, per whole-text parse, whether it read the text straight from its bytes."""
+    """Record, per parse, whether the byte path read the text to a graph."""
     calls = []
-    plain_values = graph_io._plain_values
+    parse_whole = graph_io._parse_whole
 
-    def spy(*args):
-        values = plain_values(*args)
-        calls.append(values is not None)
-        return values
+    def spy(text):
+        g = parse_whole(text)
+        calls.append(g is not None)
+        return g
 
-    monkeypatch.setattr(graph_io, "_plain_values", spy)
+    monkeypatch.setattr(graph_io, "_parse_whole", spy)
     return calls
 
 
@@ -229,9 +236,22 @@ def test_serialized_text_is_read_from_bytes_and_other_text_is_not(plain_reads):
         text = serialize_graph(g)
         assert graphs_equal(parse_graph(text), g)
         assert plain_reads.pop() is True
-        for other in ("# a comment\n" + text, "+" + text, text.replace(" ", " 0_", 1)):
+        assert graphs_equal(parse_graph("# a comment\n" + text), g)
+        assert plain_reads.pop() is True
+        for other in ("+" + text, text.replace(" ", " 0_", 1)):
             assert graphs_equal(parse_graph(other), g)
             assert plain_reads.pop() is False
+
+
+def test_fib_roles_comments_are_cut_from_the_bytes(capsys, plain_reads):
+    texts = []
+    for roles in ([], ["--roles"]):
+        assert run_cli(["gen", "fib", "--level", "12", *roles]) == 0
+        texts.append(capsys.readouterr().out)
+    plain, commented = texts
+    assert commented.startswith("# level: 12\n# roles: ") and commented.endswith(plain)
+    assert graphs_equal(parse_graph(commented), parse_graph(plain))
+    assert plain_reads == [True, True]
 
 
 def test_plain_layouts_match_line_reference(plain_reads):
@@ -249,11 +269,11 @@ def test_plain_layouts_match_line_reference(plain_reads):
     ]
     for text in texts:
         check_against_line_reference(text)
-    # the malformed ones too: the layout check sends them on to the line parse
-    assert plain_reads == [True] * len(texts)
+    # the layout and graph checks send the malformed ones on to the line parse
+    assert plain_reads == [True] * 6 + [False] * 3
 
 
-def test_short_byte_read_falls_back_to_tokens(monkeypatch, plain_reads, p4):
+def test_short_byte_read_falls_back_to_the_line_parse(monkeypatch, plain_reads, p4):
     # np.fromstring stops silently at bytes it cannot read; a read that comes
     # up short of the byte mask's token count is not trusted
     fromstring = np.fromstring
@@ -265,7 +285,7 @@ def test_short_byte_read_falls_back_to_tokens(monkeypatch, plain_reads, p4):
 @pytest.mark.parametrize("digits", [17, 18, 19])
 def test_zero_padded_long_tokens(plain_reads, digits):
     # up to 18 digits the text is read from its bytes; longer tokens go
-    # through int(), which reads the same value
+    # to the line parse, whose int() reads the same value
     def pad(x):
         return str(x).zfill(digits)
 
@@ -356,7 +376,12 @@ _TOKEN_REWRITES = (
     lambda t: "#",
 )
 _SPACES = ("  ", "\t", " \x1f", "\xa0")
-_COMMENTS = ("# note", "   #", "\t# 1 2", "#0 1")
+_COMMENTS = (
+    "# note", "   #", "\t# 1 2", "#0 1",
+    # characters at which the comment cut stops, or that it must read through
+    "# a\vb", "#\f0 1", "# \x1e 2", "# \x85", "#\u2028 1 2", "# \xe9", "# a\r0 1", "#\x1f 0", "# \xa0 3",
+    "\x1f# 1", "\xa0#",
+)
 _BLANKS = ("", "   ", "\t", "\x1f")
 _BREAKS = ("\n", "\r\n", "\r", "\v", "\x1e", "\x85", "\u2028")
 
@@ -429,7 +454,7 @@ def test_parse_matches_line_reference_on_perturbed_graphs(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="0123456789 -+_#\n\r\t\x0b\x1f\xa0\u0663x", max_size=40))
+@given(st.text(alphabet="0123456789 -+_#\n\r\t\x0b\x1e\x1f\x85\xa0\u0663x", max_size=40))
 def test_parse_arbitrary_text_matches_line_reference(text):
     check_against_line_reference(text)
 

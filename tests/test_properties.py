@@ -23,7 +23,7 @@ from colourcontract import (
     serialize_graph,
 )
 from conftest import tampered_inputs
-from reference_impls import contract_by_relabel, equivalent_by_sets, relabel_form, unionfind_blocks
+from reference_impls import contract_by_relabel, equivalent_by_sets, relabel_form, replay, unionfind_blocks
 
 
 @st.composite
@@ -99,12 +99,13 @@ def test_equivalence_matches_set_reference(g, seed):
 @given(coloured_graphs())
 @settings(max_examples=80, deadline=None)
 def test_per_iteration_invariants(g):
-    final, trace = contract_to_fixpoint(g, keep_graphs=True)
+    final, trace = contract_to_fixpoint(g)
+    graphs = replay(g, trace)
     assert final.is_properly_coloured()
     if g.n >= 1:
         assert trace.iterations <= iteration_bound(g.n)
     for k, record in enumerate(trace.per_iteration):
-        step_graph = trace.graphs[k]
+        step_graph = graphs[k]
         mapping = record.mapping
         mapping.validate(step_graph)  # monochromatic, connected, ordered fibres
         assert record.n_prime < record.n
@@ -117,7 +118,7 @@ def test_per_iteration_invariants(g):
         next_mapping = (
             trace.per_iteration[k + 1].mapping
             if k + 1 < trace.iterations
-            else evaluate_contraction_mapping(trace.graphs[k + 1])
+            else evaluate_contraction_mapping(graphs[k + 1])
         )
         for t, fibre in enumerate(mapping.fibres):
             if fibre.size == 1 and colour_neighbourhood(step_graph, int(fibre[0])).size:
@@ -148,9 +149,10 @@ def test_contraction_canonical_under_relabelling(g, seed):
 @settings(max_examples=60, deadline=None)
 def test_scratchpad_variants_observationally_identical(g):
     # every round's merge, and the whole run, equal plain set relabelling
-    final, trace = contract_to_fixpoint(g, keep_graphs=True)
+    final, trace = contract_to_fixpoint(g)
+    graphs = replay(g, trace)
     for k, record in enumerate(trace.per_iteration):
-        assert relabel_form(trace.graphs[k + 1]) == contract_by_relabel(trace.graphs[k], record.mapping.becomes.tolist())
+        assert relabel_form(graphs[k + 1]) == contract_by_relabel(graphs[k], record.mapping.becomes.tolist())
     assert relabel_form(final) == contract_by_relabel(g, trace.total_map.tolist())
 
 
