@@ -146,14 +146,14 @@ def build_functional_digraph(g: ColouredGraph) -> np.ndarray:
     trees whose roots are exactly the tree minima.
     """
     b = np.arange(g.n, dtype=np.int64)
-    src = np.repeat(b, g.degrees)
-    same = g.colours[src] == g.colours[g.indices]
-    src, dst = src[same], g.indices[same]
-    if src.size:
-        # src ascends and so does each row, so a row's first arc reaches its minimum
-        first = np.ones(src.size, dtype=bool)
-        first[1:] = src[1:] != src[:-1]
-        b[src[first]] = np.minimum(src[first], dst[first])
+    degrees = g.degrees
+    same = np.repeat(g.colours, degrees) == g.colours[g.indices]
+    rows = np.flatnonzero(degrees)
+    if rows.size:
+        # n stands in for every other-colour neighbour; the non-empty rows'
+        # starts ascend strictly, so each reduction spans exactly one row
+        row_min = np.minimum.reduceat(np.where(same, g.indices, g.n), g.indptr[rows])
+        b[rows] = np.minimum(rows, row_min)
     return b
 
 
@@ -240,10 +240,13 @@ def apply_contraction(g: ColouredGraph, mapping: ContractionMapping) -> Coloured
     """
     colours = _check_mapping_structure(g, mapping)
     k = mapping.n_prime
-    src = mapping.becomes[np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)]
+    src = np.repeat(mapping.becomes, g.degrees).astype(np.int64, copy=False)
     dst = mapping.becomes[g.indices]
     crossing = src != dst
-    return _from_arcs(k, src[crossing] * k + dst[crossing], colours)
+    # the arc keys src*k + dst, in int64 whatever the targets' type, built in src's own buffer
+    src *= k
+    src += dst
+    return _from_arcs(k, src[crossing], colours)
 
 
 def _compose(n0: int, mappings: Iterable[ContractionMapping]) -> np.ndarray:

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import asdict, dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -43,6 +44,10 @@ _ROLE_FILLS = {"P": "#c44e52", "Q": "#ccb974", "R": "#4c72b0"}
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # the adjacency keys lo*n + hi stay inside int64 for every n below this
 _MAX_ORDER = 2**31
+
+# the line-by-line parse splits this many characters, up to the next \n, into
+# lines at a time, so it never holds every line of the text at once
+_LINE_CHUNK = 1 << 16
 
 # a comment line, cut from the bytes up to the first byte at which
 # str.splitlines() or str.split() could read the text differently: an ASCII
@@ -62,12 +67,19 @@ class GraphParseError(ValueError):
         self.line_no = line_no
 
 
-def _content_lines(text: str) -> Iterable[tuple[int, str]]:
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield line_no, stripped
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Numbered non-blank, non-comment lines, stripped, as ``text.splitlines()``
+    numbers them, split one chunk at a time."""
+    line_no, start = 0, 0
+    while start < len(text):
+        # a chunk ends just after a \n, where the chunks' lines are the text's
+        end = text.find("\n", start + _LINE_CHUNK) + 1 or len(text)
+        for raw in text[start:end].splitlines():
+            line_no += 1
+            stripped = raw.strip()
+            if stripped and not stripped.startswith("#"):
+                yield line_no, stripped
+        start = end
 
 
 def _ints(line_no: int, line: str, expected: int, what: str) -> list[int]:
@@ -84,17 +96,20 @@ def _ints(line_no: int, line: str, expected: int, what: str) -> list[int]:
 
 
 def _parse_lines(text: str) -> ColouredGraph:
-    """Line-by-line parse: the reference semantics, and the exact error line."""
-    lines = list(_content_lines(text))
-    cursor = 0
+    """Line-by-line parse: the reference semantics, and the exact error line.
+
+    The lines are read as a stream and the endpoints collect in one flat
+    int64 array, so memory beyond the text is bounded by the arrays.
+    """
+    lines = _content_lines(text)
+    last = 0  # line number of the last content line taken
 
     def take(what: str) -> tuple[int, str]:
-        nonlocal cursor
-        if cursor >= len(lines):
-            last = lines[-1][0] if lines else 0
+        nonlocal last
+        entry = next(lines, None)
+        if entry is None:
             raise GraphParseError(last + 1, f"unexpected end of input, missing {what}")
-        entry = lines[cursor]
-        cursor += 1
+        last = entry[0]
         return entry
 
     line_no, header = take("header")
@@ -112,8 +127,8 @@ def _parse_lines(text: str) -> ColouredGraph:
     else:
         colour_values = []
 
-    # m comes from the header: grow the edge list line by line, never allocate m up front
-    edges: list[tuple[int, int]] = []
+    # m comes from the header: grow the endpoints line by line, never allocate m up front
+    endpoints = array("q")
     for k in range(m):
         line_no, edge_line = take(f"edge {k + 1} of {m}")
         u, v = _ints(line_no, edge_line, 2, "edge endpoints")
@@ -121,11 +136,13 @@ def _parse_lines(text: str) -> ColouredGraph:
             raise GraphParseError(line_no, f"edge endpoint out of range: ({u}, {v})")
         if u == v:
             raise GraphParseError(line_no, f"self-loop at vertex {u}")
-        edges.append((u, v))
+        endpoints.extend((u, v))
 
-    if cursor != len(lines):
-        raise GraphParseError(lines[cursor][0], "trailing content after the edge list")
-    return new_graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), np.asarray(colour_values, dtype=np.int64))
+    trailing = next(lines, None)
+    if trailing is not None:
+        raise GraphParseError(trailing[0], "trailing content after the edge list")
+    edges = np.frombuffer(endpoints, dtype=np.int64).reshape(-1, 2)
+    return new_graph(n, edges, np.asarray(colour_values, dtype=np.int64))
 
 
 def _parse_whole(text: str) -> ColouredGraph | None:

@@ -3,14 +3,15 @@
 Nothing here shares code with the package internals: components come from a
 plain BFS and a union-find, root projection from per-vertex iterated lookup,
 fibres from appending each vertex to its target's list, contraction from set
-relabelling, and the graph file format from a plain
-line-by-line reader.  Two exceptions use the engine on purpose:
-``equivalent_by_sets``, the set-based form of ``equivalent_contractions``,
-reuses the engine's composition and round application and differs only in
-how it compares; ``replay`` rebuilds the graph before every round of a
-trace by applying the rounds' mappings in turn; ``fib_by_growth`` builds the
-worst-case family by running one engine evaluation per level, the
-construction that the closed-form generator replaced.
+relabelling, the graph file format from a plain line-by-line reader, and
+the adjacency checks from per-row Python loops.  Two exceptions use the
+engine on purpose: ``equivalent_by_sets``, the set-based form of
+``equivalent_contractions``, reuses the engine's composition and round
+application and differs only in how it compares; ``replay`` rebuilds the
+graph before every round of a trace by applying the rounds' mappings in
+turn; ``fib_by_growth`` builds the worst-case family by running one engine
+evaluation per level, the construction that the closed-form generator
+replaced.
 """
 
 from collections import deque
@@ -98,6 +99,31 @@ def contract_by_relabel(g, block_of):
     for v in range(g.n):
         colours[int(block_of[v])] = int(g.colours[v])
     return k, edges, colours
+
+
+def validate_by_rows(n, m, indptr, indices):
+    """The CSR invariants of ColouredGraph checked one row at a time in plain
+    Python: the message of the first check that fails, in the type's order
+    of checks, or None when the arrays form a valid graph."""
+    indptr, indices = [int(x) for x in indptr], [int(x) for x in indices]
+    if len(indptr) != n + 1:
+        return "indptr must have length n + 1"
+    if indptr[0] != 0 or any(a > b for a, b in zip(indptr, indptr[1:])):
+        return "indptr must be non-decreasing from 0"
+    if len(indices) != 2 * m or indptr[-1] != 2 * m:
+        return "degree sum must equal 2m"
+    rows = [indices[indptr[v]:indptr[v + 1]] for v in range(n)]
+    if any(not 0 <= w < n for row in rows for w in row):
+        return "neighbour index out of range"
+    if any(v in row for v, row in enumerate(rows)):
+        return "self-loops are not allowed"
+    if any(a >= b for row in rows for a, b in zip(row, row[1:])):
+        return "adjacency rows must be strictly ascending"
+    # the rows hold distinct arcs, so every arc having its reverse makes the
+    # arc set equal its transpose
+    if any(v not in rows[w] for v, row in enumerate(rows) for w in row):
+        return "adjacency is not symmetric"
+    return None
 
 
 def graph_edge_set(g):

@@ -11,6 +11,7 @@ from colourcontract import (
     ContractionTrace,
     apply_contraction,
     build_functional_digraph,
+    colour_neighbourhood,
     colour_partition,
     compact_mapping,
     component_contraction,
@@ -78,6 +79,26 @@ def test_digraph_monochromatic_path():
 
 def test_digraph_colour_boundaries(triangle_two_colours):
     assert build_functional_digraph(triangle_two_colours).tolist() == [0, 0, 2]
+
+
+@pytest.mark.parametrize(
+    "n, edges, colours",
+    [
+        (0, [], []),
+        (1, [], [0]),
+        (4, [], [0, 0, 1, 1]),  # every row empty
+        (5, [(1, 2), (2, 3), (1, 3)], [0] * 5),  # isolated first and last vertices
+        (2, [(0, 1)], [3, 3]),  # a single same-colour edge
+        (4, [(0, 1), (1, 2), (2, 3)], [0, 1, 1, 0]),  # one same-colour edge among others
+        # 2's same-colour neighbours, 3 and 4, lie above it; 1 below has another colour
+        (5, [(0, 1), (1, 2), (2, 3), (2, 4)], [1, 0, 1, 1, 1]),
+        (4, [(0, 1), (0, 2), (0, 3)], [0, 1, 1, 1]),  # rows of other colours only
+    ],
+)
+def test_digraph_edge_cases_point_at_colour_minimum(n, edges, colours):
+    g = new_graph(n, edges, colours)
+    expected = [min([v] + colour_neighbourhood(g, v).tolist()) for v in range(n)]
+    assert build_functional_digraph(g).tolist() == expected
 
 
 def test_digraph_never_increases():

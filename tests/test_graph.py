@@ -9,6 +9,7 @@ from colourcontract import (
     new_graph,
 )
 from colourcontract.graph import _sorted_unique
+from reference_impls import validate_by_rows
 
 
 def test_empty_graph():
@@ -111,6 +112,98 @@ def test_direct_construction_validates():
             indptr=np.array([0, 2, 4]),
             indices=np.array([1, 1, 0, 0]),
         )
+    # float arrays that hold whole numbers are refused by their dtype
+    with pytest.raises(ValueError, match="neighbour indices must be integers"):
+        ColouredGraph(n=2, m=1, colours=np.array([0, 0]), indptr=np.array([0, 1, 2]), indices=np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="indptr must hold integers"):
+        ColouredGraph(n=2, m=1, colours=np.array([0, 0]), indptr=np.array([0.0, 1.0, 2.0]), indices=np.array([1, 0]))
+    # unsigned and narrower integer types are checked like int64
+    ColouredGraph(n=2, m=1, colours=np.array([0, 1]), indptr=np.array([0, 1, 2], dtype=np.uint32), indices=np.array([1, 0], dtype=np.uint64))
+    with pytest.raises(ValueError, match="symmetric"):
+        ColouredGraph(n=3, m=1, colours=np.array([0, 0, 0]), indptr=np.array([0, 1, 1, 2]), indices=np.array([1, 1], dtype=np.uint64))
+
+
+def _construction_message(n, m, indptr, indices):
+    try:
+        ColouredGraph(
+            n=n, m=m,
+            colours=np.zeros(n, dtype=np.int64),
+            indptr=np.array(indptr, dtype=np.int64),
+            indices=np.array(indices, dtype=np.int64),
+        )
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _csr(n, edges):
+    g = new_graph(n, edges, [0] * n)
+    return n, g.m, g.indptr.tolist(), g.indices.tolist()
+
+
+def _perturbed_csr(rng, n, m, indptr, indices):
+    """One random edit of the arrays: an entry set, two entries swapped, an
+    entry repeated over its neighbour, or an offset moved by one."""
+    indptr, indices = list(indptr), list(indices)
+    kind = rng.integers(4) if indices else 3
+    if kind == 0:
+        indices[rng.integers(len(indices))] = int(rng.integers(-1, n + 1))
+    elif kind == 1:
+        i = int(rng.integers(len(indices)))
+        j = min(i + 1, len(indices) - 1)
+        indices[i], indices[j] = indices[j], indices[i]
+    elif kind == 2:
+        i = int(rng.integers(len(indices)))
+        indices[i] = indices[i - 1] if i else indices[min(1, len(indices) - 1)]
+    else:
+        indptr[rng.integers(len(indptr))] += int(rng.choice([-1, 1]))
+    return n, m, indptr, indices
+
+
+def test_construction_checks_match_per_row_reference():
+    cases = [
+        (0, 0, [0], []),
+        (0, 1, [0], [0]),
+        (1, 0, [0, 0], []),
+        (1, 1, [0, 2], [0, 0]),
+        # a descending pair and a repeated neighbour in row 1
+        (3, 2, [0, 1, 3, 4], [1, 2, 0, 1]),
+        (3, 2, [0, 1, 3, 4], [1, 0, 0, 1]),
+        # row 1 ends at 3 and row 2 starts at 0: valid, the rows are separate
+        (4, 3, [0, 1, 2, 4, 6], [2, 3, 0, 3, 1, 2]),
+        # edges 0-3 and 1-2, but row 3 lists 1 in place of 0
+        (4, 2, [0, 1, 2, 3, 4], [3, 2, 1, 1]),
+        # an index out of range, and a self-loop
+        (3, 1, [0, 1, 1, 2], [3, 0]),
+        (3, 1, [0, 1, 1, 2], [0, 0]),
+        # empty first and last rows
+        (4, 1, [0, 0, 1, 2, 2], [2, 1]),
+        (4, 1, [0, 0, 1, 2, 2], [2, 2]),
+        (4, 1, [0, 0, 1, 2, 2], [2, 4]),
+    ]
+    rng = np.random.default_rng(29)
+    bases = [_csr(4, [(0, 2), (1, 3), (2, 3)]), _csr(5, [(1, 2), (2, 3), (1, 3)]), _csr(1, []), _csr(0, [])]
+    for _ in range(10):
+        n = int(rng.integers(2, 9))
+        bases.append(_csr(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]))
+    cases += bases
+    for base in bases:
+        cases += [_perturbed_csr(rng, *base) for _ in range(30)]
+    outcomes = set()
+    for n, m, indptr, indices in cases:
+        expected = validate_by_rows(n, m, indptr, indices)
+        assert _construction_message(n, m, indptr, indices) == expected, (n, m, indptr, indices)
+        outcomes.add(expected)
+    # every check the reference makes was both passed and failed
+    assert outcomes == {
+        None,
+        "indptr must be non-decreasing from 0",
+        "degree sum must equal 2m",
+        "neighbour index out of range",
+        "self-loops are not allowed",
+        "adjacency rows must be strictly ascending",
+        "adjacency is not symmetric",
+    }
 
 
 def test_sorted_unique_matches_np_unique():

@@ -447,6 +447,37 @@ def perturbed_graph_texts(draw):
     return text
 
 
+@pytest.mark.parametrize("chunk", [0, 1, 4])
+def test_line_reader_chunks_keep_the_lines_of_the_whole_text(monkeypatch, chunk):
+    # the line reader splits the text a chunk at a time, each chunk ending
+    # just after a \n; split a few characters at a time, every line and
+    # error line must still be the whole text's
+    monkeypatch.setattr(graph_io, "_LINE_CHUNK", chunk)
+    for brk in _BREAKS:
+        text = f"+3 2{brk}# c\r\n0 0 0\r{brk}\n0 1\n\n1 2{brk}"
+        for variant in (text, text + "0 2", text + "# end\n\n0", text.replace("1 2", "1 1"), text[: text.rindex("1 2")]):
+            check_against_line_reference(variant)
+
+
+def test_line_reader_memory_is_bounded_by_the_arrays():
+    # a leading + keeps the text off the byte path; the line reader streams
+    # its lines and collects the endpoints in one array, so its peak is the
+    # new graph's arrays, not a Python object per line and per edge
+    rng = np.random.default_rng(41)
+    n = 8000
+    edges = rng.integers(0, n, size=(80000, 2))
+    g = new_graph(n, edges[edges[:, 0] != edges[:, 1]], rng.integers(0, 4, size=n))
+    text = "+" + serialize_graph(g)
+    tracemalloc.start()
+    try:
+        parsed = parse_graph(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graphs_equal(parsed, g)
+    assert peak < 16 * len(text)
+
+
 @settings(max_examples=400, deadline=None)
 @given(perturbed_graph_texts())
 def test_parse_matches_line_reference_on_perturbed_graphs(text):
