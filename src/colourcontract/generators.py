@@ -47,25 +47,54 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _draw_keys(n: int, missing: int, rng: np.random.Generator) -> np.ndarray:
+    """Keys lo*n + hi of one batch of uniform pairs, self-loops dropped, in
+    draw order.  The batch draws four times the ``missing`` pairs, plus 16,
+    and at least 64: these sizes fix the random stream."""
+    draw = rng.integers(0, n, size=(max(4 * missing + 16, 64), 2), dtype=np.int64)
+    lo = np.minimum(draw[:, 0], draw[:, 1])
+    hi = np.maximum(draw[:, 0], draw[:, 1])
+    del draw
+    keep = lo != hi
+    # built over lo: no batch-length temporary outlives this call
+    lo *= n
+    lo += hi
+    del hi
+    return lo[keep]
+
+
 def _sample_pairs_exact(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """First m distinct unordered pairs from an endless stream of uniform draws.
 
     Rejecting repeats in draw order is uniform sampling without replacement;
-    test sizes keep the rejection rate harmless.
+    test sizes keep the rejection rate harmless.  Each batch is sized by the
+    pairs still missing, counted over every distinct pair drawn so far, so
+    the draws, and the pairs, depend on the seed alone.
+
+    When a head of the collected keys holds m distinct ones, its first m in
+    draw order are the stream's first m, so only the head is sorted.  When it
+    falls short, each later batch's new keys are merged into the distinct
+    keys so far, and the whole collection is sorted once, at the end.
     """
+    head = m + m // 16 + 64  # room for the few repeats among the first m keys
     collected = np.empty(0, dtype=np.int64)
-    while True:
+    uniq, first_pos = _sorted_unique(collected, return_index=True)
+    # while the collection fits in the head, the head's sort counts all of it
+    while uniq.size < m and collected.size <= head:
+        collected = np.concatenate([collected, _draw_keys(n, m - uniq.size, rng)])
+        uniq, first_pos = _sorted_unique(collected[:head], return_index=True)
+    if uniq.size < m:
+        seen = _sorted_unique(collected)
+        parts = [collected]
+        while seen.size < m:
+            drawn = _draw_keys(n, m - seen.size, rng)
+            parts.append(drawn)
+            drawn = _sorted_unique(drawn)
+            at = np.searchsorted(seen, drawn)
+            new = seen[np.minimum(at, seen.size - 1)] != drawn
+            seen = np.insert(seen, at[new], drawn[new])
+        collected = np.concatenate(parts)
         uniq, first_pos = _sorted_unique(collected, return_index=True)
-        if uniq.size >= m:
-            break
-        batch = max(4 * (m - uniq.size) + 16, 64)
-        draw = rng.integers(0, n, size=(batch, 2), dtype=np.int64)
-        lo = np.minimum(draw[:, 0], draw[:, 1])
-        hi = np.maximum(draw[:, 0], draw[:, 1])
-        keep = lo != hi
-        collected = np.concatenate([collected, lo[keep] * n + hi[keep]])
-        # dead before the next pass sorts every collected key: not on top of its peak
-        del draw, lo, hi, keep
     keys = collected[np.sort(first_pos)[:m]]
     return np.column_stack([keys // n, keys % n])
 

@@ -44,8 +44,11 @@ class ColouredGraph:
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) array with u < v, sorted lexicographically."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        keep = src < self.indices
-        return np.column_stack([src[keep], self.indices[keep]])
+        # int64 whatever the stored dtype: unsigned indices stacked with the
+        # int64 sources would give floats
+        indices = self.indices.astype(np.int64, copy=False)
+        keep = src < indices
+        return np.column_stack([src[keep], indices[keep]])
 
     def is_properly_coloured(self) -> bool:
         """True when no edge joins two vertices of the same colour."""

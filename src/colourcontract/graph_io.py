@@ -215,12 +215,40 @@ def parse_graph(source: str | IO[str]) -> ColouredGraph:
     return g if g is not None else _parse_lines(text)
 
 
+def _decimal_lines(values: np.ndarray, per_line: int) -> str:
+    """Non-negative integers in decimal, ``per_line`` to a line, as ``str()``
+    writes them, separated by spaces, every line ended by ``\\n``.
+
+    The digits go into one byte matrix, a row per number and a column per
+    digit place plus the separator, one column per whole-array division;
+    each row's leading zero places are then dropped by a length mask.
+    """
+    if not values.size:
+        return ""
+    top = int(values.max())
+    width = len(str(top))
+    # the smallest unsigned type that holds the largest value: exact up to
+    # 2**64 - 1, and the narrower the type, the faster its divisions
+    values = values.astype(np.min_scalar_type(top))
+    digits = np.ones(values.size, dtype=np.intp)
+    for k in range(1, width):
+        digits += values >= 10**k
+    cells = np.empty((values.size, width + 1), dtype=np.uint8)
+    cells[:, width] = ord(" ")
+    cells[per_line - 1::per_line, width] = ord("\n")
+    for place in range(width - 1, -1, -1):
+        quotient = values // 10
+        cells[:, place] = values - quotient * 10
+        values = quotient
+    cells[:, :width] += ord("0")
+    # row d of the table keeps the last d digit places and the separator
+    keep = np.arange(width + 1) >= width - np.arange(width + 1)[:, None]
+    return cells[np.take(keep, digits, axis=0)].tobytes().decode("ascii")
+
+
 def serialize_graph(g: ColouredGraph) -> str:
     """Canonical text form of a graph."""
-    head = f"{g.n} {g.m}\n"
-    if g.n:
-        head += " ".join(map(str, g.colours.tolist())) + "\n"
-    return head + "%d %d\n" * g.m % tuple(g.edge_array().ravel().tolist())
+    return f"{g.n} {g.m}\n" + _decimal_lines(g.colours, g.n) + _decimal_lines(g.edge_array().ravel(), 2)
 
 
 def export_dot(g: ColouredGraph, role_labels: Iterable[str] | None = None) -> str:

@@ -68,7 +68,8 @@ def _grow(g: ColouredGraph, colours: np.ndarray, seeds: int | np.ndarray, covere
         lengths = g.indptr[frontier + 1] - starts
         # positions of the frontier's rows in g.indices, row after row
         row_base = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        gathered = g.indices[row_base + np.arange(row_base.size)]
+        # int64 whatever the stored dtype, so the blocks index like vertex ids
+        gathered = g.indices[row_base + np.arange(row_base.size)].astype(np.int64, copy=False)
         same = colours[gathered] == np.repeat(colours[frontier], lengths)
         fresh = gathered[same & ~covered[gathered]]
         frontier = np.unique(fresh)

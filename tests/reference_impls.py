@@ -3,8 +3,9 @@
 Nothing here shares code with the package internals: components come from a
 plain BFS and a union-find, root projection from per-vertex iterated lookup,
 fibres from appending each vertex to its target's list, contraction from set
-relabelling, the graph file format from a plain line-by-line reader, and
-the adjacency checks from per-row Python loops.  Two exceptions use the
+relabelling, the graph file format from a plain line-by-line reader,
+the adjacency checks from per-row Python loops, and the exact edge sampler
+from a Python set.  Two exceptions use the
 engine on purpose: ``equivalent_by_sets``, the set-based form of
 ``equivalent_contractions``, reuses the engine's composition and round
 application and differs only in how it compares; ``replay`` rebuilds the
@@ -212,6 +213,24 @@ def random_coloured_graph(rng, max_n=24, max_colours=4):
             if rng.random() < 0.25:
                 edges.append((u, v))
     return n, edges, colours.tolist()
+
+
+def sample_pairs_by_set(n, m, rng):
+    """First m distinct unordered pairs of the draws, kept in a Python set.
+
+    The draws come in the batches of the package's exact sampler: each batch
+    asks for four times the pairs still missing plus 16, and at least 64,
+    counted over every distinct pair drawn so far.
+    """
+    seen, order = set(), []
+    while len(seen) < m:
+        batch = max(4 * (m - len(seen)) + 16, 64)
+        for u, v in rng.integers(0, n, size=(batch, 2), dtype=np.int64).tolist():
+            pair = (min(u, v), max(u, v))
+            if u != v and pair not in seen:
+                seen.add(pair)
+                order.append(pair)
+    return np.array(order[:m], dtype=np.int64).reshape(-1, 2)
 
 
 def equivalent_by_sets(g, trace, partition):

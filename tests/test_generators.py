@@ -14,6 +14,7 @@ from colourcontract import (
     permute_enumeration,
 )
 from colourcontract import generators
+from reference_impls import sample_pairs_by_set
 
 
 def test_spec_requires_exactly_one_edge_target():
@@ -55,6 +56,55 @@ def test_exact_sampler_frees_each_batch_before_the_next_sort():
         tracemalloc.stop()
     assert pairs.shape == (100_000, 2)
     assert peak < 15 * pairs.nbytes
+
+
+def test_exact_sampler_sorts_the_head_and_builds_keys_in_place():
+    # with m distinct keys in its head, the sampler sorts about m keys, not
+    # the 4m of its first batch, and each batch's keys are built over one of
+    # its columns: about 8.5 times the output's bytes, against 12.7 when the
+    # whole collection was sorted
+    tracemalloc.start()
+    try:
+        pairs = generators._sample_pairs_exact(20_000, 100_000, generators._rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pairs.shape == (100_000, 2)
+    assert peak < 10 * pairs.nbytes
+
+
+class RecordingRng:
+    """A seeded generator that records the size of every draw."""
+
+    def __init__(self, seed):
+        self._rng = generators._rng(seed)
+        self.sizes = []
+
+    def integers(self, low, high, size, dtype):
+        self.sizes.append(size)
+        return self._rng.integers(low, high, size=size, dtype=dtype)
+
+
+def test_exact_sampler_matches_set_reference():
+    # (2, 1) and (3, 3): the first batch is shorter than the head, which then
+    # counts the whole collection; (60, 1770) and (200, 19 900): complete
+    # graphs whose head falls short, so later batches are counted one by one
+    cases = [(2, 1), (3, 3), (200, 19_900), (60, 1770), (60, 1769)]
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for _ in range(67):
+            n = int(rng.integers(2, 300))
+            cases.append((n, int(rng.integers(0, min(n * (n - 1) // 2, 1500) + 1))))
+    batches = {}
+    for k, (n, m) in enumerate(cases):
+        got_rng, want_rng = RecordingRng(k), RecordingRng(k)
+        got = generators._sample_pairs_exact(n, m, got_rng)
+        want = sample_pairs_by_set(n, m, want_rng)
+        assert got.dtype == np.int64 and np.array_equal(got, want), (n, m)
+        assert got_rng.sizes == want_rng.sizes, (n, m)
+        batches[n, m] = len(got_rng.sizes)
+    assert batches[60, 1770] >= 2 and batches[200, 19_900] >= 2
+    assert batches[2, 1] == 1
 
 
 def test_zero_edges():

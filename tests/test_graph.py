@@ -5,11 +5,15 @@ from colourcontract import (
     ColouredGraph,
     colour_neighbourhood,
     colour_neighbourhood_set,
+    colour_partition,
+    contract_to_fixpoint,
+    equivalent_contractions,
     graphs_equal,
     new_graph,
+    serialize_graph,
 )
 from colourcontract.graph import _sorted_unique
-from reference_impls import validate_by_rows
+from reference_impls import serialize_by_join, validate_by_rows
 
 
 def test_empty_graph():
@@ -121,6 +125,22 @@ def test_direct_construction_validates():
     ColouredGraph(n=2, m=1, colours=np.array([0, 1]), indptr=np.array([0, 1, 2], dtype=np.uint32), indices=np.array([1, 0], dtype=np.uint64))
     with pytest.raises(ValueError, match="symmetric"):
         ColouredGraph(n=3, m=1, colours=np.array([0, 0, 0]), indptr=np.array([0, 1, 1, 2]), indices=np.array([1, 1], dtype=np.uint64))
+
+
+def test_unsigned_indices_give_int64_edges():
+    # stacked with the int64 row sources, uint64 indices used to give float
+    # edges, which the serialiser would write and the verifier index with
+    g = ColouredGraph(
+        n=3, m=2,
+        colours=np.array([0, 0, 1]),
+        indptr=np.array([0, 1, 3, 4]),
+        indices=np.array([1, 0, 2, 1], dtype=np.uint64),
+    )
+    edges = g.edge_array()
+    assert edges.dtype == np.int64 and edges.tolist() == [[0, 1], [1, 2]]
+    assert serialize_graph(g) == serialize_by_join(g) == "3 2\n0 0 1\n0 1\n1 2\n"
+    _, trace = contract_to_fixpoint(g)
+    assert equivalent_contractions(g, trace, colour_partition(g)) is True
 
 
 def _construction_message(n, m, indptr, indices):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from colourcontract import graph_io
 from colourcontract.cli import run_cli
 from colourcontract import (
+    ColouredGraph,
     GraphParseError,
     export_dot,
     generate_fib_instance,
@@ -333,6 +334,40 @@ def test_serialize_matches_line_join():
         graphs.append(new_graph(n, edges, colours))
     for g in graphs:
         assert serialize_graph(g) == serialize_by_join(g)
+
+
+def _recoloured(g, colours):
+    return ColouredGraph(n=g.n, m=g.m, colours=colours, indptr=g.indptr, indices=g.indices)
+
+
+def test_serialize_writes_every_width_and_dtype_as_str_does():
+    # the digit writer against str(), byte for byte: colours of every width
+    # from 1 to 20 digits, each integer dtype up to its largest value, empty
+    # and edgeless graphs, isolated vertices and vertex ids of 1 to 6 digits
+    tops = [10**k for k in range(20)] + [10**k - 1 for k in range(1, 20)] + [2**63 - 1]
+    path = new_graph(len(tops) + 1, [(v, v + 1) for v in range(len(tops))], [0] * (len(tops) + 1))
+    graphs = [
+        new_graph(0, [], []),
+        new_graph(1, [], [7]),
+        new_graph(6, [(1, 4)], [0, 3, 0, 12, 3, 0]),
+        new_graph(100_001, [(0, 9), (10, 99), (100, 9_999), (10_000, 100_000), (5, 100_000)], [1] * 100_001),
+        _recoloured(path, np.array(tops + [2**64 - 1], dtype=np.uint64)),
+        _recoloured(path, np.resize(np.array([t for t in tops if t < 2**63], dtype=np.int64), path.n)),
+        _recoloured(path, np.arange(len(tops) + 1, dtype=np.int8)),
+        _recoloured(path, np.resize(np.array([0, 1, 9, 10, 99, 100, 127], dtype=np.int8), path.n)),
+        _recoloured(path, np.resize(np.array([2**31 - 1, 0, 65_535, 1], dtype=np.int32), path.n)),
+        _recoloured(path, np.resize(np.array([2**64 - 1, 2**63, 0, 1], dtype=np.uint64), path.n)),
+    ]
+    graphs += [generate_fib_instance(level).graph for level in range(13)]
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n, edges, colours = random_coloured_graph(rng)
+        graphs.append(new_graph(n, edges, colours))
+    for g in graphs:
+        text = serialize_graph(g)
+        assert text == serialize_by_join(g)
+        if not g.n or int(g.colours.max()) < 2**63:
+            assert graphs_equal(parse_graph(text), g)
 
 
 def test_round_trip_random_graphs():
