@@ -130,7 +130,7 @@ def assign_random_colours(g: ColouredGraph, colours: int, seed: int) -> Coloured
     if colours < 1:
         raise ValueError("colour count must be at least 1")
     drawn = _rng(seed).integers(0, colours, size=g.n, dtype=np.int64)
-    return ColouredGraph(n=g.n, m=g.m, colours=drawn, indptr=g.indptr, indices=g.indices)
+    return ColouredGraph(n=g.n, colours=drawn, keys=g.keys)
 
 
 def permute_enumeration(g: ColouredGraph, seed: int) -> tuple[ColouredGraph, np.ndarray]:

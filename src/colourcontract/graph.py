@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -11,25 +12,78 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ColouredGraph:
-    """Immutable CSR-backed coloured graph.
+    """Immutable coloured graph stored as one sorted key per edge.
 
-    Vertices are the integers 0..n-1.  Both orientations of every edge are
-    stored and each adjacency row is strictly ascending, so the representation
-    of a given graph is unique and equality is plain array equality.  All type
-    invariants are checked on construction; instances are safe to share
-    across threads.
+    Vertices are the integers 0..n-1.  The edge joining lo < hi is the key
+    ``lo * n + hi`` and the keys strictly ascend, so the representation of a
+    given graph is unique and equality is plain array equality.  The
+    adjacency rows (``indptr``, ``indices``, ``degrees``) are a view derived
+    from the keys on first access.  All type invariants are checked on
+    construction; instances are safe to share across threads.
     """
 
     n: int
-    m: int
     colours: np.ndarray  # (n,) non-negative colour ids
-    indptr: np.ndarray   # (n+1,) row offsets into indices
-    indices: np.ndarray  # (2m,) neighbour lists, strictly ascending per row
+    keys: np.ndarray     # (m,) edge keys lo*n + hi with lo < hi < n, strictly ascending
 
     def __post_init__(self) -> None:
-        _validate(self)
-        for arr in (self.colours, self.indptr, self.indices):
+        # held as int64 whatever the given integer type, so that endpoints,
+        # edges and relabelled keys are int64 too
+        object.__setattr__(self, "keys", _validate(self))
+        for arr in (self.colours, self.keys):
             arr.setflags(write=False)
+
+    @property
+    def m(self) -> int:
+        return int(self.keys.size)
+
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of every edge, in key order: lo ascends, and hi within each lo."""
+        lo = self.keys // max(self.n, 1)
+        hi = lo * self.n
+        np.subtract(self.keys, hi, out=hi)
+        return lo, hi
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Symmetric adjacency rows, each strictly ascending, built with one
+        sort of the m transposed keys.
+
+        Row v lists its lower neighbours, then its upper ones.  The upper
+        halves are the key order itself; sorted, the transposed keys
+        ``hi * n + lo`` list the lower halves row after row.
+        """
+        n, m = self.n, self.m
+        lo, hi = self.endpoints()
+        upper = np.bincount(lo, minlength=n)
+        lower = np.bincount(hi, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(upper + lower, out=indptr[1:])
+        indices = np.empty(2 * m, dtype=np.int64)
+        at = np.arange(m, dtype=np.int64)
+        # edge j is entry j of the upper halves, which row lo's lower half and
+        # every earlier row's lower half precede
+        indices[at + np.cumsum(lower)[lo]] = hi
+        transposed = hi * n
+        transposed += lo
+        del lo, hi
+        transposed.sort()
+        row, neighbour = divmod(transposed, max(n, 1))
+        # likewise, every earlier row's upper half precedes entry j of the lower halves
+        indices[at + (np.cumsum(upper) - upper)[row]] = neighbour
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """(n+1,) row offsets into ``indices``."""
+        return self._rows[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """(2m,) neighbours of every vertex, row after row, each row ascending."""
+        return self._rows[1]
 
     @property
     def degrees(self) -> np.ndarray:
@@ -43,61 +97,41 @@ class ColouredGraph:
 
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) array with u < v, sorted lexicographically."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        # int64 whatever the stored dtype: unsigned indices stacked with the
-        # int64 sources would give floats
-        indices = self.indices.astype(np.int64, copy=False)
-        keep = src < indices
-        return np.column_stack([src[keep], indices[keep]])
+        return np.column_stack(self.endpoints())
 
     def is_properly_coloured(self) -> bool:
         """True when no edge joins two vertices of the same colour."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        return bool((self.colours[src] != self.colours[self.indices]).all())
+        lo, hi = self.endpoints()
+        return bool((self.colours[lo] != self.colours[hi]).all())
 
 
-def _validate(g: ColouredGraph) -> None:
+def _validate(g: ColouredGraph) -> np.ndarray:
+    """Check every invariant of g; returns its keys as int64."""
     if not isinstance(g.n, int) or g.n < 0:
         raise ValueError("n must be a non-negative int")
-    if not isinstance(g.m, int) or g.m < 0:
-        raise ValueError("m must be a non-negative int")
     if g.colours.ndim != 1 or g.colours.size != g.n:
         raise ValueError(f"expected {g.n} colours, got {g.colours.size}")
     if not np.issubdtype(g.colours.dtype, np.integer):
         raise ValueError("colour ids must be integers")
     if g.colours.size and int(g.colours.min()) < 0:
         raise ValueError("colour ids must be non-negative")
-    if g.indptr.ndim != 1 or g.indptr.size != g.n + 1:
-        raise ValueError("indptr must have length n + 1")
-    if not np.issubdtype(g.indptr.dtype, np.integer):
-        raise ValueError("indptr must hold integers")
-    if g.indptr[0] != 0 or (np.diff(g.indptr) < 0).any():
-        raise ValueError("indptr must be non-decreasing from 0")
-    if g.indices.ndim != 1 or g.indices.size != 2 * g.m or g.indptr[-1] != 2 * g.m:
-        raise ValueError("degree sum must equal 2m")
-    if not np.issubdtype(g.indices.dtype, np.integer):
-        raise ValueError("neighbour indices must be integers")
-    if g.indices.size:
-        if int(g.indices.min()) < 0 or int(g.indices.max()) >= g.n:
-            raise ValueError("neighbour index out of range")
-    # int64 throughout: an unsigned index added to the int64 keys would make them floats
-    indices = g.indices.astype(np.int64, copy=False)
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    if (indices == src).any():
-        raise ValueError("self-loops are not allowed")
-    # every index is in 0..n-1 and src never decreases, so the arc keys
-    # src*n + index strictly ascend exactly when every row does
-    keys = src * g.n
-    keys += indices
+    keys = g.keys
+    if keys.ndim != 1 or not np.issubdtype(keys.dtype, np.integer):
+        raise ValueError("edge keys must be a 1-D integer array")
     if (keys[1:] <= keys[:-1]).any():
-        raise ValueError("adjacency rows must be strictly ascending")
-    # symmetry: the arcs, whose keys are sorted, must equal their own transpose
-    transposed = indices * g.n
-    transposed += src
-    del src
-    transposed.sort()
-    if not np.array_equal(keys, transposed):
-        raise ValueError("adjacency is not symmetric")
+        raise ValueError("edge keys must strictly ascend")
+    # ascending, so the ends bound every key; compared as Python ints, exact
+    # for every integer type
+    if keys.size and not 0 <= int(keys[0]) <= int(keys[-1]) < g.n * g.n:
+        raise ValueError("edge key out of range")
+    keys = keys.astype(np.int64, copy=False)
+    # with lo = key // n, the key is lo * (n + 1) + (hi - lo): lo < hi exactly
+    # when the key exceeds lo * (n + 1)
+    diagonal = keys // max(g.n, 1)
+    diagonal *= g.n + 1
+    if (keys <= diagonal).any():
+        raise ValueError("self-loops are not allowed" if (keys == diagonal).any() else "edge keys must have lo < hi")
+    return keys
 
 
 def _sorted_unique(values: np.ndarray, return_index: bool = False):
@@ -138,22 +172,6 @@ def _integers(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be integers") from None
 
 
-def _from_arcs(n: int, arcs: np.ndarray, colours: np.ndarray) -> ColouredGraph:
-    """Graph on n vertices from arc keys ``src * n + dst`` that hold both
-    orientations of every edge, in any order and with repeats.  Sorted and
-    distinct, the keys list the rows in order, each row ascending."""
-    keys = _sorted_unique(arcs)
-    rows = keys // n
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    # the neighbour indices, key - row * n, written over the rows rather than
-    # the keys: the graph keeps the later buffer and the sort's is freed, which
-    # lowered peak RSS by ~5 MB when building a 540k-edge graph
-    rows *= n
-    indices = np.subtract(keys, rows, out=rows)
-    return ColouredGraph(n=n, m=keys.size // 2, colours=colours, indptr=indptr, indices=indices)
-
-
 def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequence[int] | np.ndarray) -> ColouredGraph:
     """Build a validated graph from an unordered edge list.
 
@@ -179,7 +197,10 @@ def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequ
     loops = u == v
     if loops.any():
         raise ValueError(f"self-loop at vertex {int(u[loops][0])}")
-    return _from_arcs(n, np.concatenate([u * n + v, v * n + u]), col)
+    keys = np.minimum(u, v)
+    keys *= n
+    keys += np.maximum(u, v)
+    return ColouredGraph(n=n, colours=col, keys=_sorted_unique(keys))
 
 
 def colour_neighbourhood(g: ColouredGraph, v: int) -> np.ndarray:
@@ -205,11 +226,5 @@ def colour_neighbourhood_set(g: ColouredGraph, members: Iterable[int]) -> np.nda
 
 
 def graphs_equal(a: ColouredGraph, b: ColouredGraph) -> bool:
-    """Labelled equality: same order, size, colours and adjacency arrays."""
-    return (
-        a.n == b.n
-        and a.m == b.m
-        and np.array_equal(a.colours, b.colours)
-        and np.array_equal(a.indptr, b.indptr)
-        and np.array_equal(a.indices, b.indices)
-    )
+    """Labelled equality: same order, colours and edge keys."""
+    return a.n == b.n and np.array_equal(a.colours, b.colours) and np.array_equal(a.keys, b.keys)

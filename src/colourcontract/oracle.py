@@ -1,9 +1,10 @@
 """Naive traversal-based reference for colour components and their contraction.
 
-This path is deliberately simple (breadth-first search over the CSR rows) and
-shares no machinery with the iterative engine, so the two can cross-check
-each other.  ``ContractionMapping.validate`` borrows its frontier BFS to
-check that every fibre of a mapping is connected.
+This path is deliberately simple (breadth-first search over the adjacency
+rows that a graph derives from its edge keys) and shares no machinery with
+the iterative engine, so the two can cross-check each other.
+``ContractionMapping.validate`` borrows its frontier BFS to check that every
+fibre of a mapping is connected.
 """
 
 from __future__ import annotations
@@ -79,14 +80,31 @@ def _grow(g: ColouredGraph, colours: np.ndarray, seeds: int | np.ndarray, covere
 
 
 def colour_partition(g: ColouredGraph) -> ColourPartition:
-    """All colour components, discovered from the lowest uncovered index up."""
-    covered = np.zeros(g.n, dtype=bool)
-    blocks: list[np.ndarray] = []
-    for v in range(g.n):
+    """All colour components, ordered by smallest member.
+
+    A vertex on no same-colour edge is a block of its own; those are found in
+    one pass over the edges.  Every other block is grown by frontier BFS from
+    its lowest vertex, from the lowest uncovered index up.
+    """
+    lo, hi = g.endpoints()
+    same = np.flatnonzero(g.colours[lo] == g.colours[hi])
+    covered = np.ones(g.n, dtype=bool)
+    covered[lo[same]] = False
+    covered[hi[same]] = False
+    del lo, hi, same
+    singles = np.flatnonzero(covered)
+    grown: list[np.ndarray] = []
+    for v in np.flatnonzero(~covered).tolist():
         if not covered[v]:
-            blocks.append(_grow(g, g.colours, v, covered))
-    block_colour = np.array([int(g.colours[b[0]]) for b in blocks], dtype=np.int64)
-    return ColourPartition(blocks=tuple(blocks), block_colour=block_colour)
+            grown.append(_grow(g, g.colours, v, covered))
+    # merged by smallest member, which no two blocks share
+    firsts = np.concatenate([singles, [b[0] for b in grown]]).astype(np.int64)
+    blocks = list(singles.reshape(-1, 1)) + grown
+    order = np.argsort(firsts)
+    return ColourPartition(
+        blocks=tuple(blocks[i] for i in order.tolist()),
+        block_colour=g.colours[firsts[order]].astype(np.int64),
+    )
 
 
 def component_contraction(g: ColouredGraph) -> tuple[ColouredGraph, np.ndarray]:

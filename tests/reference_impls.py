@@ -3,9 +3,9 @@
 Nothing here shares code with the package internals: components come from a
 plain BFS and a union-find, root projection from per-vertex iterated lookup,
 fibres from appending each vertex to its target's list, contraction from set
-relabelling, the graph file format from a plain line-by-line reader,
-the adjacency checks from per-row Python loops, and the exact edge sampler
-from a Python set.  Two exceptions use the
+relabelling, the graph file format from a plain line-by-line reader, the
+edge-key and adjacency-row checks from per-key and per-row Python loops, and
+the exact edge sampler from a Python set.  Two exceptions use the
 engine on purpose: ``equivalent_by_sets``, the set-based form of
 ``equivalent_contractions``, reuses the engine's composition and round
 application and differs only in how it compares; ``replay`` rebuilds the
@@ -65,6 +65,13 @@ def unionfind_blocks(g):
     return {frozenset(b) for b in blocks.values()}
 
 
+def ordered_unionfind_blocks(g):
+    """``unionfind_blocks`` as ``colour_partition`` lays it out: ascending
+    blocks ordered by smallest member, and the colour of each block."""
+    blocks = sorted(sorted(b) for b in unionfind_blocks(g))
+    return blocks, [int(g.colours[b[0]]) for b in blocks]
+
+
 def roots_by_iterated_lookup(parents):
     """Follow each parent chain separately until it stops moving."""
     out = []
@@ -102,10 +109,28 @@ def contract_by_relabel(g, block_of):
     return k, edges, colours
 
 
+def validate_by_keys(n, keys):
+    """The edge-key invariants of ColouredGraph checked one key at a time in
+    plain Python: the message of the first check that fails, in the type's
+    order of checks, or None when the keys form a valid graph."""
+    keys = [int(k) for k in keys]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        return "edge keys must strictly ascend"
+    if any(not 0 <= k < n * n for k in keys):
+        return "edge key out of range"
+    pairs = [divmod(k, n) for k in keys]
+    if any(lo == hi for lo, hi in pairs):
+        return "self-loops are not allowed"
+    if any(lo > hi for lo, hi in pairs):
+        return "edge keys must have lo < hi"
+    return None
+
+
 def validate_by_rows(n, m, indptr, indices):
-    """The CSR invariants of ColouredGraph checked one row at a time in plain
-    Python: the message of the first check that fails, in the type's order
-    of checks, or None when the arrays form a valid graph."""
+    """The invariants of a graph's adjacency rows checked one row at a time
+    in plain Python: the message of the first check that fails, or None when
+    the arrays are the symmetric, ascending rows of a simple graph with m
+    edges."""
     indptr, indices = [int(x) for x in indptr], [int(x) for x in indices]
     if len(indptr) != n + 1:
         return "indptr must have length n + 1"

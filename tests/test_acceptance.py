@@ -32,7 +32,14 @@ from colourcontract import (
 )
 
 from conftest import FIG24_COLOURS, FIG24_EDGES, FIG24_EXPECTED, P4_EDGES, tampered_inputs
-from reference_impls import contract_by_relabel, equivalent_by_sets, fibres_by_grouping, relabel_form, replay
+from reference_impls import (
+    contract_by_relabel,
+    equivalent_by_sets,
+    fibres_by_grouping,
+    ordered_unionfind_blocks,
+    relabel_form,
+    replay,
+)
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -93,6 +100,8 @@ def test_criterion_2_oracle_equivalence_and_bound():
     for i, g in _random_corpus():
         final, trace = contract_to_fixpoint(g)
         partition = colour_partition(g)
+        blocks = ([b.tolist() for b in partition.blocks], partition.block_colour.tolist())
+        assert blocks == ordered_unionfind_blocks(g), f"case {i}: oracle disagrees with union-find"
         assert equivalent_contractions(g, trace, partition), f"case {i}: engine disagrees with oracle"
         assert trace.iterations <= iteration_bound(g.n), f"case {i}: bound exceeded"
         checked += 1

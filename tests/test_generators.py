@@ -143,7 +143,7 @@ def test_colour_assignment_replayable():
     # the documented draw: one uniform integer per vertex from PCG64(seed)
     expected = np.random.Generator(np.random.PCG64(123)).integers(0, 4, size=50)
     assert np.array_equal(coloured.colours, expected)
-    assert np.array_equal(coloured.indices, g.indices)
+    assert np.array_equal(coloured.keys, g.keys)
 
 
 def test_single_colour_means_monochromatic():

@@ -13,7 +13,7 @@ from colourcontract import (
     serialize_graph,
 )
 from colourcontract.graph import _sorted_unique
-from reference_impls import serialize_by_join, validate_by_rows
+from reference_impls import serialize_by_join, validate_by_keys, validate_by_rows
 
 
 def test_empty_graph():
@@ -92,137 +92,127 @@ def test_negative_colour_rejected():
 
 
 def test_direct_construction_validates():
-    # asymmetric adjacency must be caught by the type itself
-    with pytest.raises(ValueError, match="symmetric"):
-        ColouredGraph(
-            n=3, m=1,
-            colours=np.array([0, 0, 0]),
-            indptr=np.array([0, 1, 1, 2]),
-            indices=np.array([1, 1]),
-        )
-    # a directed 4-cycle: every row in range and ascending, in- and
-    # out-degrees equal, yet no arc is matched by its reverse
-    with pytest.raises(ValueError, match="symmetric"):
-        ColouredGraph(
-            n=4, m=2,
-            colours=np.array([0, 0, 0, 0]),
-            indptr=np.array([0, 1, 2, 3, 4]),
-            indices=np.array([1, 2, 3, 0]),
-        )
-    with pytest.raises(ValueError, match="ascending"):
-        ColouredGraph(
-            n=2, m=2,
-            colours=np.array([0, 0]),
-            indptr=np.array([0, 2, 4]),
-            indices=np.array([1, 1, 0, 0]),
-        )
-    # float arrays that hold whole numbers are refused by their dtype
-    with pytest.raises(ValueError, match="neighbour indices must be integers"):
-        ColouredGraph(n=2, m=1, colours=np.array([0, 0]), indptr=np.array([0, 1, 2]), indices=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="indptr must hold integers"):
-        ColouredGraph(n=2, m=1, colours=np.array([0, 0]), indptr=np.array([0.0, 1.0, 2.0]), indices=np.array([1, 0]))
-    # unsigned and narrower integer types are checked like int64
-    ColouredGraph(n=2, m=1, colours=np.array([0, 1]), indptr=np.array([0, 1, 2], dtype=np.uint32), indices=np.array([1, 0], dtype=np.uint64))
-    with pytest.raises(ValueError, match="symmetric"):
-        ColouredGraph(n=3, m=1, colours=np.array([0, 0, 0]), indptr=np.array([0, 1, 1, 2]), indices=np.array([1, 1], dtype=np.uint64))
+    # the transposed orientation of an edge is refused by the type itself
+    with pytest.raises(ValueError, match="lo < hi"):
+        ColouredGraph(n=3, colours=np.array([0, 0, 0]), keys=np.array([1, 3]))
+    with pytest.raises(ValueError, match="strictly ascend"):
+        ColouredGraph(n=3, colours=np.array([0, 0, 0]), keys=np.array([5, 1]))
+    with pytest.raises(ValueError, match="strictly ascend"):
+        ColouredGraph(n=3, colours=np.array([0, 0, 0]), keys=np.array([1, 1]))
+    with pytest.raises(ValueError, match="self-loop"):
+        ColouredGraph(n=3, colours=np.array([0, 0, 0]), keys=np.array([1, 4]))
+    with pytest.raises(ValueError, match="out of range"):
+        ColouredGraph(n=3, colours=np.array([0, 0, 0]), keys=np.array([1, 9]))
+    # float arrays that hold whole numbers are refused by their dtype, and
+    # the keys must be one flat array
+    with pytest.raises(ValueError, match="edge keys must be a 1-D integer array"):
+        ColouredGraph(n=2, colours=np.array([0, 0]), keys=np.array([1.0]))
+    with pytest.raises(ValueError, match="edge keys must be a 1-D integer array"):
+        ColouredGraph(n=3, colours=np.array([0, 0, 0]), keys=np.array([[1, 5]]))
+    with pytest.raises(ValueError, match="colour ids must be integers"):
+        ColouredGraph(n=2, colours=np.array([0.0, 1.0]), keys=np.array([1]))
+    # unsigned and narrower integer types are checked like int64, and held as int64
+    for dtype in (np.uint64, np.uint32, np.int32, np.uint8):
+        g = ColouredGraph(n=3, colours=np.array([0, 1, 1]), keys=np.array([1, 5], dtype=dtype))
+        assert g.keys.dtype == np.int64 and g.edge_array().tolist() == [[0, 1], [1, 2]]
+    with pytest.raises(ValueError, match="lo < hi"):
+        ColouredGraph(n=3, colours=np.array([0, 0, 0]), keys=np.array([1, 7], dtype=np.uint64))
+    # beyond int64, still refused
+    with pytest.raises(ValueError, match="out of range"):
+        ColouredGraph(n=3, colours=np.array([0, 0, 0]), keys=np.array([1, 2**64 - 1], dtype=np.uint64))
 
 
 def test_unsigned_indices_give_int64_edges():
-    # stacked with the int64 row sources, uint64 indices used to give float
-    # edges, which the serialiser would write and the verifier index with
-    g = ColouredGraph(
-        n=3, m=2,
-        colours=np.array([0, 0, 1]),
-        indptr=np.array([0, 1, 3, 4]),
-        indices=np.array([1, 0, 2, 1], dtype=np.uint64),
-    )
+    # uint64 keys give int64 edges, which the serialiser writes and the
+    # verifier indexes with
+    g = ColouredGraph(n=3, colours=np.array([0, 0, 1]), keys=np.array([1, 5], dtype=np.uint64))
     edges = g.edge_array()
     assert edges.dtype == np.int64 and edges.tolist() == [[0, 1], [1, 2]]
+    assert g.indices.dtype == np.int64 and g.indices.tolist() == [1, 0, 2, 1]
     assert serialize_graph(g) == serialize_by_join(g) == "3 2\n0 0 1\n0 1\n1 2\n"
     _, trace = contract_to_fixpoint(g)
     assert equivalent_contractions(g, trace, colour_partition(g)) is True
 
 
-def _construction_message(n, m, indptr, indices):
+def _construction_message(n, keys):
     try:
-        ColouredGraph(
-            n=n, m=m,
-            colours=np.zeros(n, dtype=np.int64),
-            indptr=np.array(indptr, dtype=np.int64),
-            indices=np.array(indices, dtype=np.int64),
-        )
+        ColouredGraph(n=n, colours=np.zeros(n, dtype=np.int64), keys=np.array(keys, dtype=np.int64))
     except ValueError as exc:
         return str(exc)
     return None
 
 
-def _csr(n, edges):
-    g = new_graph(n, edges, [0] * n)
-    return n, g.m, g.indptr.tolist(), g.indices.tolist()
+def _keyed(n, edges):
+    return n, new_graph(n, edges, [0] * n).keys.tolist()
 
 
-def _perturbed_csr(rng, n, m, indptr, indices):
-    """One random edit of the arrays: an entry set, two entries swapped, an
-    entry repeated over its neighbour, or an offset moved by one."""
-    indptr, indices = list(indptr), list(indices)
-    kind = rng.integers(4) if indices else 3
+def _perturbed_keys(rng, n, keys):
+    """One random edit of the keys: an entry set, two entries swapped, an
+    entry repeated over its neighbour, or an entry moved by one."""
+    keys = list(keys)
+    if not keys:
+        return n, [int(rng.integers(-1, n * n + 1))]
+    i = int(rng.integers(len(keys)))
+    kind = rng.integers(4)
     if kind == 0:
-        indices[rng.integers(len(indices))] = int(rng.integers(-1, n + 1))
+        keys[i] = int(rng.integers(-1, n * n + 1))
     elif kind == 1:
-        i = int(rng.integers(len(indices)))
-        j = min(i + 1, len(indices) - 1)
-        indices[i], indices[j] = indices[j], indices[i]
+        j = min(i + 1, len(keys) - 1)
+        keys[i], keys[j] = keys[j], keys[i]
     elif kind == 2:
-        i = int(rng.integers(len(indices)))
-        indices[i] = indices[i - 1] if i else indices[min(1, len(indices) - 1)]
+        keys[i] = keys[i - 1] if i else keys[min(1, len(keys) - 1)]
     else:
-        indptr[rng.integers(len(indptr))] += int(rng.choice([-1, 1]))
-    return n, m, indptr, indices
+        keys[i] += int(rng.choice([-1, 1]))
+    return n, keys
 
 
 def test_construction_checks_match_per_row_reference():
     cases = [
-        (0, 0, [0], []),
-        (0, 1, [0], [0]),
-        (1, 0, [0, 0], []),
-        (1, 1, [0, 2], [0, 0]),
-        # a descending pair and a repeated neighbour in row 1
-        (3, 2, [0, 1, 3, 4], [1, 2, 0, 1]),
-        (3, 2, [0, 1, 3, 4], [1, 0, 0, 1]),
-        # row 1 ends at 3 and row 2 starts at 0: valid, the rows are separate
-        (4, 3, [0, 1, 2, 4, 6], [2, 3, 0, 3, 1, 2]),
-        # edges 0-3 and 1-2, but row 3 lists 1 in place of 0
-        (4, 2, [0, 1, 2, 3, 4], [3, 2, 1, 1]),
-        # an index out of range, and a self-loop
-        (3, 1, [0, 1, 1, 2], [3, 0]),
-        (3, 1, [0, 1, 1, 2], [0, 0]),
-        # empty first and last rows
-        (4, 1, [0, 0, 1, 2, 2], [2, 1]),
-        (4, 1, [0, 0, 1, 2, 2], [2, 2]),
-        (4, 1, [0, 0, 1, 2, 2], [2, 4]),
+        (0, []),
+        (0, [0]),
+        (1, []),
+        (1, [0]),
+        # edges 0-1 and 1-2, then the same keys descending and repeated
+        (3, [1, 5]),
+        (3, [5, 1]),
+        (3, [1, 1]),
+        # edge 1-0 in the transposed orientation, a self-loop at 1
+        (3, [1, 3]),
+        (3, [1, 4]),
+        # keys out of range at either end
+        (3, [-1, 1]),
+        (3, [1, 9]),
+        # edges 0-3 and 1-2, and the largest key of order 4
+        (4, [3, 6]),
+        (4, [3, 6, 11]),
+        (4, [3, 6, 15]),
     ]
     rng = np.random.default_rng(29)
-    bases = [_csr(4, [(0, 2), (1, 3), (2, 3)]), _csr(5, [(1, 2), (2, 3), (1, 3)]), _csr(1, []), _csr(0, [])]
+    bases = [_keyed(4, [(0, 2), (1, 3), (2, 3)]), _keyed(5, [(1, 2), (2, 3), (1, 3)]), _keyed(1, []), _keyed(0, [])]
     for _ in range(10):
         n = int(rng.integers(2, 9))
-        bases.append(_csr(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]))
+        bases.append(_keyed(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]))
     cases += bases
     for base in bases:
-        cases += [_perturbed_csr(rng, *base) for _ in range(30)]
+        cases += [_perturbed_keys(rng, *base) for _ in range(30)]
     outcomes = set()
-    for n, m, indptr, indices in cases:
-        expected = validate_by_rows(n, m, indptr, indices)
-        assert _construction_message(n, m, indptr, indices) == expected, (n, m, indptr, indices)
+    for n, keys in cases:
+        expected = validate_by_keys(n, keys)
+        assert _construction_message(n, keys) == expected, (n, keys)
         outcomes.add(expected)
+        if expected is None:
+            # the derived rows are the symmetric, ascending rows of the same edges
+            g = ColouredGraph(n=n, colours=np.zeros(n, dtype=np.int64), keys=np.array(keys, dtype=np.int64))
+            assert validate_by_rows(n, len(keys), g.indptr, g.indices) is None, (n, keys)
+            rows = [sorted({k % n for k in keys if k // n == v} | {k // n for k in keys if k % n == v}) for v in range(n)]
+            assert [g.neighbours(v).tolist() for v in range(n)] == rows, (n, keys)
     # every check the reference makes was both passed and failed
     assert outcomes == {
         None,
-        "indptr must be non-decreasing from 0",
-        "degree sum must equal 2m",
-        "neighbour index out of range",
+        "edge keys must strictly ascend",
+        "edge key out of range",
         "self-loops are not allowed",
-        "adjacency rows must be strictly ascending",
-        "adjacency is not symmetric",
+        "edge keys must have lo < hi",
     }
 
 
@@ -243,6 +233,8 @@ def test_immutable_after_construction():
     g = new_graph(2, [(0, 1)], [0, 1])
     with pytest.raises(ValueError):
         g.colours[0] = 5
+    with pytest.raises(ValueError):
+        g.keys[0] = 0
     with pytest.raises(ValueError):
         g.indices[0] = 0
 

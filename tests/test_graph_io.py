@@ -337,7 +337,7 @@ def test_serialize_matches_line_join():
 
 
 def _recoloured(g, colours):
-    return ColouredGraph(n=g.n, m=g.m, colours=colours, indptr=g.indptr, indices=g.indices)
+    return ColouredGraph(n=g.n, colours=colours, keys=g.keys)
 
 
 def test_serialize_writes_every_width_and_dtype_as_str_does():

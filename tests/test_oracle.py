@@ -1,15 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from colourcontract import (
+    RandomSpec,
+    assign_random_colours,
     colour_component,
     colour_neighbourhood_set,
     colour_partition,
     component_contraction,
+    gen_erdos_renyi,
     graphs_equal,
     new_graph,
 )
-from reference_impls import bfs_colour_component, contract_by_relabel, unionfind_blocks
+from reference_impls import bfs_colour_component, contract_by_relabel, ordered_unionfind_blocks, unionfind_blocks
 
 from conftest import FIG24_EXPECTED
 
@@ -94,6 +99,17 @@ def test_partition_matches_unionfind_on_random_graphs():
         g = new_graph(n, edges, colours)
         part = colour_partition(g)
         assert {frozenset(b.tolist()) for b in part.blocks} == unionfind_blocks(g)
+
+
+def test_partition_with_many_blocks_matches_unionfind():
+    # 64 colours on a sparse random graph: most vertices are singleton
+    # blocks, found without a search, between blocks that are grown
+    n = 3000
+    g = assign_random_colours(gen_erdos_renyi(RandomSpec(n=n, m=math.ceil(n * math.log(n)), seed=4)), 64, seed=5)
+    part = colour_partition(g)
+    blocks, colours = ordered_unionfind_blocks(g)
+    assert sum(len(b) == 1 for b in blocks) > len(blocks) // 2 > sum(len(b) > 1 for b in blocks) > 100
+    assert ([b.tolist() for b in part.blocks], part.block_colour.tolist()) == (blocks, colours)
 
 
 def test_partition_proper_colouring_gives_singletons(triangle_two_colours):

@@ -23,7 +23,7 @@ from colourcontract import (
     serialize_graph,
 )
 from conftest import tampered_inputs
-from reference_impls import contract_by_relabel, equivalent_by_sets, relabel_form, replay, unionfind_blocks
+from reference_impls import contract_by_relabel, equivalent_by_sets, ordered_unionfind_blocks, relabel_form, replay
 
 
 @st.composite
@@ -71,7 +71,7 @@ def test_digraph_points_at_colour_minimum(g):
 @settings(max_examples=100, deadline=None)
 def test_oracle_partition_matches_unionfind(g):
     part = colour_partition(g)
-    assert {frozenset(b.tolist()) for b in part.blocks} == unionfind_blocks(g)
+    assert ([b.tolist() for b in part.blocks], part.block_colour.tolist()) == ordered_unionfind_blocks(g)
 
 
 @given(coloured_graphs())
