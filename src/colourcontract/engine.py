@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import ColouredGraph, _integers, _sorted_unique
+from .graph import ColouredGraph, _integers, relabel_keys
 from .oracle import _grow
 
 
@@ -239,18 +239,7 @@ def apply_contraction(g: ColouredGraph, mapping: ContractionMapping) -> Coloured
     """
     colours = _check_mapping_structure(g, mapping)
     k = mapping.n_prime
-    becomes = mapping.becomes.astype(np.int64, copy=False)
-    lo, hi = g.endpoints()
-    a, b = becomes[lo], becomes[hi]
-    del lo, hi
-    crossing = a != b
-    a, b = a[crossing], b[crossing]
-    # the new keys min*k + max, built in the buffer of the smaller ends
-    keys = np.minimum(a, b)
-    np.maximum(a, b, out=b)
-    keys *= k
-    keys += b
-    return ColouredGraph(n=k, colours=colours, keys=_sorted_unique(keys))
+    return ColouredGraph(n=k, colours=colours, keys=relabel_keys(g, mapping.becomes, k))
 
 
 def _compose(n0: int, mappings: Iterable[ContractionMapping]) -> np.ndarray:
@@ -368,7 +357,7 @@ def equivalent_contractions(g: ColouredGraph, trace: ContractionTrace, partition
     block_colour = np.asarray(partition.block_colour)
     if block_colour.shape != (k,) or not np.array_equal(final.colours, block_colour[corr]):
         return False
-    return np.array_equal(_edge_keys(final, corr, k), _edge_keys(g, block_of, k))
+    return np.array_equal(relabel_keys(final, corr, k), relabel_keys(g, block_of, k))
 
 
 def _block_index(n: int, blocks) -> np.ndarray | None:
@@ -391,13 +380,3 @@ def _block_index(n: int, blocks) -> np.ndarray | None:
     block_of = np.empty(n, dtype=np.int64)
     block_of[members] = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
     return block_of
-
-
-def _edge_keys(g: ColouredGraph, label: np.ndarray, k: int) -> np.ndarray:
-    """Distinct edges between differently labelled vertices, as sorted keys
-    ``lo * k + hi`` over labels 0..k-1."""
-    lo, hi = g.endpoints()
-    a, b = label[lo], label[hi]
-    crossing = a != b
-    a, b = a[crossing], b[crossing]
-    return _sorted_unique(np.minimum(a, b) * k + np.maximum(a, b))

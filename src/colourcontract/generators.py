@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ColouredGraph, _sorted_unique, new_graph
+from .graph import ColouredGraph, _sorted_unique, relabel_keys
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ def _draw_keys(n: int, missing: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _sample_pairs_exact(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """First m distinct unordered pairs from an endless stream of uniform draws.
+    """Keys lo*n + hi of the first m distinct unordered pairs from an endless
+    stream of uniform draws, in draw order.
 
     Rejecting repeats in draw order is uniform sampling without replacement;
     test sizes keep the rejection rate harmless.  Each batch is sized by the
@@ -95,20 +96,19 @@ def _sample_pairs_exact(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
             seen = np.insert(seen, at[new], drawn[new])
         collected = np.concatenate(parts)
         uniq, first_pos = _sorted_unique(collected, return_index=True)
-    keys = collected[np.sort(first_pos)[:m]]
-    return np.column_stack([keys // n, keys % n])
+    return collected[np.sort(first_pos)[:m]]
 
 
 def _sample_pairs_bernoulli(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Independent coin flip per unordered pair, row by row to bound memory."""
-    rows: list[np.ndarray] = []
+    """Keys lo*n + hi of an independent coin flip per unordered pair, drawn
+    row by row to bound memory: row u gives u*n + hi for its hits hi > u,
+    so the keys ascend."""
+    rows = [np.empty(0, dtype=np.int64)]
     for u in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - u - 1) < p) + u + 1
-        if hits.size:
-            rows.append(np.column_stack([np.full(hits.size, u, dtype=np.int64), hits]))
-    if not rows:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.vstack(rows)
+        hits = np.flatnonzero(rng.random(n - u - 1) < p)
+        hits += u * n + u + 1
+        rows.append(hits)
+    return np.concatenate(rows)
 
 
 def gen_erdos_renyi(spec: RandomSpec) -> ColouredGraph:
@@ -119,10 +119,10 @@ def gen_erdos_renyi(spec: RandomSpec) -> ColouredGraph:
     """
     rng = _rng(spec.seed)
     if spec.m is not None:
-        pairs = _sample_pairs_exact(spec.n, spec.m, rng) if spec.m else np.empty((0, 2), dtype=np.int64)
+        keys = np.sort(_sample_pairs_exact(spec.n, spec.m, rng))
     else:
-        pairs = _sample_pairs_bernoulli(spec.n, float(spec.p), rng)
-    return new_graph(spec.n, pairs, np.zeros(spec.n, dtype=np.int64))
+        keys = _sample_pairs_bernoulli(spec.n, float(spec.p), rng)
+    return ColouredGraph(n=spec.n, colours=np.zeros(spec.n, dtype=np.int64), keys=keys)
 
 
 def assign_random_colours(g: ColouredGraph, colours: int, seed: int) -> ColouredGraph:
@@ -142,5 +142,4 @@ def permute_enumeration(g: ColouredGraph, seed: int) -> tuple[ColouredGraph, np.
     perm = _rng(seed).permutation(g.n).astype(np.int64)
     colours = np.empty(g.n, dtype=np.int64)
     colours[perm] = g.colours
-    edges = perm[g.edge_array()] if g.m else np.empty((0, 2), dtype=np.int64)
-    return new_graph(g.n, edges, colours), perm
+    return ColouredGraph(n=g.n, colours=colours, keys=relabel_keys(g, perm, g.n)), perm

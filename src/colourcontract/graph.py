@@ -110,7 +110,7 @@ def _validate(g: ColouredGraph) -> np.ndarray:
     if not isinstance(g.n, int) or g.n < 0:
         raise ValueError("n must be a non-negative int")
     if g.colours.ndim != 1 or g.colours.size != g.n:
-        raise ValueError(f"expected {g.n} colours, got {g.colours.size}")
+        raise ValueError(f"expected colours of shape ({g.n},), got {g.colours.shape}")
     if not np.issubdtype(g.colours.dtype, np.integer):
         raise ValueError("colour ids must be integers")
     if g.colours.size and int(g.colours.min()) < 0:
@@ -172,21 +172,50 @@ def _integers(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be integers") from None
 
 
+def _pair_keys(a: np.ndarray, b: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Sorted distinct keys ``min * k + max`` of the pairs (a[i], b[i]), the
+    maxima written into ``out``: b itself only when the caller owns b."""
+    keys = np.minimum(a, b)
+    keys *= k
+    keys += np.maximum(a, b, out=out)
+    return _sorted_unique(keys)
+
+
+def relabel_keys(g: ColouredGraph, label: np.ndarray, k: int) -> np.ndarray:
+    """Sorted distinct keys ``min * k + max`` of g's edges taken through
+    ``label``, one integer in 0..k-1 per vertex (the graph built from the
+    keys checks them): the edge set of the quotient by the labelling.  Edges
+    inside one label vanish; parallel ones collapse."""
+    lo, hi = g.endpoints()
+    label = label.astype(np.int64, copy=False)
+    a, b = label[lo], label[hi]
+    del lo, hi
+    crossing = a != b
+    # only the crossing ends stay alive through the key build and the sort
+    a, b = a[crossing], b[crossing]
+    del crossing
+    return _pair_keys(a, b, k, out=b)
+
+
 def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequence[int] | np.ndarray) -> ColouredGraph:
     """Build a validated graph from an unordered edge list.
 
     Edges may arrive in any order and orientation; duplicates collapse to a
-    single edge.  Self-loops, out-of-range endpoints and endpoints or colours
-    that are not integers are rejected.
+    single edge.  An edge array must have shape (m, 2), or hold nothing.
+    Self-loops, out-of-range endpoints and endpoints or colours that are
+    not integers are rejected.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     # the graph checks the colours again, but n sizes arrays before it does
     col = _integers(colours, "colour ids")
     if col.ndim != 1 or col.size != n:
-        raise ValueError(f"expected {n} colours, got {col.size}")
+        raise ValueError(f"expected colours of shape ({n},), got {col.shape}")
 
-    if not isinstance(edges, np.ndarray):
+    if isinstance(edges, np.ndarray):
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise ValueError(f"edge array must have shape (m, 2), got {edges.shape}")
+    else:
         edges = [x for u, v in edges for x in (u, v)]
     pairs = _integers(edges, "edge endpoints").reshape(-1, 2)
 
@@ -197,10 +226,7 @@ def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequ
     loops = u == v
     if loops.any():
         raise ValueError(f"self-loop at vertex {int(u[loops][0])}")
-    keys = np.minimum(u, v)
-    keys *= n
-    keys += np.maximum(u, v)
-    return ColouredGraph(n=n, colours=col, keys=_sorted_unique(keys))
+    return ColouredGraph(n=n, colours=col, keys=_pair_keys(u, v, n))
 
 
 def colour_neighbourhood(g: ColouredGraph, v: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Naive traversal-based reference for colour components and their contraction.
 
-This path is deliberately simple (breadth-first search over the adjacency
-rows that a graph derives from its edge keys) and shares no machinery with
-the iterative engine, so the two can cross-check each other.
+This path is deliberately simple: breadth-first search over the adjacency
+rows that a graph derives from its edge keys.  It finds its partition
+independently of the iterative engine, so the two can cross-check each
+other; only the quotient by a labelling, ``graph.relabel_keys``, is shared,
+and tests check it against a set-based reference.
 ``ContractionMapping.validate`` borrows its frontier BFS to check that every
 fibre of a mapping is connected.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ColouredGraph, new_graph
+from .graph import ColouredGraph, relabel_keys
 
 
 @dataclass(frozen=True)
@@ -115,13 +117,5 @@ def component_contraction(g: ColouredGraph) -> tuple[ColouredGraph, np.ndarray]:
     """
     partition = colour_partition(g)
     block_of = partition.vertex_block()
-    ea = g.edge_array()
-    if ea.size:
-        bu = block_of[ea[:, 0]]
-        bv = block_of[ea[:, 1]]
-        keep = bu != bv
-        pairs = np.column_stack([bu[keep], bv[keep]])
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
-    contracted = new_graph(len(partition.blocks), pairs, partition.block_colour)
-    return contracted, block_of
+    k = len(partition.blocks)
+    return ColouredGraph(n=k, colours=partition.block_colour, keys=relabel_keys(g, block_of, k)), block_of

@@ -46,31 +46,31 @@ def test_exact_edge_count():
 def test_exact_sampler_frees_each_batch_before_the_next_sort():
     # a batch's draws, their min and max columns and the self-loop mask are
     # dead once its keys are collected; kept over the next pass's sort of
-    # every key they lift the peak from about 13 to about 19 times the
-    # output's bytes
+    # every key they lift the peak from about 13 to about 19 times the bytes
+    # of m int64 pairs, which is twice the bytes of the m keys returned
     tracemalloc.start()
     try:
-        pairs = generators._sample_pairs_exact(20_000, 100_000, generators._rng(0))
+        keys = generators._sample_pairs_exact(20_000, 100_000, generators._rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert pairs.shape == (100_000, 2)
-    assert peak < 15 * pairs.nbytes
+    assert keys.shape == (100_000,)
+    assert peak < 30 * keys.nbytes
 
 
 def test_exact_sampler_sorts_the_head_and_builds_keys_in_place():
     # with m distinct keys in its head, the sampler sorts about m keys, not
     # the 4m of its first batch, and each batch's keys are built over one of
-    # its columns: about 8.5 times the output's bytes, against 12.7 when the
-    # whole collection was sorted
+    # its columns: about 8 times the bytes of m int64 pairs, against 12.7
+    # when the whole collection was sorted
     tracemalloc.start()
     try:
-        pairs = generators._sample_pairs_exact(20_000, 100_000, generators._rng(0))
+        keys = generators._sample_pairs_exact(20_000, 100_000, generators._rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert pairs.shape == (100_000, 2)
-    assert peak < 10 * pairs.nbytes
+    assert keys.shape == (100_000,)
+    assert peak < 20 * keys.nbytes
 
 
 class RecordingRng:
@@ -98,9 +98,10 @@ def test_exact_sampler_matches_set_reference():
     batches = {}
     for k, (n, m) in enumerate(cases):
         got_rng, want_rng = RecordingRng(k), RecordingRng(k)
-        got = generators._sample_pairs_exact(n, m, got_rng)
+        keys = generators._sample_pairs_exact(n, m, got_rng)
         want = sample_pairs_by_set(n, m, want_rng)
-        assert got.dtype == np.int64 and np.array_equal(got, want), (n, m)
+        assert keys.dtype == np.int64 and keys.shape == (m,), (n, m)
+        assert np.array_equal(np.column_stack(divmod(keys, n)), want), (n, m)
         assert got_rng.sizes == want_rng.sizes, (n, m)
         batches[n, m] = len(got_rng.sizes)
     assert batches[60, 1770] >= 2 and batches[200, 19_900] >= 2

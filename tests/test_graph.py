@@ -12,8 +12,8 @@ from colourcontract import (
     new_graph,
     serialize_graph,
 )
-from colourcontract.graph import _sorted_unique
-from reference_impls import serialize_by_join, validate_by_keys, validate_by_rows
+from colourcontract.graph import _sorted_unique, relabel_keys
+from reference_impls import contract_by_relabel, serialize_by_join, validate_by_keys, validate_by_rows
 
 
 def test_empty_graph():
@@ -84,6 +84,41 @@ def test_endpoint_out_of_range_rejected():
 def test_colour_length_mismatch_rejected():
     with pytest.raises(ValueError, match="colours"):
         new_graph(3, [], [0, 0])
+    # two colours for two vertices, but as one row of a 2-D array: the
+    # message names the shape, not a count that matches
+    with pytest.raises(ValueError, match=r"expected colours of shape \(2,\), got \(1, 2\)"):
+        new_graph(2, [], np.array([[0, 1]]))
+    with pytest.raises(ValueError, match=r"expected colours of shape \(2,\), got \(1, 2\)"):
+        ColouredGraph(n=2, colours=np.array([[0, 1]]), keys=np.array([1]))
+
+
+def test_edge_array_not_of_pairs_rejected():
+    # six endpoints in two rows of three, or four in a flat array, are not
+    # read as pairs
+    for edges in (np.array([[0, 1, 2], [1, 2, 3]]), np.array([0, 1, 2, 3]), np.array([[[0, 1]]])):
+        with pytest.raises(ValueError, match=r"shape \(m, 2\)"):
+            new_graph(4, edges, [0] * 4)
+    # an array that holds nothing is the empty edge list, whatever its shape
+    for edges in (np.empty((0, 2)), np.empty(0), np.empty((3, 0), dtype=np.int64)):
+        assert new_graph(4, edges, [0] * 4).m == 0
+
+
+def test_new_graph_leaves_the_callers_edges_unchanged():
+    # rows with u > v: the keys' min and max must not be written back into
+    # an int64 array that new_graph uses without copying
+    edges = np.array([[2, 0], [1, 3], [3, 2], [0, 2]], dtype=np.int64)
+    before = edges.copy()
+    g = new_graph(4, edges, [0] * 4)
+    assert np.array_equal(edges, before)
+    assert g.edge_array().tolist() == [[0, 2], [1, 3], [2, 3]]
+
+
+def test_relabel_keys_of_empty_edge_sets():
+    for g in (new_graph(0, [], []), new_graph(3, [], [0, 1, 2])):
+        for label, k in ((np.zeros(g.n, dtype=np.int64), 1), (np.arange(g.n), g.n), (np.arange(g.n) % 2, 5)):
+            keys = relabel_keys(g, label, k)
+            assert keys.dtype == np.int64 and keys.size == 0
+            assert contract_by_relabel(g, label)[1] == set()
 
 
 def test_negative_colour_rejected():

@@ -22,6 +22,7 @@ from colourcontract import (
     project_to_roots,
     serialize_graph,
 )
+from colourcontract.graph import relabel_keys
 from conftest import tampered_inputs
 from reference_impls import contract_by_relabel, equivalent_by_sets, ordered_unionfind_blocks, relabel_form, replay
 
@@ -48,6 +49,28 @@ def test_construction_invariants(g):
         assert row == sorted(set(row)) and v not in row
         for w in row:
             assert v in g.neighbours(w).tolist()
+
+
+@given(coloured_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_relabel_keys_matches_set_reference(g, data):
+    # every quotient and relabelling builds its keys in relabel_keys: the
+    # sorted distinct keys a*k + b of the set reference's edges (a, b), a < b
+    n = g.n
+    extra = data.draw(st.integers(0, 3))
+    labellings = [
+        # onto 0..k-1, some labels unused
+        (data.draw(st.lists(st.integers(0, n + extra), min_size=n, max_size=n)), n + extra + 1),
+        (data.draw(st.permutations(range(n))), n),
+        (list(range(n)), n),
+        # every edge vanishes
+        ([extra] * n, extra + 1),
+    ]
+    for label, k in labellings:
+        label = np.array(label, dtype=np.int64)
+        keys = relabel_keys(g, label, k)
+        want = sorted(a * k + b for a, b in contract_by_relabel(g, label)[1])
+        assert keys.dtype == np.int64 and keys.tolist() == want
 
 
 @given(coloured_graphs())
