@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import ColouredGraph, _integers, relabel_keys
+from .graph import ColouredGraph, _integers, relabel_keys, rows_within
 from .oracle import _grow
 
 
@@ -91,11 +91,12 @@ class ContractionMapping:
         reps = self.representatives
         if (np.diff(reps) <= 0).any():
             raise ValueError("fibres are not ordered by ascending representative")
-        # labelled by target, g's components are the connected pieces of the
-        # fibres; grown from every representative at once, they cover g
-        # exactly when every fibre is connected
+        # over the edges inside one fibre, g's components are the connected
+        # pieces of the fibres; grown from every representative at once, they
+        # cover g exactly when every fibre is connected
+        indptr, indices = rows_within(g, self.becomes)
         covered = np.zeros(g.n, dtype=bool)
-        _grow(g, self.becomes, reps, covered)
+        _grow(indptr, indices, reps, covered, np.empty(g.n, dtype=np.int64))
         if not covered.all():
             t = int(self.becomes[~covered].min())
             raise ValueError(f"fibre {t} does not induce a connected subgraph")

@@ -44,6 +44,8 @@ class RandomSpec:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     return np.random.Generator(np.random.PCG64(seed))
 
 

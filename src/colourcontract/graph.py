@@ -39,38 +39,12 @@ class ColouredGraph:
 
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) of every edge, in key order: lo ascends, and hi within each lo."""
-        lo = self.keys // max(self.n, 1)
-        hi = lo * self.n
-        np.subtract(self.keys, hi, out=hi)
-        return lo, hi
+        return _endpoints(self.n, self.keys)
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Symmetric adjacency rows, each strictly ascending, built with one
-        sort of the m transposed keys.
-
-        Row v lists its lower neighbours, then its upper ones.  The upper
-        halves are the key order itself; sorted, the transposed keys
-        ``hi * n + lo`` list the lower halves row after row.
-        """
-        n, m = self.n, self.m
-        lo, hi = self.endpoints()
-        upper = np.bincount(lo, minlength=n)
-        lower = np.bincount(hi, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(upper + lower, out=indptr[1:])
-        indices = np.empty(2 * m, dtype=np.int64)
-        at = np.arange(m, dtype=np.int64)
-        # edge j is entry j of the upper halves, which row lo's lower half and
-        # every earlier row's lower half precede
-        indices[at + np.cumsum(lower)[lo]] = hi
-        transposed = hi * n
-        transposed += lo
-        del lo, hi
-        transposed.sort()
-        row, neighbour = divmod(transposed, max(n, 1))
-        # likewise, every earlier row's upper half precedes entry j of the lower halves
-        indices[at + (np.cumsum(upper) - upper)[row]] = neighbour
+        """Adjacency rows of every edge, read-only (see ``rows_of``)."""
+        indptr, indices = rows_of(self.n, self.keys)
         indptr.setflags(write=False)
         indices.setflags(write=False)
         return indptr, indices
@@ -103,6 +77,52 @@ class ColouredGraph:
         """True when no edge joins two vertices of the same colour."""
         lo, hi = self.endpoints()
         return bool((self.colours[lo] != self.colours[hi]).all())
+
+
+def _endpoints(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    lo = keys // max(n, 1)
+    hi = lo * n
+    np.subtract(keys, hi, out=hi)
+    return lo, hi
+
+
+def rows_of(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric adjacency rows ``(indptr, indices)`` of the edges with the
+    given keys ``lo * n + hi``, strictly ascending (a graph's keys or any
+    ascending subset of them); each row strictly ascends, built with one
+    sort of the transposed keys.
+
+    Row v lists its lower neighbours, then its upper ones.  The upper
+    halves are the key order itself; sorted, the transposed keys
+    ``hi * n + lo`` list the lower halves row after row.
+    """
+    m = keys.size
+    lo, hi = _endpoints(n, keys)
+    upper = np.bincount(lo, minlength=n)
+    lower = np.bincount(hi, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(upper + lower, out=indptr[1:])
+    indices = np.empty(2 * m, dtype=np.int64)
+    at = np.arange(m, dtype=np.int64)
+    # edge j is entry j of the upper halves, which row lo's lower half and
+    # every earlier row's lower half precede
+    indices[at + np.cumsum(lower)[lo]] = hi
+    transposed = hi * n
+    transposed += lo
+    del lo, hi
+    transposed.sort()
+    row, neighbour = divmod(transposed, max(n, 1))
+    # likewise, every earlier row's upper half precedes entry j of the lower halves
+    indices[at + (np.cumsum(upper) - upper)[row]] = neighbour
+    return indptr, indices
+
+
+def rows_within(g: ColouredGraph, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency rows of g's edges whose two ends share a label, one value
+    per vertex (g's colours, or a mapping's targets): the graph whose
+    connected components are the connected pieces of the label classes."""
+    lo, hi = g.endpoints()
+    return rows_of(g.n, g.keys[label[lo] == label[hi]])
 
 
 def _validate(g: ColouredGraph) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Naive traversal-based reference for colour components and their contraction.
 
-This path is deliberately simple: breadth-first search over the adjacency
-rows that a graph derives from its edge keys.  It finds its partition
-independently of the iterative engine, so the two can cross-check each
-other; only the quotient by a labelling, ``graph.relabel_keys``, is shared,
-and tests check it against a set-based reference.
-``ContractionMapping.validate`` borrows its frontier BFS to check that every
+This path is deliberately simple: breadth-first search over adjacency rows
+that hold only the same-colour edges (``graph.rows_within``).  It finds its
+partition independently of the iterative engine, so the two can
+cross-check each other; only the graph layer is shared: the rows, and the
+quotient by a labelling, ``graph.relabel_keys``, which tests check against
+a set-based reference.  ``ContractionMapping.validate`` borrows its frontier
+BFS, over the rows of the edges inside one fibre, to check that every
 fibre of a mapping is connected.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ColouredGraph, relabel_keys
+from .graph import ColouredGraph, relabel_keys, rows_within
 
 
 @dataclass(frozen=True)
@@ -45,37 +46,41 @@ class ColourPartition:
 def colour_component(g: ColouredGraph, v: int) -> np.ndarray:
     """Maximal connected monochromatic vertex set containing v, ascending.
 
-    Breadth-first: each step gathers the rows of the newest frontier only and
-    keeps the same-colour neighbours not reached before.
+    Breadth-first over the same-colour rows: each step gathers the rows of
+    the newest frontier only and keeps the neighbours not reached before.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for order {g.n}")
-    return _grow(g, g.colours, v, np.zeros(g.n, dtype=bool))
+    indptr, indices = rows_within(g, g.colours)
+    return _grow(indptr, indices, v, np.zeros(g.n, dtype=bool), np.empty(g.n, dtype=np.int64))
 
 
-def _grow(g: ColouredGraph, colours: np.ndarray, seeds: int | np.ndarray, covered: np.ndarray) -> np.ndarray:
-    """Vertices joined to the seeds by paths of g along which ``colours``
-    (g's own, or any other vertex labelling) stays the same, by frontier BFS,
-    marking them in ``covered``; ascending.
+def _grow(indptr: np.ndarray, indices: np.ndarray, seeds: int | np.ndarray, covered: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Vertices joined to the distinct ``seeds`` by paths in the rows
+    ``(indptr, indices)``, by frontier BFS, marking them in ``covered``;
+    ascending.  ``owner`` is scratch space, one int64 per vertex.
 
-    A vertex joins the frontier through an edge from a vertex of its own
-    colour, so seeds of different colours grow their components side by side.
-    Vertices of other components may already be marked: same-colour edges
-    never lead to them, so one mask can serve a whole sweep.
+    The rows hold only the edges inside one label class (``rows_within``), so
+    seeds of different classes grow their components side by side, and
+    vertices of other components may already be marked: no row leads to
+    them, so one mask can serve a whole sweep.  A level's new vertices are
+    deduplicated by scatter: every position of ``fresh`` writes its index
+    into ``owner`` at its vertex, and whichever write to a repeated vertex
+    lands, exactly one position reads its own index back.
     """
-    frontier = np.unique(seeds)
+    frontier = np.array(seeds, dtype=np.int64, ndmin=1)
     covered[frontier] = True
     reached = [frontier]
     while frontier.size:
-        starts = g.indptr[frontier]
-        lengths = g.indptr[frontier + 1] - starts
-        # positions of the frontier's rows in g.indices, row after row
+        starts = indptr[frontier]
+        lengths = indptr[frontier + 1] - starts
+        # positions of the frontier's rows in indices, row after row
         row_base = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        # int64 whatever the stored dtype, so the blocks index like vertex ids
-        gathered = g.indices[row_base + np.arange(row_base.size)].astype(np.int64, copy=False)
-        same = colours[gathered] == np.repeat(colours[frontier], lengths)
-        fresh = gathered[same & ~covered[gathered]]
-        frontier = np.unique(fresh)
+        gathered = indices[row_base + np.arange(row_base.size)]
+        fresh = gathered[~covered[gathered]]
+        at = np.arange(fresh.size)
+        owner[fresh] = at
+        frontier = fresh[owner[fresh] == at]
         covered[frontier] = True
         reached.append(frontier)
     return np.sort(np.concatenate(reached))
@@ -84,21 +89,18 @@ def _grow(g: ColouredGraph, colours: np.ndarray, seeds: int | np.ndarray, covere
 def colour_partition(g: ColouredGraph) -> ColourPartition:
     """All colour components, ordered by smallest member.
 
-    A vertex on no same-colour edge is a block of its own; those are found in
-    one pass over the edges.  Every other block is grown by frontier BFS from
-    its lowest vertex, from the lowest uncovered index up.
+    The search runs over the rows of the same-colour edges alone.  A vertex
+    with an empty row is a block of its own; every other block is grown by
+    frontier BFS from its lowest vertex, from the lowest uncovered index up.
     """
-    lo, hi = g.endpoints()
-    same = np.flatnonzero(g.colours[lo] == g.colours[hi])
-    covered = np.ones(g.n, dtype=bool)
-    covered[lo[same]] = False
-    covered[hi[same]] = False
-    del lo, hi, same
+    indptr, indices = rows_within(g, g.colours)
+    covered = indptr[1:] == indptr[:-1]
     singles = np.flatnonzero(covered)
+    owner = np.empty(g.n, dtype=np.int64)
     grown: list[np.ndarray] = []
     for v in np.flatnonzero(~covered).tolist():
         if not covered[v]:
-            grown.append(_grow(g, g.colours, v, covered))
+            grown.append(_grow(indptr, indices, v, covered, owner))
     # merged by smallest member, which no two blocks share
     firsts = np.concatenate([singles, [b[0] for b in grown]]).astype(np.int64)
     blocks = list(singles.reshape(-1, 1)) + grown

@@ -1,11 +1,13 @@
 """Independent re-implementations used as cross-checking oracles in tests.
 
 Nothing here shares code with the package internals: components come from a
-plain BFS and a union-find, root projection from per-vertex iterated lookup,
-fibres from appending each vertex to its target's list, contraction from set
-relabelling, the graph file format from a plain line-by-line reader, the
-edge-key and adjacency-row checks from per-key and per-row Python loops, and
-the exact edge sampler from a Python set.  Two exceptions use the
+plain BFS, a union-find and scipy's ``connected_components`` (imported only
+when called: scipy is not a dependency of the package), root projection
+from per-vertex iterated lookup, fibres from appending each vertex to its
+target's list, contraction from set relabelling, the graph file format
+from a plain line-by-line reader, the edge-key and adjacency-row checks
+from per-key and per-row Python loops, and the exact edge sampler from a
+Python set.  Two exceptions use the
 engine on purpose: ``equivalent_by_sets``, the set-based form of
 ``equivalent_contractions``, reuses the engine's composition and round
 application and differs only in how it compares; ``replay`` rebuilds the
@@ -69,6 +71,23 @@ def ordered_unionfind_blocks(g):
     """``unionfind_blocks`` as ``colour_partition`` lays it out: ascending
     blocks ordered by smallest member, and the colour of each block."""
     blocks = sorted(sorted(b) for b in unionfind_blocks(g))
+    return blocks, [int(g.colours[b[0]]) for b in blocks]
+
+
+def scipy_blocks(g):
+    """``ordered_unionfind_blocks`` computed by scipy's ``connected_components``
+    over the same-colour edges."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    edges = g.edge_array()
+    same = edges[g.colours[edges[:, 0]] == g.colours[edges[:, 1]]]
+    adjacency = coo_matrix((np.ones(len(same)), (same[:, 0], same[:, 1])), shape=(g.n, g.n))
+    count, labels = connected_components(adjacency, directed=False)
+    members = [[] for _ in range(count)]
+    for v, label in enumerate(labels.tolist()):
+        members[label].append(v)
+    blocks = sorted(members)
     return blocks, [int(g.colours[b[0]]) for b in blocks]
 
 

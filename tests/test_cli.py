@@ -251,6 +251,13 @@ def test_hostile_graphs_are_failures_not_tracebacks(tmp_path, capsys):
         assert err.startswith("error:") and where in err
 
 
+def test_negative_seeds_are_failures(monkeypatch, capsys):
+    for argv in (["contract", "-", "--permute-seed", "-5"], ["verify", "-", "--seeds", "-1"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(P4_TEXT))
+        assert run_cli(argv) == 1, argv
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli([]) == 2
     assert run_cli(["frobnicate"]) == 2

@@ -260,6 +260,15 @@ def test_mapping_target_check_is_shared(p4):
             compose_total_mapping(ContractionTrace(per_iteration=(record,), total_map=np.zeros(4, dtype=np.int64)))
 
 
+def test_mapping_validate_follows_targets_not_colours():
+    # one colour along the path 0-1-2: the colour joins 0 to 2 through 1,
+    # but 1 is another fibre, so fibre {0, 2} is not connected
+    path = new_graph(3, [(0, 1), (1, 2)], [0, 0, 0])
+    split = ContractionMapping(n=3, n_prime=2, becomes=np.array([0, 1, 0]))
+    with pytest.raises(ValueError, match="^fibre 0 does not induce a connected subgraph$"):
+        split.validate(path)
+
+
 def test_mapping_validate_names_the_one_disconnected_fibre():
     # fibres {2i, 2i + 1} on a path; dropping the edge inside pair j leaves
     # that fibre, and no other, disconnected

@@ -37,6 +37,14 @@ def test_spec_validates_ranges():
         RandomSpec(n=5, m=2, seed=-3)
 
 
+def test_negative_seed_is_refused_before_drawing():
+    g = gen_erdos_renyi(RandomSpec(n=5, m=4, seed=0))
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        assign_random_colours(g, 2, seed=-1)
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        permute_enumeration(g, -5)
+
+
 def test_exact_edge_count():
     g = gen_erdos_renyi(RandomSpec(n=30, m=100, seed=1))
     assert g.n == 30 and g.m == 100

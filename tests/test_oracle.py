@@ -14,7 +14,7 @@ from colourcontract import (
     graphs_equal,
     new_graph,
 )
-from reference_impls import bfs_colour_component, contract_by_relabel, ordered_unionfind_blocks, unionfind_blocks
+from reference_impls import bfs_colour_component, contract_by_relabel, ordered_unionfind_blocks, scipy_blocks, unionfind_blocks
 
 from conftest import FIG24_EXPECTED
 
@@ -109,6 +109,16 @@ def test_partition_with_many_blocks_matches_unionfind():
     part = colour_partition(g)
     blocks, colours = ordered_unionfind_blocks(g)
     assert sum(len(b) == 1 for b in blocks) > len(blocks) // 2 > sum(len(b) > 1 for b in blocks) > 100
+    assert ([b.tolist() for b in part.blocks], part.block_colour.tolist()) == (blocks, colours)
+
+
+def test_partition_matches_scipy_components_with_many_blocks():
+    # a third checker that shares no code with the oracle or the engine
+    pytest.importorskip("scipy.sparse.csgraph")
+    g = assign_random_colours(gen_erdos_renyi(RandomSpec(n=3000, m=24000, seed=0)), 64, seed=1)
+    part = colour_partition(g)
+    blocks, colours = scipy_blocks(g)
+    assert sum(len(b) > 1 for b in blocks) > 100
     assert ([b.tolist() for b in part.blocks], part.block_colour.tolist()) == (blocks, colours)
 
 

@@ -1,6 +1,7 @@
 """Property-based checks of the structural guarantees, driven by hypothesis."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,9 +23,9 @@ from colourcontract import (
     project_to_roots,
     serialize_graph,
 )
-from colourcontract.graph import relabel_keys
+from colourcontract.graph import relabel_keys, rows_within
 from conftest import tampered_inputs
-from reference_impls import contract_by_relabel, equivalent_by_sets, ordered_unionfind_blocks, relabel_form, replay
+from reference_impls import contract_by_relabel, equivalent_by_sets, ordered_unionfind_blocks, relabel_form, replay, scipy_blocks
 
 
 @st.composite
@@ -73,6 +74,21 @@ def test_relabel_keys_matches_set_reference(g, data):
         assert keys.dtype == np.int64 and keys.tolist() == want
 
 
+@given(coloured_graphs(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_rows_within_hold_the_same_label_neighbours(g, data):
+    # row v: v's neighbours that share its label, ascending, by a per-edge loop
+    for label in (g.colours, np.array(data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n)), dtype=np.int64)):
+        indptr, indices = rows_within(g, label)
+        want = [[] for _ in range(g.n)]
+        for u, v in g.edge_array().tolist():
+            if label[u] == label[v]:
+                want[u].append(v)
+                want[v].append(u)
+        assert indptr.dtype == indices.dtype == np.int64
+        assert [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(g.n)] == [sorted(r) for r in want]
+
+
 @given(coloured_graphs())
 @settings(max_examples=120, deadline=None)
 def test_round_trip_identity(g):
@@ -95,6 +111,18 @@ def test_digraph_points_at_colour_minimum(g):
 def test_oracle_partition_matches_unionfind(g):
     part = colour_partition(g)
     assert ([b.tolist() for b in part.blocks], part.block_colour.tolist()) == ordered_unionfind_blocks(g)
+
+
+def test_oracle_partition_matches_scipy_components():
+    pytest.importorskip("scipy.sparse.csgraph")
+
+    @given(coloured_graphs())
+    @settings(max_examples=100, deadline=None)
+    def check(g):
+        part = colour_partition(g)
+        assert ([b.tolist() for b in part.blocks], part.block_colour.tolist()) == scipy_blocks(g)
+
+    check()
 
 
 @given(coloured_graphs())
