@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import contract_to_fixpoint, equivalent_contractions
-from .generators import RandomSpec, assign_random_colours, gen_erdos_renyi, permute_enumeration
+from .generators import RandomSpec, assign_random_colours, check_seed, gen_erdos_renyi, permute_enumeration
 from .graph_io import export_dot, parse_graph, serialize_graph, stats_json
 from .oracle import colour_partition, component_contraction
 from .worstcase import classify_roles, generate_fib_instance
@@ -35,6 +35,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_contract(args: argparse.Namespace) -> int:
+    if args.permute_seed is not None:
+        check_seed(args.permute_seed)
     g = parse_graph(_read_text(args.input))
     if args.permute_seed is not None:
         g, _ = permute_enumeration(g, args.permute_seed)
@@ -67,6 +69,9 @@ def _block_minima(block_of: np.ndarray) -> np.ndarray:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # every seed is checked before any work, so a bad one prints no result
+    for seed in args.seeds or []:
+        check_seed(seed)
     g = parse_graph(_read_text(args.input))
     final, trace = contract_to_fixpoint(g)
     partition = colour_partition(g)

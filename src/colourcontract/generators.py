@@ -39,21 +39,30 @@ class RandomSpec:
             raise ValueError("p must be in [0, 1]")
         if self.colours < 1:
             raise ValueError("colour count must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        check_seed(self.seed)
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed: every seed keys a PCG64 stream."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
 
 
 def _rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    check_seed(seed)
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _draw_keys(n: int, missing: int, rng: np.random.Generator) -> np.ndarray:
-    """Keys lo*n + hi of one batch of uniform pairs, self-loops dropped, in
-    draw order.  The batch draws four times the ``missing`` pairs, plus 16,
-    and at least 64: these sizes fix the random stream."""
-    draw = rng.integers(0, n, size=(max(4 * missing + 16, 64), 2), dtype=np.int64)
+def _batch(missing: int) -> int:
+    """Pairs in one batch of the exact sampler: four times the ``missing``
+    pairs, plus 16, and at least 64.  These sizes fix the random stream."""
+    return max(4 * missing + 16, 64)
+
+
+def _draw_keys(n: int, pairs: int, rng: np.random.Generator) -> np.ndarray:
+    """Keys lo*n + hi of ``pairs`` uniform pairs, self-loops dropped, in draw
+    order."""
+    draw = rng.integers(0, n, size=(pairs, 2), dtype=np.int64)
     lo = np.minimum(draw[:, 0], draw[:, 1])
     hi = np.maximum(draw[:, 0], draw[:, 1])
     del draw
@@ -65,32 +74,53 @@ def _draw_keys(n: int, missing: int, rng: np.random.Generator) -> np.ndarray:
     return lo[keep]
 
 
+def _first_m(uniq: np.ndarray, first_pos: np.ndarray, m: int) -> np.ndarray:
+    """The m keys of ``uniq`` drawn first, still ascending: the keys whose
+    first positions are the m smallest, which are distinct."""
+    return uniq[first_pos <= np.partition(first_pos, m - 1)[m - 1]]
+
+
 def _sample_pairs_exact(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Keys lo*n + hi of the first m distinct unordered pairs from an endless
-    stream of uniform draws, in draw order.
+    stream of uniform draws, ascending.
 
     Rejecting repeats in draw order is uniform sampling without replacement;
-    test sizes keep the rejection rate harmless.  Each batch is sized by the
-    pairs still missing, counted over every distinct pair drawn so far, so
-    the draws, and the pairs, depend on the seed alone.
+    test sizes keep the rejection rate harmless.  The stream is drawn in
+    batches, each sized by the pairs still missing, counted over every
+    distinct pair drawn so far, so the draws, and the pairs, depend on the
+    seed alone.
 
-    When a head of the collected keys holds m distinct ones, its first m in
-    draw order are the stream's first m, so only the head is sorted.  When it
-    falls short, each later batch's new keys are merged into the distinct
-    keys so far, and the whole collection is sorted once, at the end.
+    A head of m + m//16 + 64 keys nearly always holds m distinct ones, and
+    then nothing past it is read.  numpy fills a bounded draw one element
+    after another from the generator state, so the first k pairs of a batch
+    equal a k-pair draw from the same state: the head is drawn alone, with
+    room for the self-loops dropped.  When those keys fall short of the head,
+    or the head of m distinct keys, as on dense or tiny graphs, the state is
+    restored and the batches are drawn whole.  Each later batch's new keys
+    are then merged into the distinct keys so far, and the whole collection
+    is sorted once, at the end.
     """
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
     head = m + m // 16 + 64  # room for the few repeats among the first m keys
-    collected = np.empty(0, dtype=np.int64)
-    uniq, first_pos = _sorted_unique(collected, return_index=True)
+    state = rng.bit_generator.state
+    keys = _draw_keys(n, min(_batch(m), head + head // 8 + 64), rng)
+    if keys.size >= head:
+        uniq, first_pos = _sorted_unique(keys[:head], return_index=True)
+        if uniq.size >= m:
+            return _first_m(uniq, first_pos, m)
+    del keys
+    rng.bit_generator.state = state
+    collected = uniq = np.empty(0, dtype=np.int64)
     # while the collection fits in the head, the head's sort counts all of it
     while uniq.size < m and collected.size <= head:
-        collected = np.concatenate([collected, _draw_keys(n, m - uniq.size, rng)])
+        collected = np.concatenate([collected, _draw_keys(n, _batch(m - uniq.size), rng)])
         uniq, first_pos = _sorted_unique(collected[:head], return_index=True)
     if uniq.size < m:
         seen = _sorted_unique(collected)
         parts = [collected]
         while seen.size < m:
-            drawn = _draw_keys(n, m - seen.size, rng)
+            drawn = _draw_keys(n, _batch(m - seen.size), rng)
             parts.append(drawn)
             drawn = _sorted_unique(drawn)
             at = np.searchsorted(seen, drawn)
@@ -98,7 +128,7 @@ def _sample_pairs_exact(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
             seen = np.insert(seen, at[new], drawn[new])
         collected = np.concatenate(parts)
         uniq, first_pos = _sorted_unique(collected, return_index=True)
-    return collected[np.sort(first_pos)[:m]]
+    return _first_m(uniq, first_pos, m)
 
 
 def _sample_pairs_bernoulli(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -117,11 +147,12 @@ def gen_erdos_renyi(spec: RandomSpec) -> ColouredGraph:
     """Random graph described by a RandomSpec, every vertex coloured 0.
 
     The m form draws exactly m distinct pairs; the p form flips one coin per
-    pair.  Output depends only on the RandomSpec fields.
+    pair.  Both samplers return their keys ascending.  Output depends only on
+    the RandomSpec fields.
     """
     rng = _rng(spec.seed)
     if spec.m is not None:
-        keys = np.sort(_sample_pairs_exact(spec.n, spec.m, rng))
+        keys = _sample_pairs_exact(spec.n, spec.m, rng)
     else:
         keys = _sample_pairs_bernoulli(spec.n, float(spec.p), rng)
     return ColouredGraph(n=spec.n, colours=np.zeros(spec.n, dtype=np.int64), keys=keys)

@@ -219,9 +219,11 @@ def _decimal_lines(values: np.ndarray, per_line: int) -> str:
     """Non-negative integers in decimal, ``per_line`` to a line, as ``str()``
     writes them, separated by spaces, every line ended by ``\\n``.
 
-    The digits go into one byte matrix, a row per number and a column per
-    digit place plus the separator, one column per whole-array division;
-    each row's leading zero places are then dropped by a length mask.
+    Each whole-array division fills one contiguous row, a digit place, of a
+    (width, count) byte array; its transpose is copied once into a byte
+    matrix with a row per number and a column per digit place plus the
+    separator.  Digit counts come from one search against the powers of ten,
+    and a length mask then drops each row's leading zero places.
     """
     if not values.size:
         return ""
@@ -230,17 +232,20 @@ def _decimal_lines(values: np.ndarray, per_line: int) -> str:
     # the smallest unsigned type that holds the largest value: exact up to
     # 2**64 - 1, and the narrower the type, the faster its divisions
     values = values.astype(np.min_scalar_type(top))
-    digits = np.ones(values.size, dtype=np.intp)
-    for k in range(1, width):
-        digits += values >= 10**k
-    cells = np.empty((values.size, width + 1), dtype=np.uint8)
-    cells[:, width] = ord(" ")
-    cells[per_line - 1::per_line, width] = ord("\n")
+    count = values.size
+    powers = np.array([10**k for k in range(1, width)], dtype=values.dtype)
+    digits = np.searchsorted(powers, values, side="right") + 1
+    places = np.empty((width, count), dtype=np.uint8)
     for place in range(width - 1, -1, -1):
         quotient = values // 10
-        cells[:, place] = values - quotient * 10
+        places[place] = values - quotient * 10
         values = quotient
-    cells[:, :width] += ord("0")
+    places += ord("0")
+    cells = np.empty((count, width + 1), dtype=np.uint8)
+    cells[:, :width] = places.T
+    del places
+    cells[:, width] = ord(" ")
+    cells[per_line - 1::per_line, width] = ord("\n")
     # row d of the table keeps the last d digit places and the separator
     keep = np.arange(width + 1) >= width - np.arange(width + 1)[:, None]
     return cells[np.take(keep, digits, axis=0)].tobytes().decode("ascii")

@@ -251,11 +251,20 @@ def test_hostile_graphs_are_failures_not_tracebacks(tmp_path, capsys):
         assert err.startswith("error:") and where in err
 
 
-def test_negative_seeds_are_failures(monkeypatch, capsys):
+def test_negative_seeds_are_failures(monkeypatch, capsys, tmp_path):
     for argv in (["contract", "-", "--permute-seed", "-5"], ["verify", "-", "--seeds", "-1"]):
         monkeypatch.setattr("sys.stdin", io.StringIO(P4_TEXT))
         assert run_cli(argv) == 1, argv
         assert capsys.readouterr().err == "error: seed must be non-negative\n"
+    # the seeds are refused before the input is read: no result is printed
+    # for the good seed, and no output file is created
+    path = tmp_path / "p4.graph"
+    path.write_text(P4_TEXT)
+    out = tmp_path / "out.graph"
+    for argv in (["verify", str(path), "--seeds", "1", "-1"], ["contract", str(path), "--out", str(out), "--permute-seed", "-5"]):
+        assert run_cli(argv) == 1, argv
+        assert capsys.readouterr() == ("", "error: seed must be non-negative\n"), argv
+    assert not out.exists()
 
 
 def test_usage_errors_exit_two(capsys):

@@ -81,22 +81,56 @@ def test_exact_sampler_sorts_the_head_and_builds_keys_in_place():
     assert peak < 20 * keys.nbytes
 
 
+def test_exact_sampler_draws_only_the_head():
+    # with m distinct keys in its head, the sampler draws the head alone, not
+    # the 4m + 16 pairs of its first batch: about 6.5 times the bytes of the
+    # m keys returned, against 16.9 when the first batch was drawn whole
+    tracemalloc.start()
+    try:
+        keys = generators._sample_pairs_exact(20_000, 100_000, generators._rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert keys.shape == (100_000,)
+    assert peak < 10 * keys.nbytes
+
+
+@pytest.mark.parametrize("n", [2, 50_000, 2**33])
+@pytest.mark.parametrize("k", [1, 64, 1001, 4096])
+def test_bounded_draw_is_filled_in_order(n, k):
+    # the exact sampler draws a batch's head alone: its pairs must be the
+    # batch's first k, on numpy's 32-bit and 64-bit bounded paths alike
+    for seed in range(3):
+        whole = generators._rng(seed).integers(0, n, size=(5000, 2), dtype=np.int64)
+        head = generators._rng(seed).integers(0, n, size=(k, 2), dtype=np.int64)
+        assert np.array_equal(head, whole[:k]), (n, k, seed)
+
+
 class RecordingRng:
-    """A seeded generator that records the size of every draw."""
+    """A seeded generator that records the state before every draw, and the
+    number of pairs drawn from it."""
 
     def __init__(self, seed):
         self._rng = generators._rng(seed)
-        self.sizes = []
+        self.draws = []
+
+    @property
+    def bit_generator(self):
+        return self._rng.bit_generator
 
     def integers(self, low, high, size, dtype):
-        self.sizes.append(size)
+        self.draws.append((self._rng.bit_generator.state, size[0]))
         return self._rng.integers(low, high, size=size, dtype=dtype)
 
 
 def test_exact_sampler_matches_set_reference():
     # (2, 1) and (3, 3): the first batch is shorter than the head, which then
     # counts the whole collection; (60, 1770) and (200, 19 900): complete
-    # graphs whose head falls short, so later batches are counted one by one
+    # graphs whose head falls short, so later batches are counted one by one.
+    # The sampler may draw a batch's head alone, and draw it again whole from
+    # the same state, so each draw must start where one of the reference's
+    # batches starts and ask for no more pairs than that batch; its pairs are
+    # then that batch's first ones.
     cases = [(2, 1), (3, 3), (200, 19_900), (60, 1770), (60, 1769)]
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -109,9 +143,15 @@ def test_exact_sampler_matches_set_reference():
         keys = generators._sample_pairs_exact(n, m, got_rng)
         want = sample_pairs_by_set(n, m, want_rng)
         assert keys.dtype == np.int64 and keys.shape == (m,), (n, m)
+        want = want[np.lexsort((want[:, 1], want[:, 0]))]
         assert np.array_equal(np.column_stack(divmod(keys, n)), want), (n, m)
-        assert got_rng.sizes == want_rng.sizes, (n, m)
-        batches[n, m] = len(got_rng.sizes)
+        starts = []
+        for state, pairs in got_rng.draws:
+            sizes = [size for start, size in want_rng.draws if start == state]
+            assert sizes and pairs <= sizes[0], (n, m)
+            if state not in starts:
+                starts.append(state)
+        batches[n, m] = len(starts)
     assert batches[60, 1770] >= 2 and batches[200, 19_900] >= 2
     assert batches[2, 1] == 1
 
