@@ -19,10 +19,12 @@ from .oracle import colour_partition, component_contraction
 from .worstcase import classify_roles, generate_fib_instance
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str) -> bytes | str:
+    """The input's bytes, undecoded: ``parse_graph`` reads them as UTF-8.
+    A stdin with no byte buffer under it, such as ``io.StringIO``, gives its text."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+        return getattr(sys.stdin, "buffer", sys.stdin).read()
+    with open(path, "rb") as handle:
         return handle.read()
 
 

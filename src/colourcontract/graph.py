@@ -160,11 +160,19 @@ def _sorted_unique(values: np.ndarray, return_index: bool = False):
     One sort and an adjacent-difference mask.  With ``return_index`` the
     position of each value's first occurrence comes too: the smallest
     position within each run of equal values, so the sort need not be stable.
+    Without it, values that already strictly ascend, as the edge keys of
+    canonical text do, are returned as they are, found by one comparison
+    pass and never sorted.  The keys of a contraction round descend within
+    their first few values, so a 16-value head is compared first and only
+    ascending input pays for the whole pass.
     """
     if return_index:
         order = np.argsort(values)
         ordered = values[order]
     else:
+        head = values[:16]
+        if (head[1:] > head[:-1]).all() and (values[1:] > values[:-1]).all():
+            return values
         ordered = np.sort(values)
     first = np.empty(ordered.size, dtype=bool)
     first[:1] = True

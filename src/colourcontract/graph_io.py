@@ -11,11 +11,13 @@ in either orientation, is one edge, so the parsed graph can have fewer than m.
 Numbers are read as Python's ``int()`` reads them and must fit in 64 bits;
 n must be below 2**31.
 
-Parsing takes one of two paths.  Text that is plain once its comment lines
-are cut, ASCII digits and whitespace as ``serialize_graph`` writes it, is
-read straight from its bytes in whole-array passes; all other text goes
-through the line-by-line reader, the reference, which reports the exact line
-of an error.
+Input is ``str`` or UTF-8 ``bytes``, whole or as a stream; the command line
+hands over the file's bytes undecoded.  Parsing takes one of two paths.  Text
+that is plain once its comment lines are cut, ASCII digits and whitespace as
+``serialize_graph`` writes it, is read straight from its bytes in whole-array
+passes, its values on a worker thread while the calling thread checks the
+line layout; all other text goes through the line-by-line reader, the
+reference, which reports the exact line of an error.
 
 Serialisation is canonical: colours on one line, edges as ``u v`` with
 ``u < v`` in lexicographic order, so parse(serialise(g)) reproduces g exactly.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import json
 import re
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import IO, Iterable, Iterator
 
@@ -145,7 +148,7 @@ def _parse_lines(text: str) -> ColouredGraph:
     return new_graph(n, edges, np.asarray(colour_values, dtype=np.int64))
 
 
-def _parse_whole(text: str) -> ColouredGraph | None:
+def _parse_whole(data: bytes) -> ColouredGraph | None:
     """Whole-text parse of well-formed text read straight from its bytes;
     None for any other text, which the line-by-line parse then handles.
 
@@ -158,8 +161,13 @@ def _parse_whole(text: str) -> ColouredGraph | None:
     cannot read, so the digit cap and the count check against the mask's
     tokens are what make its result exact.  On the text it accepts, the
     result equals the line-by-line parse's.
+
+    ``np.fromstring`` releases the interpreter lock, so it runs on one worker
+    thread while this thread works out the tokens per line.  The worker
+    starts once the mask is freed, so the mask and the values are never held
+    together, and it is joined before any value is read and before this
+    function returns, whether it returns a graph, None or an error.
     """
-    data = text.encode("utf-8", "surrogatepass")
     if b"#" in data:
         data = _COMMENT.sub(b"", data)
     if data.translate(None, _PLAIN_BYTES) or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
@@ -172,20 +180,20 @@ def _parse_whole(text: str) -> ColouredGraph | None:
     del word
     if starts.size == 0 or int((ends - starts).max()) > _PLAIN_MAX_DIGITS:
         return None
-    try:
-        values = np.fromstring(data, dtype=np.int64, sep=" ")
-    except ValueError:
-        return None
-    if values.size != starts.size:
-        return None
-    # opens[i]: a newline lies before token i and after token i - 1
-    opens = np.zeros(starts.size + 1, dtype=bool)
-    opens[np.searchsorted(starts, np.flatnonzero(raw == 0x0A))] = True
-    opens = opens[:-1]
-    opens[0] = True
-
-    widths = np.diff(np.append(np.flatnonzero(opens), opens.size))  # tokens per content line
-    if widths[0] != 2:
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        reading = pool.submit(np.fromstring, data, dtype=np.int64, sep=" ")
+        # opens[i]: a newline lies before token i and after token i - 1
+        opens = np.zeros(starts.size + 1, dtype=bool)
+        opens[np.searchsorted(starts, np.flatnonzero(raw == 0x0A))] = True
+        opens = opens[:-1]
+        opens[0] = True
+        widths = np.diff(np.append(np.flatnonzero(opens), opens.size))  # tokens per content line
+        del opens
+        try:
+            values = reading.result()
+        except ValueError:
+            return None
+    if values.size != starts.size or widths[0] != 2:
         return None
     n, m = int(values[0]), int(values[1])
     if not (0 <= n < _MAX_ORDER and m >= 0):
@@ -199,20 +207,27 @@ def _parse_whole(text: str) -> ColouredGraph | None:
         return None
 
 
-def parse_graph(source: str | IO[str]) -> ColouredGraph:
-    """Parse the text format; errors report the offending line number.
+def parse_graph(source: str | bytes | IO[str] | IO[bytes]) -> ColouredGraph:
+    """Parse the text format, given as ``str`` or UTF-8 ``bytes`` or a stream
+    of either; errors report the offending line number.
 
-    Two paths.  Well-formed text whose comment lines, once cut, leave only
-    ASCII digits and whitespace (all that ``serialize_graph`` and ``gen``
-    write) is read straight from its bytes by ``_parse_whole``.  Everything
-    else, malformed input and spellings such as ``+5``, ``1_0``, non-ASCII
-    digits, 19-digit numbers or line breaks other than \\n and \\r\\n, goes
-    through the line-by-line parse, which reads numbers as ``int()`` does and
-    raises the exact error line.
+    Two paths, whatever the input type.  Well-formed text whose comment
+    lines, once cut, leave only ASCII digits and whitespace (all that
+    ``serialize_graph`` and ``gen`` write) is read straight from its bytes
+    by ``_parse_whole``, its values on a worker thread that is joined before
+    this returns.  Everything else, malformed input and spellings such as
+    ``+5``, ``1_0``, non-ASCII digits, 19-digit numbers or line breaks other
+    than \\n and \\r\\n, goes through the line-by-line parse, which reads
+    numbers as ``int()`` does and raises the exact error line.  Bytes reach
+    it decoded as strict UTF-8: bytes that are not UTF-8 raise
+    ``UnicodeDecodeError``, a ``ValueError``.
     """
-    text = source if isinstance(source, str) else source.read()
-    g = _parse_whole(text)
-    return g if g is not None else _parse_lines(text)
+    text = source if isinstance(source, (str, bytes)) else source.read()
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    g = _parse_whole(data)
+    if g is not None:
+        return g
+    return _parse_lines(text if isinstance(text, str) else text.decode("utf-8"))
 
 
 def _decimal_lines(values: np.ndarray, per_line: int) -> str:

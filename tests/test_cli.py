@@ -224,6 +224,50 @@ def test_bench_subcommand_is_gone(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+def test_input_is_read_as_bytes(p4_file, monkeypatch):
+    assert cli._read_text(p4_file) == P4_TEXT.encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(P4_TEXT.encode())))
+    assert cli._read_text("-") == P4_TEXT.encode()
+
+
+def _contract_bytes(tmp_path, monkeypatch, capsys, raw: bytes) -> list[tuple[int, str, str]]:
+    """(exit code, stdout, stderr) of ``contract`` on raw as a file and on stdin."""
+    path = tmp_path / "raw.graph"
+    path.write_bytes(raw)
+    results = [(run_cli(["contract", str(path)]), *capsys.readouterr())]
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+    results.append((run_cli(["contract", "-"]), *capsys.readouterr()))
+    return results
+
+
+def test_carriage_returns_read_as_text_mode_read_them(tmp_path, monkeypatch, capsys):
+    # the file was read in text mode, which turned \r\n and a lone \r into
+    # \n; its bytes must give the same graph, or fail on the same line
+    cases = [
+        P4_TEXT,
+        "# a path\n4 3\n0 0 0 0\n\n0 2\n1 3\n2 3",
+        "+4 3\n0 0 0 0\n0 2\n1 3\n2 3\n",
+        "2 1\n0 0\n0 5\n",
+        "3 2\n0 0 0\n# c\n0 1 2\n1 2\n",
+    ]
+    for text in cases:
+        for brk in ("\r\n", "\r"):
+            expected = _contract_bytes(tmp_path, monkeypatch, capsys, text.encode())[0]
+            got = _contract_bytes(tmp_path, monkeypatch, capsys, text.replace("\n", brk).encode())
+            assert got == [expected, expected], (text, brk)
+    assert _contract_bytes(tmp_path, monkeypatch, capsys, P4_TEXT.replace("\n", "\r").encode())[0][:2] == (0, "1 0\n0\n")
+    assert _contract_bytes(tmp_path, monkeypatch, capsys, b"2 1\r0 0\r0 5\r")[0][2] == "error: line 3: edge endpoint out of range: (0, 5)\n"
+
+
+def test_input_that_is_not_utf8_is_a_failure(tmp_path, monkeypatch, capsys):
+    # the bytes of a Latin-1 file are decoded strictly, as the file was read
+    raw = ("# caf\xe9\n" + P4_TEXT).encode("latin-1")
+    for code, out, err in _contract_bytes(tmp_path, monkeypatch, capsys, raw):
+        assert (code, out) == (1, "") and err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+    # Latin-1 text that is all ASCII is the same text
+    assert _contract_bytes(tmp_path, monkeypatch, capsys, P4_TEXT.encode("latin-1"))[0] == (0, "1 0\n0\n", "")
+
+
 def test_missing_file_is_failure_not_usage_error(capsys):
     assert run_cli(["contract", "/nonexistent/xyz.graph"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -251,10 +251,17 @@ def test_construction_checks_match_per_row_reference():
     }
 
 
+def test_sorted_unique_returns_ascending_values_unsorted():
+    for values in (np.arange(100) * 3, np.array([2, 7]), np.array([4]), np.empty(0, dtype=np.int64)):
+        assert _sorted_unique(values) is values
+
+
 def test_sorted_unique_matches_np_unique():
     rng = np.random.default_rng(11)
     arrays = [np.empty(0, dtype=np.int64), np.array([5]), np.array([3, 3, 3])]
     arrays += [rng.integers(-20, 20, size=int(rng.integers(1, 300))) for _ in range(30)]
+    # ascending for a head of 16 values or more, then a repeat or a descent
+    arrays += [np.r_[np.arange(40), 39, np.arange(40, 60)], np.r_[np.arange(16), 3], np.r_[np.arange(15), 3]]
     for values in arrays:
         assert np.array_equal(_sorted_unique(values), np.unique(values))
         uniq, first = _sorted_unique(values, return_index=True)

@@ -1,4 +1,6 @@
+import io
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -255,20 +257,22 @@ def test_fib_roles_comments_are_cut_from_the_bytes(capsys, plain_reads):
     assert plain_reads == [True, True]
 
 
+_LAYOUT_LINES = ["3 2", "0 1 2", "0 1", "1 2"]
+PLAIN_LAYOUTS = [
+    "\n".join(_LAYOUT_LINES) + "\n",
+    "\n".join(_LAYOUT_LINES),  # no final newline
+    "\r\n".join(_LAYOUT_LINES) + "\r\n",
+    "\t3\t2 \n\n0\t1  2\n\n\r\n0 1\r\n  1\t2",  # tabs, blank lines, both breaks
+    "0 0\n",
+    " 0\t0 \r\n\r\n",  # a 0-vertex graph
+    "3 2\n0 1 2\n0 1\n",  # missing line
+    "3 2\n0 1 2\n0 1 2\n1 2\n",  # wrong width
+    "3 2\n0 1 2\n0 3\n1 2\n",  # endpoint out of range
+]
+
+
 def test_plain_layouts_match_line_reference(plain_reads):
-    lines = ["3 2", "0 1 2", "0 1", "1 2"]
-    texts = [
-        "\n".join(lines) + "\n",
-        "\n".join(lines),  # no final newline
-        "\r\n".join(lines) + "\r\n",
-        "\t3\t2 \n\n0\t1  2\n\n\r\n0 1\r\n  1\t2",  # tabs, blank lines, both breaks
-        "0 0\n",
-        " 0\t0 \r\n\r\n",  # a 0-vertex graph
-        "3 2\n0 1 2\n0 1\n",  # missing line
-        "3 2\n0 1 2\n0 1 2\n1 2\n",  # wrong width
-        "3 2\n0 1 2\n0 3\n1 2\n",  # endpoint out of range
-    ]
-    for text in texts:
+    for text in PLAIN_LAYOUTS:
         check_against_line_reference(text)
     # the layout and graph checks send the malformed ones on to the line parse
     assert plain_reads == [True] * 6 + [False] * 3
@@ -281,6 +285,124 @@ def test_short_byte_read_falls_back_to_the_line_parse(monkeypatch, plain_reads, 
     monkeypatch.setattr(np, "fromstring", lambda *args, **kwargs: fromstring(*args, **kwargs)[:-1])
     assert graphs_equal(parse_graph(P4_TEXT), p4)
     assert plain_reads == [False]
+
+
+@pytest.fixture
+def value_reads(monkeypatch):
+    """Record the thread of every np.fromstring call behind parse_graph."""
+    threads = []
+    fromstring = np.fromstring
+
+    def spy(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return fromstring(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fromstring", spy)
+    return threads
+
+
+def test_values_are_read_on_a_worker_that_never_outlives_the_parse(value_reads, line_parses, p4):
+    before = threading.active_count()
+    # a plain parse
+    assert graphs_equal(parse_graph(P4_TEXT), p4)
+    assert threading.active_count() == before
+    # plain text whose layout check fails: the line parse raises
+    with pytest.raises(GraphParseError, match="expected 2 edge endpoints, got 3") as err:
+        parse_graph("3 2\n0 1 2\n0 1 2\n1 2\n")
+    assert err.value.line_no == 3 and threading.active_count() == before
+    # text off the byte path starts no worker
+    assert graphs_equal(parse_graph("+" + P4_TEXT), p4)
+    assert threading.active_count() == before
+    assert len(value_reads) == 2 and len(line_parses) == 2
+    main = threading.main_thread()
+    assert all(t is not main and not t.is_alive() for t in value_reads)
+
+
+def test_a_value_error_on_the_worker_falls_back_to_the_line_parse(monkeypatch, line_parses, plain_reads, p4):
+    def refuse(*args, **kwargs):
+        raise ValueError("string size must be a multiple of element size")
+
+    monkeypatch.setattr(np, "fromstring", refuse)
+    before = threading.active_count()
+    assert graphs_equal(parse_graph(P4_TEXT), p4)
+    assert threading.active_count() == before
+    assert plain_reads == [False] and line_parses == [P4_TEXT]
+
+
+def test_other_errors_on_the_worker_reach_the_caller(monkeypatch, line_parses):
+    # only a ValueError means text np.fromstring cannot read; anything else
+    # is raised to the caller, with the worker already joined
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "fromstring", fail)
+    before = threading.active_count()
+    with pytest.raises(MemoryError):
+        parse_graph(P4_TEXT)
+    assert threading.active_count() == before and line_parses == []
+
+
+def check_bytes_like_text(text):
+    """parse_graph reads the UTF-8 bytes of text, whole or as a stream, as it
+    reads text: the same graph, or the same error line and message."""
+    data = text.encode("utf-8")
+    try:
+        expected = parse_graph(text)
+    except GraphParseError as exc:
+        for source in (data, io.BytesIO(data)):
+            with pytest.raises(GraphParseError) as err:
+                parse_graph(source)
+            assert (err.value.line_no, str(err.value)) == (exc.line_no, str(exc))
+    else:
+        for source in (data, io.BytesIO(data)):
+            assert graphs_equal(parse_graph(source), expected)
+
+
+MALFORMED = [
+    "nope\n",
+    "2 1\n0\n0 1\n",
+    "2 1\n0 0\n# fine\n0 9\n",
+    "3 2\n0 0 0\n0 1\n1 1\n",
+    "3 2\n0 0 0\n0 1\n",
+    "3 2\n",
+    "2 1\n0 0\n0 1\n0 1\n",
+    "-1 0\n",
+    "3 1 0 0\n0\n0 1\n",
+    "3 1\n0 0 0\n0\r1\n",
+    "3 1\n0 0 0\n0\x851\n",
+    "1 100000000000000\n0\n",
+    "2 1\n0 99999999999999999999999\n0 1\n",
+    "2 1\n0 0\n9223372036854775807 1\n",
+    "2147483648 0\n0\n",
+    "# caf\xe9\n2 1\n0 0\n0 \u0665\n",
+    "+3 2\r\n0 0 0\r0 1\r1 2 2\r",
+]
+
+
+@pytest.mark.parametrize("text", PLAIN_LAYOUTS + MALFORMED)
+def test_bytes_parse_as_their_text(text):
+    check_bytes_like_text(text)
+
+
+def test_bytes_that_are_not_utf8_are_refused():
+    # every non-ASCII byte takes the line path, which decodes strictly
+    for data in ("# caf\xe9\n" + P4_TEXT).encode("latin-1"), P4_TEXT.encode() + b"\xff":
+        with pytest.raises(UnicodeDecodeError):
+            parse_graph(data)
+
+
+def test_canonical_keys_are_not_sorted_again(monkeypatch):
+    # serialize_graph writes the edges in key order, so new_graph's keys
+    # already strictly ascend and are taken as they are
+    text = serialize_graph(generate_fib_instance(10).graph)
+    sort = np.sort
+    sorts = []
+    monkeypatch.setattr(np, "sort", lambda *args, **kwargs: sorts.append(args) or sort(*args, **kwargs))
+    assert serialize_graph(parse_graph(text)) == text
+    assert sorts == []
+    # the keys of edges in any other order still are sorted
+    scrambled = parse_graph("4 3\n0 0 0 0\n3 2\n2 0\n3 1\n")
+    assert serialize_graph(scrambled) == P4_TEXT and len(sorts) == 1
 
 
 @pytest.mark.parametrize("digits", [17, 18, 19])
@@ -517,12 +639,14 @@ def test_line_reader_memory_is_bounded_by_the_arrays():
 @given(perturbed_graph_texts())
 def test_parse_matches_line_reference_on_perturbed_graphs(text):
     check_against_line_reference(text)
+    check_bytes_like_text(text)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="0123456789 -+_#\n\r\t\x0b\x1e\x1f\x85\xa0\u0663x", max_size=40))
 def test_parse_arbitrary_text_matches_line_reference(text):
     check_against_line_reference(text)
+    check_bytes_like_text(text)
 
 
 def test_dot_empty_graph_is_valid():
