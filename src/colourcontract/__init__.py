@@ -39,7 +39,7 @@ from .graph_io import (
     stats_json,
     stats_records,
 )
-from .oracle import ColourPartition, colour_component, colour_partition, component_contraction
+from .oracle import colour_component, colour_partition, component_contraction
 from .worstcase import (
     FibInstance,
     FibReport,
@@ -55,7 +55,6 @@ __all__ = [
     "colour_neighbourhood",
     "colour_neighbourhood_set",
     "graphs_equal",
-    "ColourPartition",
     "colour_component",
     "colour_partition",
     "component_contraction",

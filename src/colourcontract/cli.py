@@ -78,7 +78,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     final, trace = contract_to_fixpoint(g)
     partition = colour_partition(g)
     ok = equivalent_contractions(g, trace, partition)
-    print(f"base: {'equivalent' if ok else 'MISMATCH'} (iterations={trace.iterations}, blocks={len(partition.blocks)})")
+    print(f"base: {'equivalent' if ok else 'MISMATCH'} (iterations={trace.iterations}, blocks={partition.n_prime})")
     base_blocks = _block_minima(trace.total_map) if args.seeds else None
     for seed in args.seeds or []:
         h, perm = permute_enumeration(g, seed)

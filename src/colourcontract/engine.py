@@ -16,8 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import ColouredGraph, _integers, relabel_keys, rows_within
-from .oracle import _grow
+from .graph import ColouredGraph, _grow, _integers, relabel_keys, rows_within
 
 
 def iteration_bound(n: int) -> int:
@@ -42,7 +41,9 @@ def iteration_bound(n: int) -> int:
 
 @dataclass(frozen=True)
 class ContractionMapping:
-    """Vertex-to-cluster map of one contraction round: one target array.
+    """Vertex-to-cluster map held as one flat target array: the mapping of
+    one contraction round, or the oracle's partition into colour components
+    (``oracle.colour_partition``).
 
     ``becomes[v]`` is the target, in ``0..n_prime-1``, of source vertex
     ``v``; the fibre of target ``t`` is every vertex that becomes ``t``, and
@@ -308,17 +309,19 @@ def contract_to_fixpoint(g: ColouredGraph, max_iterations: int | None = None) ->
 _MALFORMED = (ValueError, IndexError, TypeError)
 
 
-def equivalent_contractions(g: ColouredGraph, trace: ContractionTrace, partition) -> bool:
+def equivalent_contractions(g: ColouredGraph, trace: ContractionTrace, partition: ContractionMapping) -> bool:
     """True when the trace realises exactly the partition's contraction.
 
-    Checks, in order: the composed mapping equals ``trace.total_map`` and is
-    onto 0..k-1; the blocks partition 0..n-1; the fibre partition equals the
-    block partition as a set of sets, whatever the block order; re-applying
-    every round rebuilds a graph of k vertices whose colours are the block
-    colours; and its edge set, re-expressed over block indices, equals the
-    block-level edge set of g.  Every comparison is a whole-array pass, the
-    edge sets as sorted keys ``lo * k + hi``.  Any structural mismatch in
-    the trace or the partition returns False rather than raising.
+    The partition is a mapping of every vertex to its block, such as
+    ``oracle.colour_partition`` returns, in any block numbering.  Checks, in
+    order: the composed mapping equals ``trace.total_map`` and is onto
+    0..k-1; the partition maps n vertices onto k blocks, each with a member;
+    the fibre partition equals the block partition, whatever the numbering;
+    re-applying every round rebuilds a graph of k vertices whose colours are
+    its fibres' colours; and its edge set, re-expressed over block indices,
+    equals the block-level edge set of g.  Every comparison is a whole-array
+    pass, the edge sets as sorted keys ``lo * k + hi``.  Any structural
+    mismatch in the trace or the partition returns False rather than raising.
     """
     n = g.n
     try:
@@ -336,15 +339,21 @@ def equivalent_contractions(g: ColouredGraph, trace: ContractionTrace, partition
     if (sizes == 0).any():
         return False
 
-    block_of = _block_index(n, partition.blocks)
-    if block_of is None:
+    if partition.n != n:
+        return False
+    try:
+        _check_targets(partition)
+    except _MALFORMED:
+        return False
+    block_of = partition.becomes.astype(np.int64, copy=False)
+    if partition.n_prime != k or (np.bincount(block_of, minlength=k) == 0).any():
         return False
     # corr[t] is the block of fibre t; corr[total] == block_of says that every
     # fibre lies inside one block, and as fibres and blocks are non-empty, corr
-    # is then onto the blocks, a bijection exactly when there are k of them
+    # is then onto the k blocks: a bijection
     corr = np.zeros(k, dtype=np.int64)
     corr[total] = block_of
-    if len(partition.blocks) != k or not np.array_equal(corr[total], block_of):
+    if not np.array_equal(corr[total], block_of):
         return False
 
     final = g
@@ -353,31 +362,6 @@ def equivalent_contractions(g: ColouredGraph, trace: ContractionTrace, partition
             final = apply_contraction(final, record.mapping)
     except _MALFORMED:
         return False
-    if final.n != k:
-        return False
-    block_colour = np.asarray(partition.block_colour)
-    if block_colour.shape != (k,) or not np.array_equal(final.colours, block_colour[corr]):
+    if final.n != k or not np.array_equal(final.colours[total], g.colours):
         return False
     return np.array_equal(relabel_keys(final, corr, k), relabel_keys(g, block_of, k))
-
-
-def _block_index(n: int, blocks) -> np.ndarray | None:
-    """Block of every vertex, or None unless the blocks are non-empty integer
-    arrays that together list every vertex 0..n-1 exactly once."""
-    sizes = np.array([np.size(b) for b in blocks], dtype=np.int64)
-    if (sizes == 0).any() or int(sizes.sum()) != n:
-        return None
-    try:
-        members = np.concatenate(blocks) if n else np.empty(0, dtype=np.int64)
-    except _MALFORMED:
-        return None
-    if members.ndim != 1 or members.dtype.kind not in "iu":
-        return None
-    if n and (int(members.min()) < 0 or int(members.max()) >= n):
-        return None
-    members = members.astype(np.int64, copy=False)
-    if (np.bincount(members, minlength=n) != 1).any():
-        return None
-    block_of = np.empty(n, dtype=np.int64)
-    block_of[members] = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    return block_of

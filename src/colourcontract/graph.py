@@ -125,6 +125,37 @@ def rows_within(g: ColouredGraph, label: np.ndarray) -> tuple[np.ndarray, np.nda
     return rows_of(g.n, g.keys[label[lo] == label[hi]])
 
 
+def _grow(indptr: np.ndarray, indices: np.ndarray, seeds: int | np.ndarray, covered: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Vertices joined to the distinct ``seeds`` by paths in the rows
+    ``(indptr, indices)``, by frontier BFS, marking them in ``covered``;
+    level by level, unsorted.  ``owner`` is scratch space, one int64 per vertex.
+
+    The rows hold only the edges inside one label class (``rows_within``), so
+    seeds of different classes grow their components side by side, and
+    vertices of other components may already be marked: no row leads to
+    them, so one mask can serve a whole sweep.  A level's new vertices are
+    deduplicated by scatter: every position of ``fresh`` writes its index
+    into ``owner`` at its vertex, and whichever write to a repeated vertex
+    lands, exactly one position reads its own index back.
+    """
+    frontier = np.array(seeds, dtype=np.int64, ndmin=1)
+    covered[frontier] = True
+    reached = [frontier]
+    while frontier.size:
+        starts = indptr[frontier]
+        lengths = indptr[frontier + 1] - starts
+        # positions of the frontier's rows in indices, row after row
+        row_base = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        gathered = indices[row_base + np.arange(row_base.size)]
+        fresh = gathered[~covered[gathered]]
+        at = np.arange(fresh.size)
+        owner[fresh] = at
+        frontier = fresh[owner[fresh] == at]
+        covered[frontier] = True
+        reached.append(frontier)
+    return np.concatenate(reached)
+
+
 def _validate(g: ColouredGraph) -> np.ndarray:
     """Check every invariant of g; returns its keys as int64."""
     if not isinstance(g.n, int) or g.n < 0:

@@ -1,6 +1,7 @@
 """Text round-trip, DOT export and run statistics for coloured graphs.
 
-File format, by line, with ``#`` comments and blank lines ignored anywhere:
+File format, by line, with ``#`` comments and blank lines ignored anywhere,
+lines broken as ``str.splitlines()`` breaks them:
 
     n m
     c0 c1 ... c(n-1)     (omitted entirely when n = 0)
@@ -13,11 +14,12 @@ n must be below 2**31.
 
 Input is ``str`` or UTF-8 ``bytes``, whole or as a stream; the command line
 hands over the file's bytes undecoded.  Parsing takes one of two paths.  Text
-that is plain once its comment lines are cut, ASCII digits and whitespace as
-``serialize_graph`` writes it, is read straight from its bytes in whole-array
-passes, its values on a worker thread while the calling thread checks the
-line layout; all other text goes through the line-by-line reader, the
-reference, which reports the exact line of an error.
+that is plain once its comment lines are cut, ASCII digits, spaces, tabs and
+``\\n``, ``\\r\\n`` or lone ``\\r`` line breaks, as ``serialize_graph`` writes it
+or another platform's tools rewrite its breaks, is read straight from its
+bytes in whole-array passes, its values on a worker thread while the calling
+thread checks the line layout; all other text goes through the line-by-line
+reader, the reference, which reports the exact line of an error.
 
 Serialisation is canonical: colours on one line, edges as ``u v`` with
 ``u < v`` in lexicographic order, so parse(serialise(g)) reproduces g exactly.
@@ -152,15 +154,17 @@ def _parse_whole(data: bytes) -> ColouredGraph | None:
     """Whole-text parse of well-formed text read straight from its bytes;
     None for any other text, which the line-by-line parse then handles.
 
-    Comment lines are cut from the bytes first.  What remains must be plain:
-    ASCII digits, spaces, tabs and ``\\n`` or ``\\r\\n`` line breaks, with no
-    number longer than ``_PLAIN_MAX_DIGITS``.  Its tokens, and each token's
-    line, come from one byte mask; ``np.fromstring`` reads their values and
-    array operations check the layout.  ``np.fromstring`` clamps an
-    overflowing number to the int64 extreme and stops silently at bytes it
-    cannot read, so the digit cap and the count check against the mask's
-    tokens are what make its result exact.  On the text it accepts, the
-    result equals the line-by-line parse's.
+    Text with a lone ``\\r`` has every ``\\r`` replaced by ``\\n`` first;
+    text whose breaks are all ``\\n`` or ``\\r\\n`` is read as it is, uncopied,
+    its ``\\r`` one more space before the ``\\n``.  Comment lines are cut
+    from the bytes next.  What remains must be plain: ASCII digits, spaces,
+    tabs and line breaks, with no number longer than ``_PLAIN_MAX_DIGITS``.
+    Its tokens, and each token's line, come from one byte mask;
+    ``np.fromstring`` reads their values and array operations check the
+    layout.  ``np.fromstring`` clamps an overflowing number to the int64
+    extreme and stops silently at bytes it cannot read, so the digit cap and
+    the count check against the mask's tokens are what make its result exact.
+    On the text it accepts, the result equals the line-by-line parse's.
 
     ``np.fromstring`` releases the interpreter lock, so it runs on one worker
     thread while this thread works out the tokens per line.  The worker
@@ -168,9 +172,13 @@ def _parse_whole(data: bytes) -> ColouredGraph | None:
     together, and it is joined before any value is read and before this
     function returns, whether it returns a graph, None or an error.
     """
+    # a lone \r ends a line as \n does; once every \r is a \n, a \r\n pair
+    # reads as a line and a blank one, which the format ignores
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        data = data.replace(b"\r", b"\n")
     if b"#" in data:
         data = _COMMENT.sub(b"", data)
-    if data.translate(None, _PLAIN_BYTES) or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+    if data.translate(None, _PLAIN_BYTES):
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
     # token i is data[starts[i]:ends[i]]: a run of digits, the only bytes >= 0x30 left
@@ -217,7 +225,7 @@ def parse_graph(source: str | bytes | IO[str] | IO[bytes]) -> ColouredGraph:
     by ``_parse_whole``, its values on a worker thread that is joined before
     this returns.  Everything else, malformed input and spellings such as
     ``+5``, ``1_0``, non-ASCII digits, 19-digit numbers or line breaks other
-    than \\n and \\r\\n, goes through the line-by-line parse, which reads
+    than \\n, \\r and \\r\\n, goes through the line-by-line parse, which reads
     numbers as ``int()`` does and raises the exact error line.  Bytes reach
     it decoded as strict UTF-8: bytes that are not UTF-8 raise
     ``UnicodeDecodeError``, a ``ValueError``.

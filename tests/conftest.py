@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from colourcontract import ColourPartition, ContractionMapping, ContractionTrace, new_graph
+from colourcontract import ContractionMapping, ContractionTrace, new_graph
 
 # path on four vertices taking two iterations: 0-2-3-1 in one colour
 P4_EDGES = [(0, 2), (1, 3), (2, 3)]
@@ -46,68 +46,54 @@ def tampered_inputs(g, trace, partition, rng):
     """(name, trace, partition) variants of a run, for the equivalence check.
 
     One untouched copy, then one tampering each where the graph allows it: the
-    blocks in shuffled order (still the same partition), a vertex missing, an
-    id out of range, a wrong colour, a vertex in two blocks, a vertex listed
-    twice in place of another, a vertex moved to another block, two blocks
-    merged, an empty block, a wrong ``total_map``, and a wrong last-round
-    mapping with ``total_map`` recomputed to match it.
+    targets renumbered (still the same partition), a target out of range, a
+    vertex moved to another block, two blocks merged, an unused target, a
+    wrong ``total_map``, and a wrong last-round mapping with ``total_map``
+    recomputed to match it.
     """
-    blocks = [b.copy() for b in partition.blocks]
-    colours = partition.block_colour.copy()
-    nb, n = len(blocks), g.n
+    n, k, becomes = partition.n, partition.n_prime, partition.becomes
 
-    def part(replacements, cs=colours):
-        bs = [replacements.get(x, b) for x, b in enumerate(blocks)]
-        return ColourPartition(blocks=tuple(bs), block_colour=cs)
+    def part(targets, n_prime=k):
+        return ContractionMapping(n=n, n_prime=n_prime, becomes=targets)
 
     def with_maps(records, total):
         return ContractionTrace(per_iteration=tuple(records), total_map=total)
 
-    out = [("untouched", trace, part({}))]
-    shuffle = rng.permutation(nb)
-    shuffled = ColourPartition(blocks=tuple(blocks[j] for j in shuffle), block_colour=colours[shuffle])
-    out.append(("shuffled blocks", trace, shuffled))
-    if nb:
-        j = int(rng.integers(nb))
-        out.append(("vertex missing", trace, part({j: blocks[j][1:]})))
-        bad = blocks[j].copy()
-        bad[int(rng.integers(bad.size))] = n if rng.random() < 0.5 else -1
-        out.append(("id out of range", trace, part({j: bad})))
-        wrong = colours.copy()
-        wrong[j] += 1
-        out.append(("wrong colour", trace, part({}, wrong)))
-    if nb >= 2:
-        i, j = (int(x) for x in rng.choice(nb, size=2, replace=False))
-        v = blocks[i][-1]
-        out.append(("vertex in two blocks", trace, part({j: np.append(blocks[j], v)})))
-        out.append(("vertex listed twice, another missing", trace, part({j: np.append(blocks[j][1:], v)})))
-        if blocks[i].size >= 2:
-            out.append(("vertex moved", trace, part({i: blocks[i][:-1], j: np.append(blocks[j], v)})))
-        merged = part({i: np.concatenate([blocks[i], blocks[j]])})
-        out.append((
-            "two blocks merged", trace,
-            ColourPartition(blocks=merged.blocks[:j] + merged.blocks[j + 1:], block_colour=np.delete(colours, j)),
-        ))
-    at = int(rng.integers(nb + 1))
-    with_empty = blocks[:at] + [np.empty(0, dtype=np.int64)] + blocks[at:]
-    out.append(("empty block", trace, ColourPartition(blocks=tuple(with_empty), block_colour=np.insert(colours, at, 0))))
+    out = [("untouched", trace, partition)]
+    out.append(("renumbered targets", trace, part(rng.permutation(k)[becomes])))
+    if n:
+        bad = becomes.copy()
+        bad[int(rng.integers(n))] = k if rng.random() < 0.5 else n
+        out.append(("target out of range", trace, part(bad)))
+    if k >= 2:
+        i, j = (int(x) for x in rng.choice(k, size=2, replace=False))
+        members = np.flatnonzero(becomes == i)
+        if members.size >= 2:
+            moved = becomes.copy()
+            moved[members[-1]] = j
+            out.append(("vertex moved", trace, part(moved)))
+        merged = np.where(becomes == j, i, becomes)
+        merged -= merged > j
+        out.append(("two blocks merged", trace, part(merged, k - 1)))
+    at = int(rng.integers(k + 1))
+    out.append(("unused target", trace, part(becomes + (becomes >= at), k + 1)))
     if n:
         total = trace.total_map.copy()
         v = int(rng.integers(n))
         total[v] = (total[v] + 1) % (int(total.max()) + 2)
-        out.append(("wrong total_map", with_maps(trace.per_iteration, total), part({})))
+        out.append(("wrong total_map", with_maps(trace.per_iteration, total), partition))
     if trace.iterations:
         last = trace.per_iteration[-1]
-        becomes = last.mapping.becomes.copy()
+        targets = last.mapping.becomes.copy()
         if last.mapping.n_prime >= 2:
             # fold the last target into a random other one
-            becomes[becomes == last.mapping.n_prime - 1] = int(rng.integers(last.mapping.n_prime - 1))
+            targets[targets == last.mapping.n_prime - 1] = int(rng.integers(last.mapping.n_prime - 1))
         else:
-            becomes[int(rng.integers(becomes.size))] = 1
-        mapping = ContractionMapping(n=last.mapping.n, n_prime=int(becomes.max()) + 1, becomes=becomes)
+            targets[int(rng.integers(targets.size))] = 1
+        mapping = ContractionMapping(n=last.mapping.n, n_prime=int(targets.max()) + 1, becomes=targets)
         records = trace.per_iteration[:-1] + (dataclasses.replace(last, mapping=mapping),)
         total = np.arange(n, dtype=np.int64)
         for r in records:
             total = r.mapping.becomes[total]
-        out.append(("wrong mapping", with_maps(records, total), part({})))
+        out.append(("wrong mapping", with_maps(records, total), partition))
     return out

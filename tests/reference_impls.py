@@ -68,8 +68,8 @@ def unionfind_blocks(g):
 
 
 def ordered_unionfind_blocks(g):
-    """``unionfind_blocks`` as ``colour_partition`` lays it out: ascending
-    blocks ordered by smallest member, and the colour of each block."""
+    """``unionfind_blocks`` as ``colour_partition``'s fibres lay it out:
+    ascending blocks ordered by smallest member, and the colour of each block."""
     blocks = sorted(sorted(b) for b in unionfind_blocks(g))
     return blocks, [int(g.colours[b[0]]) for b in blocks]
 
@@ -281,10 +281,12 @@ def equivalent_by_sets(g, trace, partition):
     """True when the trace realises exactly the partition's contraction.
 
     Checks, in order: the composed mapping is internally consistent, its
-    fibre partition equals the partition's blocks as a set of sets, per-block
-    colours agree, and the final edge set re-expressed over block indices
-    equals the block-level edge set of g.  Any structural mismatch returns
-    False rather than raising.
+    fibre partition equals the partition's fibres as a set of sets, each
+    final vertex has its block's colour, and the final edge set
+    re-expressed over block indices equals the block-level edge set of g.
+    Any structural mismatch in the trace returns False rather than raising;
+    the partition is read through its ``fibres`` alone, so its claimed
+    orders go unchecked, and targets ``bincount`` refuses raise.
     """
     try:
         total = _compose(g.n, [r.mapping for r in trace.per_iteration])
@@ -298,7 +300,8 @@ def equivalent_by_sets(g, trace, partition):
         return False
     # total is onto 0..k-1, so the fibres are runs of its stable sort
     engine_fibres = np.split(np.argsort(total, kind="stable"), np.cumsum(np.bincount(total))[:-1]) if g.n else []
-    oracle_index = {frozenset(b.tolist()): j for j, b in enumerate(partition.blocks)}
+    blocks = [b.tolist() for b in partition.fibres]
+    oracle_index = {frozenset(b): j for j, b in enumerate(blocks)}
     engine_sets = [frozenset(f.tolist()) for f in engine_fibres]
     if set(engine_sets) != set(oracle_index):
         return False
@@ -313,7 +316,7 @@ def equivalent_by_sets(g, trace, partition):
     if final.n != len(engine_fibres):
         return False
     for t, j in enumerate(correspondence):
-        if int(final.colours[t]) != int(partition.block_colour[j]):
+        if {int(final.colours[t])} != {int(g.colours[v]) for v in blocks[j]}:
             return False
 
     ea = final.edge_array()
@@ -321,10 +324,10 @@ def equivalent_by_sets(g, trace, partition):
         (min(correspondence[int(u)], correspondence[int(v)]), max(correspondence[int(u)], correspondence[int(v)]))
         for u, v in ea.tolist()
     }
-    block_of = partition.vertex_block()
+    block_of = {v: j for j, b in enumerate(blocks) for v in b}
     oracle_edges = set()
     for u, v in g.edge_array().tolist():
-        bu, bv = int(block_of[u]), int(block_of[v])
+        bu, bv = block_of[u], block_of[v]
         if bu != bv:
             oracle_edges.add((min(bu, bv), max(bu, bv)))
     return engine_edges == oracle_edges

@@ -100,7 +100,7 @@ def test_criterion_2_oracle_equivalence_and_bound():
     for i, g in _random_corpus():
         final, trace = contract_to_fixpoint(g)
         partition = colour_partition(g)
-        blocks = ([b.tolist() for b in partition.blocks], partition.block_colour.tolist())
+        blocks = ([b.tolist() for b in partition.fibres], g.colours[partition.representatives].tolist())
         assert blocks == ordered_unionfind_blocks(g), f"case {i}: oracle disagrees with union-find"
         assert equivalent_contractions(g, trace, partition), f"case {i}: engine disagrees with oracle"
         assert trace.iterations <= iteration_bound(g.n), f"case {i}: bound exceeded"
@@ -128,13 +128,30 @@ def test_criterion_2_equivalence_matches_set_reference():
         _, trace = contract_to_fixpoint(g)
         for name, t, p in tampered_inputs(g, trace, colour_partition(g), rng):
             expected = equivalent_by_sets(g, t, p)
-            assert expected == (name in ("untouched", "shuffled blocks")), f"case {i}, {name}"
+            assert expected == (name in ("untouched", "renumbered targets")), f"case {i}, {name}"
             assert equivalent_contractions(g, t, p) == expected, f"case {i}, {name}"
             compared += 1
     _report(
         "criterion 2, whole-array equivalence equals the set-based check",
         compared > 4 * 512,
         f"{compared} untouched and tampered runs",
+    )
+
+
+def test_criterion_2_total_map_equals_oracle_mapping():
+    # the oracle answers with a mapping numbered as the composed rounds are:
+    # equal element for element, and valid as a round's mapping is valid
+    started = time.perf_counter()
+    graphs = [g for _, g in _random_corpus()] + [generate_fib_instance(level).graph for level in range(17)]
+    for i, g in enumerate(graphs):
+        partition = colour_partition(g)
+        partition.validate(g)
+        assert np.array_equal(contract_to_fixpoint(g)[1].total_map, partition.becomes), f"graph {i}"
+    elapsed = time.perf_counter() - started
+    _report(
+        "criterion 2, composed rounds equal the oracle's mapping on 512 random + 17 worst-case graphs",
+        len(graphs) == 529 and elapsed < 30.0,
+        f"{len(graphs)} graphs, {elapsed:.1f}s",
     )
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from colourcontract import (
     ColouredGraph,
-    ColourPartition,
     ContractionMapping,
     ContractionTrace,
     apply_contraction,
@@ -494,7 +493,7 @@ def test_compose_rejects_targets_outside_the_next_order(p4):
 def test_total_map_matches_oracle_blocks(fig24):
     _, trace = contract_to_fixpoint(fig24)
     part = colour_partition(fig24)
-    assert trace.total_map.tolist() == part.vertex_block().tolist()
+    assert trace.total_map.tolist() == part.becomes.tolist()
 
 
 # ---------------------------------------------------------- equivalence
@@ -533,36 +532,32 @@ def test_equivalent_false_on_wrong_partition(p4):
     assert not equivalent_contractions(p4, trace, colour_partition(g2))
 
 
-def _partition(blocks, colours):
-    return ColourPartition(blocks=tuple(np.asarray(b) for b in blocks), block_colour=np.asarray(colours))
+def _partition(n, n_prime, becomes):
+    return ContractionMapping(n=n, n_prime=n_prime, becomes=np.asarray(becomes))
 
 
 def test_equivalent_false_on_malformed_partitions_the_set_check_misreads():
     # blocks {0, 1}, {2, 3}, {4}, {5}
     g = new_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [0, 0, 1, 1, 0, 2])
     _, trace = contract_to_fixpoint(g)
-    blocks = [[0, 1], [2, 3], [4], [5]]
-    colours = [0, 1, 0, 2]
-    assert equivalent_contractions(g, trace, _partition(blocks, colours))
-    # sets of sets forgive repeated ids and ignore colours past the last block
+    becomes = [0, 0, 1, 1, 2, 3]
+    assert equivalent_contractions(g, trace, _partition(6, 4, becomes))
+    # the set check reads the fibres alone, never the orders the mapping claims
     lax = {
-        "id twice in a block": _partition([[0, 1, 0], [2, 3], [4], [5]], colours),
-        "block listed twice": _partition(blocks + [[0, 1]], colours + [0]),
-        "colour array too long": _partition(blocks, colours + [7]),
+        "source order too large": _partition(7, 4, becomes),
+        "target count one short": _partition(6, 3, becomes),
     }
     for name, partition in lax.items():
         assert equivalent_by_sets(g, trace, partition), name
         assert not equivalent_contractions(g, trace, partition), name
-    # the set check indexes past a short colour array
-    short = _partition(blocks, colours[:-1])
-    with pytest.raises(IndexError):
-        equivalent_by_sets(g, trace, short)
-    assert not equivalent_contractions(g, trace, short)
+    # and counts the fibres with bincount, which refuses these targets
     for name, partition in {
-        "float ids": _partition([[0.0, 1.0], [2.0, 3.0], [4.0], [5.0]], colours),
-        "two-dimensional block": _partition([[[0, 1]], [[2, 3]], [[4]], [[5]]], colours),
-        "mixed dimensions": _partition([[[0, 1]], [2, 3], [4], [5]], colours),
+        "negative target": _partition(6, 4, [0, 0, 1, 1, -1, 3]),
+        "float targets": _partition(6, 4, [0.0, 0.0, 1.0, 1.0, 2.0, 3.0]),
+        "two-dimensional targets": _partition(6, 4, [becomes]),
     }.items():
+        with pytest.raises((ValueError, TypeError)):
+            equivalent_by_sets(g, trace, partition)
         assert not equivalent_contractions(g, trace, partition), name
 
 
@@ -571,14 +566,15 @@ def test_equivalent_false_on_partitions_only_one_check_catches():
     g = new_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [0, 0, 1, 1, 0, 2])
     # blocks {0}, {1, 2}
     path = new_graph(3, [(0, 1), (1, 2)], [1, 0, 0])
-    none = np.empty(0, dtype=np.int64)
     cases = {
-        # colours and block-level edges agree; the block count does not
-        "blocks merged, colours at full length": (g, _partition([[0, 1, 4], [2, 3], [5]], [0, 1, 2, 2])),
-        # as many blocks as fibres, one of them empty
-        "blocks merged, an empty block added": (g, _partition([[0, 1, 4], [2, 3], [5], none], [0, 1, 2, 0])),
-        # as many blocks as fibres, colours and block-level edges agree; a fibre straddles two blocks
-        "vertex moved": (path, _partition([[0, 1], [2]], [1, 0])),
+        # colours and block-level edges agree; the target count does not
+        "blocks merged": (g, _partition(6, 3, [0, 0, 1, 1, 0, 2])),
+        # as many targets as fibres, one of them unused
+        "blocks merged, an unused target added": (g, _partition(6, 4, [0, 0, 1, 1, 0, 2])),
+        # as many targets as fibres, colours and block-level edges agree; a fibre straddles two blocks
+        "vertex moved": (path, _partition(3, 2, [0, 0, 1])),
+        # the fibre {1, 2} split by a target past the claimed count
+        "target out of range": (path, _partition(3, 2, [0, 1, 2])),
     }
     for name, (h, partition) in cases.items():
         _, trace = contract_to_fixpoint(h)

@@ -225,11 +225,11 @@ def test_permutation_inverse_recovers_original(p4):
 
 def test_permutation_partition_pulls_back(fig24):
     h, perm = permute_enumeration(fig24, seed=31)
-    base = {frozenset(b.tolist()) for b in colour_partition(fig24).blocks}
+    base = {frozenset(b.tolist()) for b in colour_partition(fig24).fibres}
     permuted = colour_partition(h)
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(perm.size)
-    pulled = {frozenset(int(inverse[x]) for x in b.tolist()) for b in permuted.blocks}
+    pulled = {frozenset(int(inverse[x]) for x in b.tolist()) for b in permuted.fibres}
     assert pulled == base
 
 

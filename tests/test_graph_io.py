@@ -126,17 +126,36 @@ def test_well_formed_text_takes_the_whole_text_path(line_parses, p4):
 
 
 def test_other_line_breaks_take_the_line_path(line_parses, p4):
-    for sep in ("\v", "\f", "\x1c", "\x85", "\u2028", "\r"):
+    for sep in ("\v", "\f", "\x1c", "\x85", "\u2028"):
         text = P4_TEXT.replace("\n", sep)
         assert graphs_equal(parse_graph(text), p4)
-    assert len(line_parses) == 6
+    assert len(line_parses) == 5
     # non-ASCII whitespace inside a line goes the same way
     assert graphs_equal(parse_graph(P4_TEXT.replace("0 2", "0\xa02")), p4)
-    assert len(line_parses) == 7
+    assert len(line_parses) == 6
     # and so do other spellings that int() and str.split() read: a sign,
     # leading zeros, an underscore, a non-ASCII digit, the separator \x1f
     assert graphs_equal(parse_graph("\t4\x1f 3 \n+0 00 0_0 \u0660\n0\t2\n1 3\n2 3\n"), p4)
-    assert len(line_parses) == 8
+    assert len(line_parses) == 7
+
+
+def test_lone_carriage_returns_take_the_whole_text_path(line_parses):
+    # a lone \r ends a line as \n does; in text that has one, every \r reads
+    # as \n, so a \r\n pair is a line and a blank one, and the text, with
+    # comment lines or without, stays off the line parse
+    lines = ["# a path", "4 3", "# colours", "0 0 0 0", "2 0", "", "3 1", "# last edge", "2 3"]
+    breaks = ["\r", "\n", "\r\n", "\r\r\n", "\n\r"]
+    texts = []
+    for body in (lines, [line for line in lines if not line.startswith("#")]):
+        texts += ["\r".join(body), "\r".join(body) + "\r", "\r\n".join(body) + "\r"]
+        for shift in range(len(breaks)):
+            texts.append("".join(line + breaks[(i + shift) % len(breaks)] for i, line in enumerate(body)))
+    for text in texts:
+        assert "\r" in text.replace("\r\n", "")
+        expected = parse_by_lines(text)
+        assert relabel_form(parse_graph(text)) == expected
+        assert relabel_form(parse_graph(text.encode())) == expected
+    assert line_parses == []
 
 
 def test_comment_cut_stops_at_line_breaks_and_non_ascii():

@@ -64,29 +64,29 @@ def test_component_and_partition_on_long_paths_and_many_components():
     relabelled[perm] = colours
     g = new_graph(n, np.column_stack([perm[:-1], perm[1:]]), relabelled)
     part = colour_partition(g)
-    assert {frozenset(b.tolist()) for b in part.blocks} == unionfind_blocks(g)
-    assert [int(b[0]) for b in part.blocks] == sorted(int(b[0]) for b in part.blocks)
-    for b in part.blocks[::7]:
+    assert {frozenset(b.tolist()) for b in part.fibres} == unionfind_blocks(g)
+    assert [int(b[0]) for b in part.fibres] == sorted(int(b[0]) for b in part.fibres)
+    for b in part.fibres[::7]:
         assert b.tolist() == sorted(bfs_colour_component(g, int(b[-1])))
         assert np.array_equal(colour_component(g, int(b[-1])), b)
 
 
 def test_partition_blocks_cover_and_are_disjoint(fig24):
     part = colour_partition(fig24)
-    seen = np.concatenate(part.blocks)
+    seen = np.concatenate(part.fibres)
     assert np.array_equal(np.sort(seen), np.arange(fig24.n))
 
 
 def test_partition_ordered_by_lowest_member(fig24):
     part = colour_partition(fig24)
-    mins = [int(b[0]) for b in part.blocks]
+    mins = [int(b[0]) for b in part.fibres]
     assert mins == sorted(mins)
 
 
 def test_partition_blocks_maximal(fig24):
     # a maximal block has no same-colour neighbour outside itself
     part = colour_partition(fig24)
-    for block in part.blocks:
+    for block in part.fibres:
         assert colour_neighbourhood_set(fig24, block.tolist()).size == 0
 
 
@@ -98,7 +98,7 @@ def test_partition_matches_unionfind_on_random_graphs():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25]
         g = new_graph(n, edges, colours)
         part = colour_partition(g)
-        assert {frozenset(b.tolist()) for b in part.blocks} == unionfind_blocks(g)
+        assert {frozenset(b.tolist()) for b in part.fibres} == unionfind_blocks(g)
 
 
 def test_partition_with_many_blocks_matches_unionfind():
@@ -109,7 +109,7 @@ def test_partition_with_many_blocks_matches_unionfind():
     part = colour_partition(g)
     blocks, colours = ordered_unionfind_blocks(g)
     assert sum(len(b) == 1 for b in blocks) > len(blocks) // 2 > sum(len(b) > 1 for b in blocks) > 100
-    assert ([b.tolist() for b in part.blocks], part.block_colour.tolist()) == (blocks, colours)
+    assert ([b.tolist() for b in part.fibres], g.colours[part.representatives].tolist()) == (blocks, colours)
 
 
 def test_partition_matches_scipy_components_with_many_blocks():
@@ -119,26 +119,19 @@ def test_partition_matches_scipy_components_with_many_blocks():
     part = colour_partition(g)
     blocks, colours = scipy_blocks(g)
     assert sum(len(b) > 1 for b in blocks) > 100
-    assert ([b.tolist() for b in part.blocks], part.block_colour.tolist()) == (blocks, colours)
+    assert ([b.tolist() for b in part.fibres], g.colours[part.representatives].tolist()) == (blocks, colours)
 
 
 def test_partition_proper_colouring_gives_singletons(triangle_two_colours):
     g = new_graph(3, [(0, 1), (1, 2)], [0, 1, 0])
     part = colour_partition(g)
-    assert [b.tolist() for b in part.blocks] == [[0], [1], [2]]
+    assert [b.tolist() for b in part.fibres] == [[0], [1], [2]]
 
 
 def test_partition_monochromatic_connected_gives_one_block(p4):
     part = colour_partition(p4)
-    assert len(part.blocks) == 1
-    assert part.block_colour.tolist() == [0]
-
-
-def test_vertex_block_inverse(fig24):
-    part = colour_partition(fig24)
-    block_of = part.vertex_block()
-    for j, block in enumerate(part.blocks):
-        assert all(int(block_of[v]) == j for v in block.tolist())
+    assert part.n_prime == 1 and part.becomes.tolist() == [0, 0, 0, 0]
+    assert p4.colours[part.representatives].tolist() == [0]
 
 
 def test_contraction_of_proper_graph_is_identity():

@@ -110,7 +110,7 @@ def test_digraph_points_at_colour_minimum(g):
 @settings(max_examples=100, deadline=None)
 def test_oracle_partition_matches_unionfind(g):
     part = colour_partition(g)
-    assert ([b.tolist() for b in part.blocks], part.block_colour.tolist()) == ordered_unionfind_blocks(g)
+    assert ([b.tolist() for b in part.fibres], g.colours[part.representatives].tolist()) == ordered_unionfind_blocks(g)
 
 
 def test_oracle_partition_matches_scipy_components():
@@ -120,7 +120,7 @@ def test_oracle_partition_matches_scipy_components():
     @settings(max_examples=100, deadline=None)
     def check(g):
         part = colour_partition(g)
-        assert ([b.tolist() for b in part.blocks], part.block_colour.tolist()) == scipy_blocks(g)
+        assert ([b.tolist() for b in part.fibres], g.colours[part.representatives].tolist()) == scipy_blocks(g)
 
     check()
 
@@ -137,13 +137,21 @@ def test_engine_agrees_with_oracle(g):
     assert np.array_equal(trace.total_map, block_of)
 
 
+@given(coloured_graphs())
+@settings(max_examples=100, deadline=None)
+def test_total_map_equals_oracle_mapping(g):
+    partition = colour_partition(g)
+    partition.validate(g)
+    assert np.array_equal(contract_to_fixpoint(g)[1].total_map, partition.becomes)
+
+
 @given(coloured_graphs(), st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_equivalence_matches_set_reference(g, seed):
     _, trace = contract_to_fixpoint(g)
     for name, t, p in tampered_inputs(g, trace, colour_partition(g), np.random.default_rng(seed)):
         expected = equivalent_by_sets(g, t, p)
-        assert expected == (name in ("untouched", "shuffled blocks")), name
+        assert expected == (name in ("untouched", "renumbered targets")), name
         assert equivalent_contractions(g, t, p) == expected, name
 
 
