@@ -17,9 +17,10 @@ hands over the file's bytes undecoded.  Parsing takes one of two paths.  Text
 that is plain once its comment lines are cut, ASCII digits, spaces, tabs and
 ``\\n``, ``\\r\\n`` or lone ``\\r`` line breaks, as ``serialize_graph`` writes it
 or another platform's tools rewrite its breaks, is read straight from its
-bytes in whole-array passes, its values on a worker thread while the calling
-thread checks the line layout; all other text goes through the line-by-line
-reader, the reference, which reports the exact line of an error.
+bytes: its values on a worker thread, while the calling thread checks the
+line layout in array passes over one block of whole lines at a time; all
+other text goes through the line-by-line reader, the reference, which
+reports the exact line of an error.
 
 Serialisation is canonical: colours on one line, edges as ``u v`` with
 ``u < v`` in lexicographic order, so parse(serialise(g)) reproduces g exactly.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 import re
+import resource
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -62,6 +64,9 @@ _COMMENT = re.compile(rb"^[ \t]*#[^\n\r\x0b\x0c\x1c-\x1e\x80-\xff]*", re.M)
 # most this many digits (every 18-digit number fits in int64)
 _PLAIN_BYTES = b"0123456789 \t\r\n"
 _PLAIN_MAX_DIGITS = 18
+# the byte parse checks the layout of this many bytes, up to the last \n in
+# them, at a time, so it never holds a mask or token bounds of the whole text
+_LAYOUT_CHUNK = 1 << 19
 
 
 class GraphParseError(ValueError):
@@ -150,6 +155,42 @@ def _parse_lines(text: str) -> ColouredGraph:
     return new_graph(n, edges, np.asarray(colour_values, dtype=np.int64))
 
 
+def _line_widths(data: bytes) -> np.ndarray | None:
+    """The number of tokens on each content line of plain text, found one
+    block of whole lines at a time; None when the text holds no number or
+    one longer than ``_PLAIN_MAX_DIGITS``.
+
+    A block is about ``_LAYOUT_CHUNK`` bytes and ends just after its last
+    \\n, or at the end of its first line when that line is longer, so every
+    token and every line lies in one block, and a block's first token opens
+    a line.  Only one block's byte mask and token bounds are held at a time.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    widths = []
+    start = 0
+    while start < raw.size:
+        # just after the last \n before stop, or after the first one past it
+        stop = start + _LAYOUT_CHUNK
+        end = raw.size if stop >= raw.size else data.rfind(b"\n", start, stop) + 1 or data.find(b"\n", stop) + 1 or raw.size
+        block = raw[start:end]
+        start = end
+        # token i is block[starts[i]:ends[i]]: a run of digits, the only bytes >= 0x30 left
+        word = np.zeros(block.size + 2, dtype=bool)
+        np.greater_equal(block, 0x30, out=word[1:-1])
+        starts, ends = np.flatnonzero(word[1:] != word[:-1]).reshape(-1, 2).T
+        if starts.size == 0:
+            continue
+        if int((ends - starts).max()) > _PLAIN_MAX_DIGITS:
+            return None
+        # opens[i]: a newline lies before token i and after token i - 1
+        opens = np.zeros(starts.size + 1, dtype=bool)
+        opens[np.searchsorted(starts, np.flatnonzero(block == 0x0A))] = True
+        opens = opens[:-1]
+        opens[0] = True
+        widths.append(np.diff(np.append(np.flatnonzero(opens), opens.size)))
+    return np.concatenate(widths) if widths else None
+
+
 def _parse_whole(data: bytes) -> ColouredGraph | None:
     """Whole-text parse of well-formed text read straight from its bytes;
     None for any other text, which the line-by-line parse then handles.
@@ -159,18 +200,19 @@ def _parse_whole(data: bytes) -> ColouredGraph | None:
     its ``\\r`` one more space before the ``\\n``.  Comment lines are cut
     from the bytes next.  What remains must be plain: ASCII digits, spaces,
     tabs and line breaks, with no number longer than ``_PLAIN_MAX_DIGITS``.
-    Its tokens, and each token's line, come from one byte mask;
-    ``np.fromstring`` reads their values and array operations check the
+    ``np.fromstring`` reads the values and array operations check the
     layout.  ``np.fromstring`` clamps an overflowing number to the int64
     extreme and stops silently at bytes it cannot read, so the digit cap and
-    the count check against the mask's tokens are what make its result exact.
-    On the text it accepts, the result equals the line-by-line parse's.
+    the count check against the tokens ``_line_widths`` finds are what make
+    its result exact.  On the text it accepts, the result equals the
+    line-by-line parse's.
 
-    ``np.fromstring`` releases the interpreter lock, so it runs on one worker
-    thread while this thread works out the tokens per line.  The worker
-    starts once the mask is freed, so the mask and the values are never held
-    together, and it is joined before any value is read and before this
-    function returns, whether it returns a graph, None or an error.
+    ``np.fromstring`` releases the interpreter lock, so it starts on one
+    worker thread as soon as the text is known to be plain, while this
+    thread finds the tokens, the digit cap and the tokens per line one block
+    of whole lines at a time.  The worker is joined before any value is read
+    and before this function returns, whether it returns a graph, None or an
+    error.
     """
     # a lone \r ends a line as \n does; once every \r is a \n, a \r\n pair
     # reads as a line and a blank one, which the format ignores
@@ -180,28 +222,14 @@ def _parse_whole(data: bytes) -> ColouredGraph | None:
         data = _COMMENT.sub(b"", data)
     if data.translate(None, _PLAIN_BYTES):
         return None
-    raw = np.frombuffer(data, dtype=np.uint8)
-    # token i is data[starts[i]:ends[i]]: a run of digits, the only bytes >= 0x30 left
-    word = np.zeros(raw.size + 2, dtype=bool)
-    np.greater_equal(raw, 0x30, out=word[1:-1])
-    starts, ends = np.flatnonzero(word[1:] != word[:-1]).reshape(-1, 2).T
-    del word
-    if starts.size == 0 or int((ends - starts).max()) > _PLAIN_MAX_DIGITS:
-        return None
     with ThreadPoolExecutor(max_workers=1) as pool:
         reading = pool.submit(np.fromstring, data, dtype=np.int64, sep=" ")
-        # opens[i]: a newline lies before token i and after token i - 1
-        opens = np.zeros(starts.size + 1, dtype=bool)
-        opens[np.searchsorted(starts, np.flatnonzero(raw == 0x0A))] = True
-        opens = opens[:-1]
-        opens[0] = True
-        widths = np.diff(np.append(np.flatnonzero(opens), opens.size))  # tokens per content line
-        del opens
+        widths = _line_widths(data)
         try:
             values = reading.result()
         except ValueError:
             return None
-    if values.size != starts.size or widths[0] != 2:
+    if widths is None or values.size != widths.sum() or widths[0] != 2:
         return None
     n, m = int(values[0]), int(values[1])
     if not (0 <= n < _MAX_ORDER and m >= 0):
@@ -209,6 +237,7 @@ def _parse_whole(data: bytes) -> ColouredGraph | None:
     body = 2 if n > 0 else 1
     if widths.size != body + m or (n > 0 and widths[1] != n) or (widths[body:] != 2).any():
         return None
+    del widths  # not held while new_graph builds the keys
     try:
         return new_graph(n, values[2 + n:].reshape(m, 2), values[2:2 + n].copy())
     except ValueError:
@@ -222,10 +251,11 @@ def parse_graph(source: str | bytes | IO[str] | IO[bytes]) -> ColouredGraph:
     Two paths, whatever the input type.  Well-formed text whose comment
     lines, once cut, leave only ASCII digits and whitespace (all that
     ``serialize_graph`` and ``gen`` write) is read straight from its bytes
-    by ``_parse_whole``, its values on a worker thread that is joined before
-    this returns.  Everything else, malformed input and spellings such as
-    ``+5``, ``1_0``, non-ASCII digits, 19-digit numbers or line breaks other
-    than \\n, \\r and \\r\\n, goes through the line-by-line parse, which reads
+    by ``_parse_whole``: its values on a worker thread that is joined before
+    this returns, its layout checked one block of whole lines at a time.
+    Everything else, malformed input and spellings such as ``+5``, ``1_0``,
+    non-ASCII digits, 19-digit numbers or line breaks other than \\n, \\r
+    and \\r\\n, goes through the line-by-line parse, which reads
     numbers as ``int()`` does and raises the exact error line.  Bytes reach
     it decoded as strict UTF-8: bytes that are not UTF-8 raise
     ``UnicodeDecodeError``, a ``ValueError``.
@@ -330,7 +360,9 @@ def stats_records(trace: ContractionTrace) -> list[StatsRecord]:
 
 
 def stats_dict(initial: ColouredGraph, final: ColouredGraph, trace: ContractionTrace, include_trace: bool = False) -> dict:
-    """JSON-ready summary of one contraction run: totals plus per-iteration rows."""
+    """JSON-ready summary of one contraction run: totals plus per-iteration
+    rows, and the peak resident set size of this process so far in MB
+    (``ru_maxrss``, which Linux gives in KiB)."""
     per_iteration = [asdict(r) for r in stats_records(trace)]
     if include_trace:
         for row, record in zip(per_iteration, trace.per_iteration):
@@ -343,6 +375,7 @@ def stats_dict(initial: ColouredGraph, final: ColouredGraph, trace: ContractionT
         "iterations": trace.iterations,
         "total_wall_time_ms": sum(r.wall_time_ms for r in trace.per_iteration) + trace.finish_wall_time_ms,
         "finish_wall_time_ms": trace.finish_wall_time_ms,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "per_iteration": per_iteration,
     }
 

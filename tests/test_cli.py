@@ -1,6 +1,7 @@
 import importlib.util
 import io
 import json
+import resource
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,16 @@ def test_contract_stats_to_stdout(p4_file, capsys):
     assert stats["iterations"] == 2
     assert stats["n0"] == 4 and stats["final_n"] == 1
     assert [row["iteration"] for row in stats["per_iteration"]] == [1, 2]
+
+
+def test_contract_stats_report_the_peak_rss(p4_file, capsys):
+    # ru_maxrss is in KiB on Linux; the stats give the run's peak in MB,
+    # read between the peaks before and after the command
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert run_cli(["contract", p4_file, "--stats", "-"]) == 0
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    stats = json.loads(capsys.readouterr().out)
+    assert 0 < before <= stats["peak_rss_mb"] <= after
 
 
 def test_contract_graph_to_stdout_by_default(p4_file, capsys):

@@ -2,6 +2,7 @@ import io
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -361,6 +362,32 @@ def test_other_errors_on_the_worker_reach_the_caller(monkeypatch, line_parses):
     assert threading.active_count() == before and line_parses == []
 
 
+def test_a_late_block_failure_still_joins_the_worker(monkeypatch, value_reads, line_parses):
+    # the worker starts before the first block is checked; when the digit
+    # cap or the layout fails in the last block, it has read the whole text,
+    # is joined, and the line parse raises the exact error line
+    monkeypatch.setattr(graph_io, "_LAYOUT_CHUNK", 64)
+    g = generate_fib_instance(9).graph
+    text = serialize_graph(g)
+    body, last = text[:-1].rsplit("\n", 1)
+    cases = [
+        (f"{body}\n{last.split()[0]} 9999999999999999999\n", "64-bit"),
+        (f"{body}\n{last} 0\n", "expected 2 edge endpoints, got 3"),
+    ]
+    before = threading.active_count()
+    assert graphs_equal(parse_graph(text.encode()), g)
+    for bad, message in cases:
+        assert len(bad) > 10 * 64
+        with pytest.raises(GraphParseError, match=message) as err:
+            parse_graph(bad.encode())
+        assert err.value.line_no == len(bad.splitlines())
+        assert threading.active_count() == before
+    # one read per byte-path parse, each on a worker, failed ones included
+    assert len(value_reads) == 3 and len(line_parses) == 2
+    main = threading.main_thread()
+    assert all(t is not main and not t.is_alive() for t in value_reads)
+
+
 def check_bytes_like_text(text):
     """parse_graph reads the UTF-8 bytes of text, whole or as a stream, as it
     reads text: the same graph, or the same error line and message."""
@@ -635,23 +662,89 @@ def test_line_reader_chunks_keep_the_lines_of_the_whole_text(monkeypatch, chunk)
             check_against_line_reference(variant)
 
 
+def _block_edge_texts():
+    """Texts whose lines, blanks, breaks and long tokens fall at the edges of
+    small layout blocks, each with whether the byte path reads it."""
+    fib = serialize_graph(generate_fib_instance(9).graph)
+    head, rest = fib.split("\n", 1)
+    colours = " ".join(str(c) for c in range(40))
+    path = "".join(f"{v} {v + 1}\n" for v in range(39))
+    commented = f"# fib 9\n{head}\n# colours\n" + rest.replace("\n", "\n# edge\n", 5)
+    body, last = fib[:-1].rsplit("\n", 1)
+    u, v = last.split()
+    return [
+        (fib, True),
+        (fib.replace("\n", "\r\n"), True),
+        (fib.replace("\n", "\r"), True),  # lone \r
+        (fib.replace("\n", "\n\n \r\n\t\n"), True),  # blank lines between all lines
+        (fib.replace("\n", "\r\n\r\n", 7), True),
+        (commented, True),
+        (f"40 39\n{colours}\n{path}", True),  # a colour line longer than a block
+        (f"40 39\n{colours}\r\n{path}"[:-1], True),  # and no final newline
+        (f"{body}\n{u} {v.zfill(19)}\n", False),  # 19 digits in the last block
+        (f"{body}\n{u} 9999999999999999999\n", False),
+        (f"{body}\n{u} {v} {v}\n", False),  # a 3-wide edge line in the last block
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+def test_layout_blocks_keep_the_lines_of_the_whole_text(monkeypatch, chunk):
+    # the byte path checks the layout a block of whole lines at a time; at
+    # every block size it reads the texts it read whole, refuses the others,
+    # and parse_graph gives the line reference's graph or error line
+    monkeypatch.setattr(graph_io, "_LAYOUT_CHUNK", chunk)
+    plain = [True] * 6 + [False] * 3
+    cases = list(zip(PLAIN_LAYOUTS, plain)) + [(text, None) for text in MALFORMED] + _block_edge_texts()
+    for text, read in cases:
+        g = graph_io._parse_whole(text.encode("utf-8"))
+        if read is not None:
+            assert (g is not None) == read
+        if g is not None:
+            assert relabel_form(g) == parse_by_lines(text)
+        check_against_line_reference(text)
+        check_bytes_like_text(text)
+
+
+def _memory_test_graph():
+    rng = np.random.default_rng(41)
+    n = 8000
+    edges = rng.integers(0, n, size=(80000, 2))
+    return new_graph(n, edges[edges[:, 0] != edges[:, 1]], rng.integers(0, 4, size=n))
+
+
+def _traced_parse(source):
+    """parse_graph(source) and the traced peak of its allocations."""
+    tracemalloc.start()
+    try:
+        parsed = parse_graph(source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return parsed, peak
+
+
 def test_line_reader_memory_is_bounded_by_the_arrays():
     # a leading + keeps the text off the byte path; the line reader streams
     # its lines and collects the endpoints in one array, so its peak is the
     # new graph's arrays, not a Python object per line and per edge
-    rng = np.random.default_rng(41)
-    n = 8000
-    edges = rng.integers(0, n, size=(80000, 2))
-    g = new_graph(n, edges[edges[:, 0] != edges[:, 1]], rng.integers(0, 4, size=n))
+    g = _memory_test_graph()
     text = "+" + serialize_graph(g)
-    tracemalloc.start()
-    try:
-        parsed = parse_graph(text)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    parsed, peak = _traced_parse(text)
     assert graphs_equal(parsed, g)
     assert peak < 16 * len(text)
+
+
+def test_byte_parse_memory_is_bounded_by_the_arrays(monkeypatch):
+    # the byte path holds one block's mask and token bounds at a time, so its
+    # peak is the values, the tokens per line and the new graph's arrays, not
+    # a mask and token bounds of the whole text
+    monkeypatch.setattr(graph_io, "_LAYOUT_CHUNK", 1 << 16)
+    g = _memory_test_graph()
+    data = serialize_graph(g).encode()
+    assert len(data) > 10 * graph_io._LAYOUT_CHUNK
+    parsed, peak = _traced_parse(data)
+    assert graphs_equal(parsed, g)
+    assert peak < 5 * len(data)
 
 
 @settings(max_examples=400, deadline=None)
@@ -659,6 +752,15 @@ def test_line_reader_memory_is_bounded_by_the_arrays():
 def test_parse_matches_line_reference_on_perturbed_graphs(text):
     check_against_line_reference(text)
     check_bytes_like_text(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(perturbed_graph_texts())
+def test_parse_matches_line_reference_in_small_layout_blocks(text):
+    # a few bytes a block, so that block edges fall inside and between lines
+    with mock.patch.object(graph_io, "_LAYOUT_CHUNK", 7):
+        check_against_line_reference(text)
+        check_bytes_like_text(text)
 
 
 @settings(max_examples=300, deadline=None)
