@@ -169,9 +169,12 @@ def _line_widths(data: bytes) -> np.ndarray | None:
     widths = []
     start = 0
     while start < raw.size:
-        # just after the last \n before stop, or after the first one past it
         stop = start + _LAYOUT_CHUNK
-        end = raw.size if stop >= raw.size else data.rfind(b"\n", start, stop) + 1 or data.find(b"\n", stop) + 1 or raw.size
+        if stop >= raw.size:
+            end = raw.size
+        else:
+            # just after the last \n before stop, or after the first one past it
+            end = data.rfind(b"\n", start, stop) + 1 or data.find(b"\n", stop) + 1 or raw.size
         block = raw[start:end]
         start = end
         # token i is block[starts[i]:ends[i]]: a run of digits, the only bytes >= 0x30 left

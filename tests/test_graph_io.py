@@ -300,7 +300,7 @@ def test_plain_layouts_match_line_reference(plain_reads):
 
 def test_short_byte_read_falls_back_to_the_line_parse(monkeypatch, plain_reads, p4):
     # np.fromstring stops silently at bytes it cannot read; a read that comes
-    # up short of the byte mask's token count is not trusted
+    # up short of the token count the layout check found is not trusted
     fromstring = np.fromstring
     monkeypatch.setattr(np, "fromstring", lambda *args, **kwargs: fromstring(*args, **kwargs)[:-1])
     assert graphs_equal(parse_graph(P4_TEXT), p4)
