@@ -24,20 +24,17 @@ from .engine import (
 from .generators import RandomSpec, assign_random_colours, gen_erdos_renyi, permute_enumeration
 from .graph import (
     ColouredGraph,
-    colour_neighbourhood,
     colour_neighbourhood_set,
     graphs_equal,
     new_graph,
 )
 from .graph_io import (
     GraphParseError,
-    StatsRecord,
     export_dot,
     parse_graph,
     serialize_graph,
     stats_dict,
     stats_json,
-    stats_records,
 )
 from .oracle import colour_component, colour_partition, component_contraction
 from .worstcase import (
@@ -52,7 +49,6 @@ from .worstcase import (
 __all__ = [
     "ColouredGraph",
     "new_graph",
-    "colour_neighbourhood",
     "colour_neighbourhood_set",
     "graphs_equal",
     "colour_component",
@@ -84,8 +80,6 @@ __all__ = [
     "parse_graph",
     "serialize_graph",
     "export_dot",
-    "StatsRecord",
-    "stats_records",
     "stats_dict",
     "stats_json",
 ]

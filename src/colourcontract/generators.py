@@ -96,9 +96,9 @@ def _sample_pairs_exact(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     equal a k-pair draw from the same state: the head is drawn alone, with
     room for the self-loops dropped.  When those keys fall short of the head,
     or the head of m distinct keys, as on dense or tiny graphs, the state is
-    restored and the batches are drawn whole.  Each later batch's new keys
-    are then merged into the distinct keys so far, and the whole collection
-    is sorted once, at the end.
+    restored and the batches are drawn whole.  Each batch's new keys are
+    merged into the distinct keys so far, which size the next batch, and
+    the whole collection is sorted once, at the end.
     """
     if m == 0:
         return np.empty(0, dtype=np.int64)
@@ -111,23 +111,17 @@ def _sample_pairs_exact(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
             return _first_m(uniq, first_pos, m)
     del keys
     rng.bit_generator.state = state
-    collected = uniq = np.empty(0, dtype=np.int64)
-    # while the collection fits in the head, the head's sort counts all of it
-    while uniq.size < m and collected.size <= head:
-        collected = np.concatenate([collected, _draw_keys(n, _batch(m - uniq.size), rng)])
-        uniq, first_pos = _sorted_unique(collected[:head], return_index=True)
-    if uniq.size < m:
-        seen = _sorted_unique(collected)
-        parts = [collected]
-        while seen.size < m:
-            drawn = _draw_keys(n, _batch(m - seen.size), rng)
-            parts.append(drawn)
-            drawn = _sorted_unique(drawn)
-            at = np.searchsorted(seen, drawn)
-            new = seen[np.minimum(at, seen.size - 1)] != drawn
-            seen = np.insert(seen, at[new], drawn[new])
-        collected = np.concatenate(parts)
-        uniq, first_pos = _sorted_unique(collected, return_index=True)
+    seen = np.empty(0, dtype=np.int64)
+    parts = []
+    while seen.size < m:
+        drawn = _draw_keys(n, _batch(m - seen.size), rng)
+        parts.append(drawn)
+        drawn = _sorted_unique(drawn)
+        at = np.searchsorted(seen, drawn)
+        # past the last key, compared with -1, which no key equals
+        new = np.append(seen, -1)[at] != drawn
+        seen = np.insert(seen, at[new], drawn[new])
+    uniq, first_pos = _sorted_unique(np.concatenate(parts), return_index=True)
     return _first_m(uniq, first_pos, m)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -16,10 +15,11 @@ class ColouredGraph:
 
     Vertices are the integers 0..n-1.  The edge joining lo < hi is the key
     ``lo * n + hi`` and the keys strictly ascend, so the representation of a
-    given graph is unique and equality is plain array equality.  The
-    adjacency rows (``indptr``, ``indices``, ``degrees``) are a view derived
-    from the keys on first access.  All type invariants are checked on
-    construction; instances are safe to share across threads.
+    given graph is unique and equality is plain array equality.  Nothing
+    derived from the keys is stored: adjacency rows are built per use by
+    ``rows_of`` or ``rows_within``.  All type invariants are checked on
+    construction and the arrays are read-only, so instances are safe to share
+    across threads.
     """
 
     n: int
@@ -41,33 +41,21 @@ class ColouredGraph:
         """(lo, hi) of every edge, in key order: lo ascends, and hi within each lo."""
         return _endpoints(self.n, self.keys)
 
-    @cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency rows of every edge, read-only (see ``rows_of``)."""
-        indptr, indices = rows_of(self.n, self.keys)
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        return indptr, indices
-
     @property
-    def indptr(self) -> np.ndarray:
-        """(n+1,) row offsets into ``indices``."""
-        return self._rows[0]
+    def degrees(self) -> np.ndarray:
+        """(n,) edge count at every vertex.  Kept for the benchmark tracer
+        (``perfbench/tracing.py``) until it counts from the keys; no package
+        code reads it."""
+        lo, hi = self.endpoints()
+        return np.bincount(lo, minlength=self.n) + np.bincount(hi, minlength=self.n)
 
     @property
     def indices(self) -> np.ndarray:
-        """(2m,) neighbours of every vertex, row after row, each row ascending."""
-        return self._rows[1]
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def neighbours(self, v: int) -> np.ndarray:
-        """Ascending neighbour row of vertex v."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for order {self.n}")
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+        """(2m,) neighbours of every vertex, row after row (see ``rows_of``),
+        built on each access.  Kept for the benchmark tracer
+        (``perfbench/tracing.py``) until it counts from the keys; no package
+        code reads it."""
+        return rows_of(self.n, self.keys)[1]
 
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) array with u < v, sorted lexicographically."""
@@ -288,16 +276,13 @@ def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequ
     return ColouredGraph(n=n, colours=col, keys=_pair_keys(u, v, n))
 
 
-def colour_neighbourhood(g: ColouredGraph, v: int) -> np.ndarray:
-    """Neighbours of v sharing v's colour, ascending."""
-    row = g.neighbours(v)
-    return row[g.colours[row] == g.colours[v]]
-
-
 def colour_neighbourhood_set(g: ColouredGraph, members: Iterable[int]) -> np.ndarray:
     """Union of the members' colour neighbourhoods, minus the members themselves.
 
-    The member set must be monochromatic.
+    The member set must be monochromatic.  The members' rows are gathered
+    from ``rows_within(g, g.colours)``.  Kept for the benchmark tracer
+    (``perfbench/tracing.py``), which counts its calls; no package code
+    calls it.
     """
     u = np.unique(np.fromiter((int(x) for x in members), dtype=np.int64))
     if u.size == 0:
@@ -306,7 +291,8 @@ def colour_neighbourhood_set(g: ColouredGraph, members: Iterable[int]) -> np.nda
         raise ValueError("member vertex out of range")
     if np.unique(g.colours[u]).size > 1:
         raise ValueError("member set is not monochromatic")
-    gathered = np.concatenate([colour_neighbourhood(g, int(v)) for v in u])
+    indptr, indices = rows_within(g, g.colours)
+    gathered = np.concatenate([indices[indptr[v]:indptr[v + 1]] for v in u])
     return np.setdiff1d(gathered, u)
 
 

@@ -33,7 +33,6 @@ import re
 import resource
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -338,38 +337,16 @@ def export_dot(g: ColouredGraph, role_labels: Iterable[str] | None = None) -> st
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class StatsRecord:
-    """Per-iteration run statistics; iteration indices are contiguous from 1."""
-
-    iteration: int
-    n_before: int
-    m_before: int
-    n_after: int
-    wall_time_ms: float
-
-
-def stats_records(trace: ContractionTrace) -> list[StatsRecord]:
-    return [
-        StatsRecord(
-            iteration=k + 1,
-            n_before=r.n,
-            m_before=r.m,
-            n_after=r.n_prime,
-            wall_time_ms=r.wall_time_ms,
-        )
-        for k, r in enumerate(trace.per_iteration)
-    ]
-
-
 def stats_dict(initial: ColouredGraph, final: ColouredGraph, trace: ContractionTrace, include_trace: bool = False) -> dict:
     """JSON-ready summary of one contraction run: totals plus per-iteration
-    rows, and the peak resident set size of this process so far in MB
-    (``ru_maxrss``, which Linux gives in KiB)."""
-    per_iteration = [asdict(r) for r in stats_records(trace)]
-    if include_trace:
-        for row, record in zip(per_iteration, trace.per_iteration):
-            row["becomes"] = record.mapping.becomes.tolist()
+    rows numbered from 1, and the peak resident set size of this process so
+    far in MB (``ru_maxrss``, which Linux gives in KiB)."""
+    per_iteration = []
+    for k, r in enumerate(trace.per_iteration, start=1):
+        row = {"iteration": k, "n_before": r.n, "m_before": r.m, "n_after": r.n_prime, "wall_time_ms": r.wall_time_ms}
+        if include_trace:
+            row["becomes"] = r.mapping.becomes.tolist()
+        per_iteration.append(row)
     return {
         "n0": initial.n,
         "m0": initial.m,

@@ -5,9 +5,9 @@ plain BFS, a union-find and scipy's ``connected_components`` (imported only
 when called: scipy is not a dependency of the package), root projection
 from per-vertex iterated lookup, fibres from appending each vertex to its
 target's list, contraction from set relabelling, the graph file format
-from a plain line-by-line reader, the edge-key and adjacency-row checks
-from per-key and per-row Python loops, and the exact edge sampler from a
-Python set.  Two exceptions use the
+from a plain line-by-line reader, adjacency lists from the edge list, the
+edge-key and adjacency-row checks from per-key and per-row Python loops,
+and the exact edge sampler from a Python set.  Two exceptions use the
 engine on purpose: ``equivalent_by_sets``, the set-based form of
 ``equivalent_contractions``, reuses the engine's composition and round
 application and differs only in how it compares; ``replay`` rebuilds the
@@ -41,14 +41,25 @@ class UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
+def adjacency(g):
+    """Ascending neighbour list of every vertex, from the edge list in plain
+    Python."""
+    rows = [[] for _ in range(g.n)]
+    for u, v in g.edge_array().tolist():
+        rows[u].append(v)
+        rows[v].append(u)
+    return [sorted(row) for row in rows]
+
+
 def bfs_colour_component(g, v):
     """Vertices reachable from v through same-colour edges, as a set."""
+    rows = adjacency(g)
     colour = int(g.colours[v])
     seen = {v}
     queue = deque([v])
     while queue:
         u = queue.popleft()
-        for w in g.neighbours(u).tolist():
+        for w in rows[u]:
             if int(g.colours[w]) == colour and w not in seen:
                 seen.add(w)
                 queue.append(w)

@@ -14,7 +14,7 @@ import numpy as np
 from colourcontract import (
     RandomSpec,
     assign_random_colours,
-    colour_neighbourhood,
+    colour_neighbourhood_set,
     colour_partition,
     contract_to_fixpoint,
     equivalent_contractions,
@@ -27,7 +27,7 @@ from colourcontract import (
     parse_graph,
     permute_enumeration,
     serialize_graph,
-    stats_records,
+    stats_dict,
     verify_fib_instance,
 )
 
@@ -199,7 +199,7 @@ def _check_iteration_invariants(g):
             else evaluate_contraction_mapping(graphs[k + 1])
         )
         for t, fibre in enumerate(mapping.fibres):
-            if fibre.size == 1 and colour_neighbourhood(step_graph, int(fibre[0])).size:
+            if fibre.size == 1 and colour_neighbourhood_set(step_graph, [int(fibre[0])]).size:
                 assert int(next_mapping.cluster_sizes[next_mapping.becomes[t]]) > 1, (
                     "an active singleton failed to merge on the following iteration"
                 )
@@ -303,9 +303,11 @@ def test_criterion_7_round_trip_and_determinism():
             assert (ra.n, ra.m, ra.n_prime) == (rb.n, rb.m, rb.n_prime)
             assert np.array_equal(ra.mapping.becomes, rb.mapping.becomes)
         # stats agree on everything except wall time, which is never deterministic
-        for sa, sb in zip(stats_records(trace_a), stats_records(trace_b)):
-            assert (sa.iteration, sa.n_before, sa.m_before, sa.n_after) == (
-                sb.iteration, sb.n_before, sb.m_before, sb.n_after,
+        rows_a = stats_dict(g, final_a, trace_a)["per_iteration"]
+        rows_b = stats_dict(regenerated, final_b, trace_b)["per_iteration"]
+        for sa, sb in zip(rows_a, rows_b):
+            assert (sa["iteration"], sa["n_before"], sa["m_before"], sa["n_after"]) == (
+                sb["iteration"], sb["n_before"], sb["m_before"], sb["n_after"],
             )
     elapsed = time.perf_counter() - started
     _report(

@@ -10,7 +10,7 @@ from colourcontract import (
     ContractionTrace,
     apply_contraction,
     build_functional_digraph,
-    colour_neighbourhood,
+    colour_neighbourhood_set,
     colour_partition,
     compact_mapping,
     component_contraction,
@@ -96,7 +96,7 @@ def test_digraph_colour_boundaries(triangle_two_colours):
 )
 def test_digraph_edge_cases_point_at_colour_minimum(n, edges, colours):
     g = new_graph(n, edges, colours)
-    expected = [min([v] + colour_neighbourhood(g, v).tolist()) for v in range(n)]
+    expected = [min([v] + colour_neighbourhood_set(g, [v]).tolist()) for v in range(n)]
     assert build_functional_digraph(g).tolist() == expected
 
 

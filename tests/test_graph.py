@@ -3,7 +3,6 @@ import pytest
 
 from colourcontract import (
     ColouredGraph,
-    colour_neighbourhood,
     colour_neighbourhood_set,
     colour_partition,
     contract_to_fixpoint,
@@ -12,7 +11,7 @@ from colourcontract import (
     new_graph,
     serialize_graph,
 )
-from colourcontract.graph import _sorted_unique, relabel_keys
+from colourcontract.graph import _sorted_unique, relabel_keys, rows_of
 from reference_impls import contract_by_relabel, serialize_by_join, validate_by_keys, validate_by_rows
 
 
@@ -27,7 +26,8 @@ def test_single_vertex():
     g = new_graph(1, [], [7])
     assert g.n == 1 and g.m == 0
     assert g.colours.tolist() == [7]
-    assert g.neighbours(0).size == 0
+    indptr, indices = rows_of(g.n, g.keys)
+    assert indptr.tolist() == [0, 0] and indices.size == 0
 
 
 def test_duplicate_edges_collapse():
@@ -44,7 +44,8 @@ def test_orientation_and_order_irrelevant():
 
 def test_adjacency_rows_ascending():
     g = new_graph(5, [(4, 0), (2, 0), (0, 1)], [0] * 5)
-    assert g.neighbours(0).tolist() == [1, 2, 4]
+    indptr, indices = rows_of(g.n, g.keys)
+    assert indices[indptr[0]:indptr[1]].tolist() == [1, 2, 4]
     assert g.degrees.tolist() == [3, 1, 1, 0, 1]
 
 
@@ -236,11 +237,12 @@ def test_construction_checks_match_per_row_reference():
         assert _construction_message(n, keys) == expected, (n, keys)
         outcomes.add(expected)
         if expected is None:
-            # the derived rows are the symmetric, ascending rows of the same edges
+            # the rows built from the keys are the symmetric, ascending rows of the same edges
             g = ColouredGraph(n=n, colours=np.zeros(n, dtype=np.int64), keys=np.array(keys, dtype=np.int64))
-            assert validate_by_rows(n, len(keys), g.indptr, g.indices) is None, (n, keys)
+            indptr, indices = rows_of(n, g.keys)
+            assert validate_by_rows(n, len(keys), indptr, indices) is None, (n, keys)
             rows = [sorted({k % n for k in keys if k // n == v} | {k // n for k in keys if k % n == v}) for v in range(n)]
-            assert [g.neighbours(v).tolist() for v in range(n)] == rows, (n, keys)
+            assert [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(n)] == rows, (n, keys)
     # every check the reference makes was both passed and failed
     assert outcomes == {
         None,
@@ -277,25 +279,33 @@ def test_immutable_after_construction():
         g.colours[0] = 5
     with pytest.raises(ValueError):
         g.keys[0] = 0
-    with pytest.raises(ValueError):
-        g.indices[0] = 0
+
+
+def test_graph_holds_only_its_order_colours_and_keys():
+    # every view of the edges is built per use and none is stored on the graph
+    g = new_graph(5, [(4, 0), (2, 0), (0, 1), (2, 3)], [0, 1, 0, 0, 1])
+    indptr, indices = rows_of(g.n, g.keys)
+    assert np.array_equal(g.degrees, np.diff(indptr))
+    assert np.array_equal(g.indices, indices)
+    g.endpoints(), g.edge_array(), g.is_properly_coloured()
+    assert set(vars(g)) == {"n", "colours", "keys"}
 
 
 def test_colour_neighbourhood_filters_by_colour(p4):
-    assert colour_neighbourhood(p4, 2).tolist() == [0, 3]
+    assert colour_neighbourhood_set(p4, [2]).tolist() == [0, 3]
 
 
 def test_colour_neighbourhood_mixed_colours():
     g = new_graph(3, [(0, 1), (0, 2), (1, 2)], [0, 0, 1])
-    assert colour_neighbourhood(g, 0).tolist() == [1]
-    assert colour_neighbourhood(g, 2).tolist() == []
+    assert colour_neighbourhood_set(g, [0]).tolist() == [1]
+    assert colour_neighbourhood_set(g, [2]).tolist() == []
 
 
 def test_colour_neighbourhood_out_of_range(p4):
     with pytest.raises(ValueError, match="out of range"):
-        colour_neighbourhood(p4, 4)
+        colour_neighbourhood_set(p4, [4])
     with pytest.raises(ValueError, match="out of range"):
-        colour_neighbourhood(p4, -1)
+        colour_neighbourhood_set(p4, [-1])
 
 
 def test_colour_neighbourhood_set(p4):

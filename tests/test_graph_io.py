@@ -20,7 +20,7 @@ from colourcontract import (
     new_graph,
     parse_graph,
     serialize_graph,
-    stats_records,
+    stats_dict,
     contract_to_fixpoint,
 )
 from reference_impls import (
@@ -808,10 +808,12 @@ def test_dot_deterministic(fig24):
 
 
 def test_stats_records_contiguous_from_one(p4):
-    _, trace = contract_to_fixpoint(p4)
-    records = stats_records(trace)
-    assert [r.iteration for r in records] == [1, 2]
-    assert [r.n_before for r in records] == [4, 2]
-    assert [r.n_after for r in records] == [2, 1]
-    assert all(r.n_after < r.n_before for r in records)
-    assert all(r.wall_time_ms >= 0 for r in records)
+    final, trace = contract_to_fixpoint(p4)
+    records = stats_dict(p4, final, trace)["per_iteration"]
+    assert [r["iteration"] for r in records] == [1, 2]
+    assert [r["n_before"] for r in records] == [4, 2]
+    assert [r["n_after"] for r in records] == [2, 1]
+    assert all(r["n_after"] < r["n_before"] for r in records)
+    assert all(r["wall_time_ms"] >= 0 for r in records)
+    # the same keys in the same order in every row
+    assert all(list(r) == ["iteration", "n_before", "m_before", "n_after", "wall_time_ms"] for r in records)
