@@ -77,13 +77,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.input))
     final, trace = contract_to_fixpoint(g)
     partition = colour_partition(g)
-    ok = equivalent_contractions(g, trace, partition)
+    ok = equivalent_contractions(g, final, trace, partition)
     print(f"base: {'equivalent' if ok else 'MISMATCH'} (iterations={trace.iterations}, blocks={partition.n_prime})")
     base_blocks = _block_minima(trace.total_map) if args.seeds else None
     for seed in args.seeds or []:
         h, perm = permute_enumeration(g, seed)
-        _, trace_h = contract_to_fixpoint(h)
-        ok_h = equivalent_contractions(h, trace_h, colour_partition(h))
+        final_h, trace_h = contract_to_fixpoint(h)
+        ok_h = equivalent_contractions(h, final_h, trace_h, colour_partition(h))
         # original vertex v is vertex perm[v] of h
         stable = np.array_equal(_block_minima(trace_h.total_map[perm]), base_blocks)
         ok = ok and ok_h and stable

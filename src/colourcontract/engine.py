@@ -309,35 +309,41 @@ def contract_to_fixpoint(g: ColouredGraph, max_iterations: int | None = None) ->
 _MALFORMED = (ValueError, IndexError, TypeError)
 
 
-def equivalent_contractions(g: ColouredGraph, trace: ContractionTrace, partition: ContractionMapping) -> bool:
-    """True when the trace realises exactly the partition's contraction.
+def equivalent_contractions(g: ColouredGraph, final: ColouredGraph, trace: ContractionTrace, partition: ContractionMapping) -> bool:
+    """True when the trace and final graph of ``contract_to_fixpoint(g)``
+    realise exactly the partition's contraction of g.
 
-    The partition is a mapping of every vertex to its block, such as
+    The partition maps every vertex to its block, such as
     ``oracle.colour_partition`` returns, in any block numbering.  Checks, in
-    order: the composed mapping equals ``trace.total_map`` and is onto
-    0..k-1; the partition maps n vertices onto k blocks, each with a member;
-    the fibre partition equals the block partition, whatever the numbering;
-    re-applying every round rebuilds a graph of k vertices whose colours are
-    its fibres' colours; and its edge set, re-expressed over block indices,
-    equals the block-level edge set of g.  Every comparison is a whole-array
-    pass, the edge sets as sorted keys ``lo * k + hi``.  Any structural
-    mismatch in the trace or the partition returns False rather than raising.
+    order: the rounds chain from order n, each round's targets lie in
+    0..n_prime-1 and each has a member, and they compose to
+    ``trace.total_map``, onto the last round's k targets; the partition maps
+    n vertices onto k blocks, each with a member; the fibre partition equals
+    the block partition, whatever the numbering; ``final`` has k vertices,
+    each with its fibre's colour (so every round's fibres, which lie inside
+    the composed ones, are monochromatic); and its edge set, re-expressed
+    over block indices, equals the block-level edge set of g.  ``final`` is
+    read as given, never rebuilt from the rounds.  Every comparison is a
+    whole-array pass, the edge sets as sorted keys ``lo * k + hi``.  Any
+    structural mismatch in the trace or the partition returns False rather
+    than raising.
     """
     n = g.n
+    mappings = [r.mapping for r in trace.per_iteration]
     try:
-        total = _compose(n, [r.mapping for r in trace.per_iteration])
+        total = _compose(n, mappings)
+        # _compose checked the chain of orders and every target's range; more
+        # targets than sources leaves one without a member
+        for m in mappings:
+            if m.n_prime > m.n or (np.bincount(m.becomes.astype(np.int64, copy=False), minlength=m.n_prime) == 0).any():
+                return False
     except _MALFORMED:
         return False
     if not np.array_equal(total, trace.total_map):
         return False
-    # _compose checked every round's targets; this bounds bincount's length
-    if n and int(total.max()) >= n:
-        return False
+    # every round is onto its targets, so total is onto the last round's
     total = total.astype(np.int64, copy=False)
-    sizes = np.bincount(total)
-    k = sizes.size
-    if (sizes == 0).any():
-        return False
+    k = mappings[-1].n_prime if mappings else n
 
     if partition.n != n:
         return False
@@ -356,12 +362,6 @@ def equivalent_contractions(g: ColouredGraph, trace: ContractionTrace, partition
     if not np.array_equal(corr[total], block_of):
         return False
 
-    final = g
-    try:
-        for record in trace.per_iteration:
-            final = apply_contraction(final, record.mapping)
-    except _MALFORMED:
-        return False
     if final.n != k or not np.array_equal(final.colours[total], g.colours):
         return False
     return np.array_equal(relabel_keys(final, corr, k), relabel_keys(g, block_of, k))

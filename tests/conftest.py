@@ -42,14 +42,16 @@ def triangle_two_colours():
     return new_graph(3, [(0, 1), (0, 2), (1, 2)], [0, 0, 1])
 
 
-def tampered_inputs(g, trace, partition, rng):
-    """(name, trace, partition) variants of a run, for the equivalence check.
+def tampered_inputs(g, final, trace, partition, rng):
+    """(name, final, trace, partition) variants of a run, for the equivalence
+    check.
 
     One untouched copy, then one tampering each where the graph allows it: the
     targets renumbered (still the same partition), a target out of range, a
     vertex moved to another block, two blocks merged, an unused target, a
-    wrong ``total_map``, and a wrong last-round mapping with ``total_map``
-    recomputed to match it.
+    wrong ``total_map``, a wrong last-round mapping with ``total_map``
+    recomputed to match it, and a wrong final graph (one edge dropped, or one
+    vertex recoloured when it has no edge).  Only the last replaces ``final``.
     """
     n, k, becomes = partition.n, partition.n_prime, partition.becomes
 
@@ -59,29 +61,29 @@ def tampered_inputs(g, trace, partition, rng):
     def with_maps(records, total):
         return ContractionTrace(per_iteration=tuple(records), total_map=total)
 
-    out = [("untouched", trace, partition)]
-    out.append(("renumbered targets", trace, part(rng.permutation(k)[becomes])))
+    out = [("untouched", final, trace, partition)]
+    out.append(("renumbered targets", final, trace, part(rng.permutation(k)[becomes])))
     if n:
         bad = becomes.copy()
         bad[int(rng.integers(n))] = k if rng.random() < 0.5 else n
-        out.append(("target out of range", trace, part(bad)))
+        out.append(("target out of range", final, trace, part(bad)))
     if k >= 2:
         i, j = (int(x) for x in rng.choice(k, size=2, replace=False))
         members = np.flatnonzero(becomes == i)
         if members.size >= 2:
             moved = becomes.copy()
             moved[members[-1]] = j
-            out.append(("vertex moved", trace, part(moved)))
+            out.append(("vertex moved", final, trace, part(moved)))
         merged = np.where(becomes == j, i, becomes)
         merged -= merged > j
-        out.append(("two blocks merged", trace, part(merged, k - 1)))
+        out.append(("two blocks merged", final, trace, part(merged, k - 1)))
     at = int(rng.integers(k + 1))
-    out.append(("unused target", trace, part(becomes + (becomes >= at), k + 1)))
+    out.append(("unused target", final, trace, part(becomes + (becomes >= at), k + 1)))
     if n:
         total = trace.total_map.copy()
         v = int(rng.integers(n))
         total[v] = (total[v] + 1) % (int(total.max()) + 2)
-        out.append(("wrong total_map", with_maps(trace.per_iteration, total), partition))
+        out.append(("wrong total_map", final, with_maps(trace.per_iteration, total), partition))
     if trace.iterations:
         last = trace.per_iteration[-1]
         targets = last.mapping.becomes.copy()
@@ -95,5 +97,12 @@ def tampered_inputs(g, trace, partition, rng):
         total = np.arange(n, dtype=np.int64)
         for r in records:
             total = r.mapping.becomes[total]
-        out.append(("wrong mapping", with_maps(records, total), partition))
+        out.append(("wrong mapping", final, with_maps(records, total), partition))
+    if final.n:
+        edges, colours = final.edge_array(), final.colours.copy()
+        if final.m:
+            edges = np.delete(edges, int(rng.integers(final.m)), axis=0)
+        else:
+            colours[int(rng.integers(final.n))] += 1
+        out.append(("wrong final", new_graph(final.n, edges, colours), trace, partition))
     return out

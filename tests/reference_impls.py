@@ -7,12 +7,13 @@ from per-vertex iterated lookup, fibres from appending each vertex to its
 target's list, contraction from set relabelling, the graph file format
 from a plain line-by-line reader, adjacency lists from the edge list, the
 edge-key and adjacency-row checks from per-key and per-row Python loops,
-and the exact edge sampler from a Python set.  Two exceptions use the
+and the exact edge sampler from a Python set.  Three exceptions use the
 engine on purpose: ``equivalent_by_sets``, the set-based form of
 ``equivalent_contractions``, reuses the engine's composition and round
-application and differs only in how it compares; ``replay`` rebuilds the
-graph before every round of a trace by applying the rounds' mappings in
-turn; ``fib_by_growth`` builds the worst-case family by running one engine
+application, and differs in how it compares and in rebuilding the final
+graph by applying every round in turn, where the package checks the final
+graph the engine returned; ``replay`` rebuilds the graph before every
+round of a trace the same way; ``fib_by_growth`` builds the worst-case family by running one engine
 evaluation per level, the construction that the closed-form generator
 replaced.
 """

@@ -102,14 +102,14 @@ def test_criterion_2_oracle_equivalence_and_bound():
         partition = colour_partition(g)
         blocks = ([b.tolist() for b in partition.fibres], g.colours[partition.representatives].tolist())
         assert blocks == ordered_unionfind_blocks(g), f"case {i}: oracle disagrees with union-find"
-        assert equivalent_contractions(g, trace, partition), f"case {i}: engine disagrees with oracle"
+        assert equivalent_contractions(g, final, trace, partition), f"case {i}: engine disagrees with oracle"
         assert trace.iterations <= iteration_bound(g.n), f"case {i}: bound exceeded"
         checked += 1
     permuted = 0
     for i, g in _random_corpus()[:100]:
         h, perm = permute_enumeration(g, seed=9000 + i)
-        _, trace_h = contract_to_fixpoint(h)
-        assert equivalent_contractions(h, trace_h, colour_partition(h)), f"case {i}: permuted run disagrees"
+        final_h, trace_h = contract_to_fixpoint(h)
+        assert equivalent_contractions(h, final_h, trace_h, colour_partition(h)), f"case {i}: permuted run disagrees"
         assert trace_h.iterations <= iteration_bound(h.n)
         permuted += 1
     elapsed = time.perf_counter() - started
@@ -121,15 +121,16 @@ def test_criterion_2_oracle_equivalence_and_bound():
 
 
 def test_criterion_2_equivalence_matches_set_reference():
-    # every corpus run, untouched and tampered, gets the set-based verdict
+    # every corpus run, untouched and tampered, gets the set-based verdict;
+    # that check rebuilds the final graph itself, so a wrong one given is False
     rng = np.random.default_rng(2)
     compared = 0
     for i, g in _random_corpus():
-        _, trace = contract_to_fixpoint(g)
-        for name, t, p in tampered_inputs(g, trace, colour_partition(g), rng):
-            expected = equivalent_by_sets(g, t, p)
+        final, trace = contract_to_fixpoint(g)
+        for name, f, t, p in tampered_inputs(g, final, trace, colour_partition(g), rng):
+            expected = equivalent_by_sets(g, t, p) and f is final
             assert expected == (name in ("untouched", "renumbered targets")), f"case {i}, {name}"
-            assert equivalent_contractions(g, t, p) == expected, f"case {i}, {name}"
+            assert equivalent_contractions(g, f, t, p) == expected, f"case {i}, {name}"
             compared += 1
     _report(
         "criterion 2, whole-array equivalence equals the set-based check",

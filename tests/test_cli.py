@@ -124,6 +124,22 @@ def test_verify_reports_mismatch(p4_file, monkeypatch, capsys):
     assert "base: MISMATCH" in out and "verify: FAILED" in out
 
 
+def test_verify_checks_the_final_graph_the_engine_returned(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "two_blocks.graph"
+    path.write_text("4 3\n0 0 1 1\n0 1\n1 2\n2 3\n")
+    real = cli.contract_to_fixpoint
+
+    def dropping_one_edge(g):
+        # the real trace, with a final graph that lost its one edge
+        final, trace = real(g)
+        return new_graph(final.n, final.edge_array()[1:], final.colours), trace
+
+    monkeypatch.setattr(cli, "contract_to_fixpoint", dropping_one_edge)
+    assert run_cli(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "base: MISMATCH" in out and "verify: FAILED" in out
+
+
 def test_verify_relabelling_stability(tmp_path, monkeypatch, capsys):
     path = tmp_path / "two_blocks.graph"
     path.write_text("4 3\n0 0 1 1\n0 1\n1 2\n2 3\n")

@@ -25,7 +25,6 @@ from colourcontract import (
     project_to_roots,
     stats_dict,
 )
-from colourcontract import engine
 from reference_impls import contract_by_relabel, equivalent_by_sets, relabel_form, replay, roots_by_iterated_lookup
 
 from conftest import FIG24_EXPECTED
@@ -474,7 +473,7 @@ def test_compose_chain_mismatch(p4, fig24):
 
 
 def test_compose_rejects_targets_outside_the_next_order(p4):
-    _, trace = contract_to_fixpoint(p4)
+    final, trace = contract_to_fixpoint(p4)
     partition = colour_partition(p4)
     first, second = trace.per_iteration
 
@@ -487,7 +486,7 @@ def test_compose_rejects_targets_outside_the_next_order(p4):
         for tampered in (alone, chained):
             with pytest.raises(ValueError, match="targets"):
                 compose_total_mapping(tampered)
-            assert not equivalent_contractions(p4, tampered, partition)
+            assert not equivalent_contractions(p4, final, tampered, partition)
 
 
 def test_total_map_matches_oracle_blocks(fig24):
@@ -501,35 +500,35 @@ def test_total_map_matches_oracle_blocks(fig24):
 def test_equivalent_on_fixtures(p4, fig24, triangle_two_colours):
     for g in (p4, fig24, triangle_two_colours):
         final, trace = contract_to_fixpoint(g)
-        assert equivalent_contractions(g, trace, colour_partition(g))
+        assert equivalent_contractions(g, final, trace, colour_partition(g))
         oracle_graph, _ = component_contraction(g)
         assert graphs_equal(final, oracle_graph)
 
 
 def test_equivalent_false_on_tampered_total_map():
     g = new_graph(4, [(0, 1), (1, 2), (2, 3)], [0, 0, 1, 1])
-    _, trace = contract_to_fixpoint(g)
+    final, trace = contract_to_fixpoint(g)
     tampered = ContractionTrace(
         per_iteration=trace.per_iteration,
         total_map=np.zeros(4, dtype=np.int64),  # merges the two different-colour blocks
     )
-    assert not equivalent_contractions(g, tampered, colour_partition(g))
+    assert not equivalent_contractions(g, final, tampered, colour_partition(g))
 
 
 def test_equivalent_false_on_tampered_mapping():
     g = new_graph(4, [(0, 1), (1, 2), (2, 3)], [0, 0, 1, 1])
-    _, trace = contract_to_fixpoint(g)
+    final, trace = contract_to_fixpoint(g)
     fake = ContractionMapping(n=4, n_prime=1, becomes=np.zeros(4, dtype=np.int64))
     tampered = ContractionTrace(per_iteration=trace.per_iteration[:0] + (
         type(trace.per_iteration[0])(m=3, mapping=fake, wall_time_ms=0.0),),
         total_map=np.zeros(4, dtype=np.int64))
-    assert not equivalent_contractions(g, tampered, colour_partition(g))
+    assert not equivalent_contractions(g, final, tampered, colour_partition(g))
 
 
 def test_equivalent_false_on_wrong_partition(p4):
-    _, trace = contract_to_fixpoint(p4)
+    final, trace = contract_to_fixpoint(p4)
     g2 = new_graph(4, [(0, 1), (1, 2), (2, 3)], [0, 1, 0, 1])
-    assert not equivalent_contractions(p4, trace, colour_partition(g2))
+    assert not equivalent_contractions(p4, final, trace, colour_partition(g2))
 
 
 def _partition(n, n_prime, becomes):
@@ -539,9 +538,9 @@ def _partition(n, n_prime, becomes):
 def test_equivalent_false_on_malformed_partitions_the_set_check_misreads():
     # blocks {0, 1}, {2, 3}, {4}, {5}
     g = new_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [0, 0, 1, 1, 0, 2])
-    _, trace = contract_to_fixpoint(g)
+    final, trace = contract_to_fixpoint(g)
     becomes = [0, 0, 1, 1, 2, 3]
-    assert equivalent_contractions(g, trace, _partition(6, 4, becomes))
+    assert equivalent_contractions(g, final, trace, _partition(6, 4, becomes))
     # the set check reads the fibres alone, never the orders the mapping claims
     lax = {
         "source order too large": _partition(7, 4, becomes),
@@ -549,7 +548,7 @@ def test_equivalent_false_on_malformed_partitions_the_set_check_misreads():
     }
     for name, partition in lax.items():
         assert equivalent_by_sets(g, trace, partition), name
-        assert not equivalent_contractions(g, trace, partition), name
+        assert not equivalent_contractions(g, final, trace, partition), name
     # and counts the fibres with bincount, which refuses these targets
     for name, partition in {
         "negative target": _partition(6, 4, [0, 0, 1, 1, -1, 3]),
@@ -558,7 +557,7 @@ def test_equivalent_false_on_malformed_partitions_the_set_check_misreads():
     }.items():
         with pytest.raises((ValueError, TypeError)):
             equivalent_by_sets(g, trace, partition)
-        assert not equivalent_contractions(g, trace, partition), name
+        assert not equivalent_contractions(g, final, trace, partition), name
 
 
 def test_equivalent_false_on_partitions_only_one_check_catches():
@@ -577,14 +576,14 @@ def test_equivalent_false_on_partitions_only_one_check_catches():
         "target out of range": (path, _partition(3, 2, [0, 1, 2])),
     }
     for name, (h, partition) in cases.items():
-        _, trace = contract_to_fixpoint(h)
-        assert equivalent_contractions(h, trace, colour_partition(h)), name
+        final, trace = contract_to_fixpoint(h)
+        assert equivalent_contractions(h, final, trace, colour_partition(h)), name
         assert not equivalent_by_sets(h, trace, partition), name
-        assert not equivalent_contractions(h, trace, partition), name
+        assert not equivalent_contractions(h, final, trace, partition), name
 
 
 def test_equivalent_false_on_malformed_trace(p4):
-    _, trace = contract_to_fixpoint(p4)
+    final, trace = contract_to_fixpoint(p4)
     partition = colour_partition(p4)
     first, second = trace.per_iteration
 
@@ -602,18 +601,49 @@ def test_equivalent_false_on_malformed_trace(p4):
     assert not equivalent_by_sets(p4, ContractionTrace(*cases["target out of range"]), partition)
     for name, (records, total) in cases.items():
         tampered = ContractionTrace(per_iteration=records, total_map=total)
-        assert not equivalent_contractions(p4, tampered, partition), name
+        assert not equivalent_contractions(p4, final, tampered, partition), name
 
 
-def test_equivalent_false_when_final_edges_differ(fig24, monkeypatch):
-    _, trace = contract_to_fixpoint(fig24)
+def test_equivalent_false_when_final_edges_differ(fig24):
+    final, trace = contract_to_fixpoint(fig24)
     partition = colour_partition(fig24)
-    assert equivalent_contractions(fig24, trace, partition)
-    real = engine.apply_contraction
+    assert equivalent_contractions(fig24, final, trace, partition)
+    recoloured = final.colours.copy()
+    recoloured[0] += 1
+    for name, wrong in {
+        "one edge dropped": new_graph(final.n, final.edge_array()[1:], final.colours),
+        "one vertex recoloured": new_graph(final.n, final.edge_array(), recoloured),
+        "one vertex added": new_graph(final.n + 1, final.edge_array(), np.append(final.colours, 0)),
+        "the input graph": fig24,
+    }.items():
+        assert not equivalent_contractions(fig24, wrong, trace, partition), name
 
-    def dropping_one_edge(g, mapping):
-        out = real(g, mapping)
-        return new_graph(out.n, out.edge_array()[1:], out.colours)
 
-    monkeypatch.setattr(engine, "apply_contraction", dropping_one_edge)
-    assert not equivalent_contractions(fig24, trace, partition)
+def test_equivalent_false_on_a_round_target_without_a_member(p4):
+    # target 1 of round one has no member; composed, the rounds still send
+    # every vertex to the one block, so only a per-round check sees the gap
+    final, trace = contract_to_fixpoint(p4)
+    partition = colour_partition(p4)
+    first = trace.per_iteration[0]
+    gapped = ContractionTrace(
+        per_iteration=(
+            dataclasses.replace(first, mapping=_partition(4, 3, [0, 2, 0, 2])),
+            dataclasses.replace(first, mapping=_partition(3, 1, [0, 0, 0])),
+        ),
+        total_map=np.zeros(4, dtype=np.int64),
+    )
+    assert not equivalent_by_sets(p4, gapped, partition)
+    assert not equivalent_contractions(p4, final, gapped, partition)
+
+
+def test_equivalent_accepts_unsigned_round_targets(p4, fig24):
+    for g in (p4, fig24):
+        final, trace = contract_to_fixpoint(g)
+        unsigned = ContractionTrace(
+            per_iteration=tuple(
+                dataclasses.replace(r, mapping=dataclasses.replace(r.mapping, becomes=r.mapping.becomes.astype(np.uint64)))
+                for r in trace.per_iteration
+            ),
+            total_map=trace.total_map.astype(np.uint64),
+        )
+        assert equivalent_contractions(g, final, unsigned, colour_partition(g))

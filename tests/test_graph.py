@@ -166,8 +166,8 @@ def test_unsigned_indices_give_int64_edges():
     assert edges.dtype == np.int64 and edges.tolist() == [[0, 1], [1, 2]]
     assert g.indices.dtype == np.int64 and g.indices.tolist() == [1, 0, 2, 1]
     assert serialize_graph(g) == serialize_by_join(g) == "3 2\n0 0 1\n0 1\n1 2\n"
-    _, trace = contract_to_fixpoint(g)
-    assert equivalent_contractions(g, trace, colour_partition(g)) is True
+    final, trace = contract_to_fixpoint(g)
+    assert equivalent_contractions(g, final, trace, colour_partition(g)) is True
 
 
 def _construction_message(n, keys):
