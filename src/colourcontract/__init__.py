@@ -14,7 +14,6 @@ from .engine import (
     apply_contraction,
     build_functional_digraph,
     compact_mapping,
-    compose_total_mapping,
     contract_to_fixpoint,
     equivalent_contractions,
     evaluate_contraction_mapping,
@@ -64,7 +63,6 @@ __all__ = [
     "apply_contraction",
     "evaluate_contraction_mapping",
     "contract_to_fixpoint",
-    "compose_total_mapping",
     "equivalent_contractions",
     "FibInstance",
     "FibReport",

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation or verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -36,17 +37,26 @@ def _write_text(path: str, text: str) -> None:
             handle.write(text)
 
 
+def _same_target(a: str, b: str) -> bool:
+    """Both stdout, or two paths to one file."""
+    return a == b if "-" in (a, b) else os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_contract(args: argparse.Namespace) -> int:
+    stats_target = args.stats if args.stats else ("-" if args.trace else None)
+    graph_target = args.out
+    if graph_target is None and stats_target != "-":
+        graph_target = "-"
+    # one stream or file cannot hold both the graph text and the JSON
+    if graph_target is not None and stats_target is not None and _same_target(graph_target, stats_target):
+        print(f"error: the graph and the statistics would both be written to {graph_target}", file=sys.stderr)
+        return 2
     if args.permute_seed is not None:
         check_seed(args.permute_seed)
     g = parse_graph(_read_text(args.input))
     if args.permute_seed is not None:
         g, _ = permute_enumeration(g, args.permute_seed)
     final, trace = contract_to_fixpoint(g)
-    stats_target = args.stats if args.stats else ("-" if args.trace else None)
-    graph_target = args.out
-    if graph_target is None and stats_target != "-":
-        graph_target = "-"
     if graph_target is not None:
         _write_text(graph_target, serialize_graph(final))
     if stats_target is not None:

@@ -10,6 +10,7 @@ order, and that bound is attained by the adversarial family in ``worstcase``.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Iterable
@@ -51,6 +52,13 @@ class ContractionMapping:
     ascending representative.  ``cluster_sizes``, ``representatives`` and
     ``fibres`` are derived from ``becomes`` on each access, for tests and
     other callers; the contraction path itself reads ``becomes`` alone.
+
+    Construction checks that the map is onto: ``n`` and ``n_prime`` are
+    integers with ``0 <= n_prime <= n``, ``becomes`` is an integer array of
+    shape ``(n,)`` with every target in ``0..n_prime-1``, and every target
+    has a member.  It raises ValueError otherwise (TypeError for orders that
+    are not integers), so no malformed mapping exists to be checked later.
+    ``becomes`` is stored as a read-only int64 array.
     """
 
     n: int
@@ -58,7 +66,20 @@ class ContractionMapping:
     becomes: np.ndarray
 
     def __post_init__(self) -> None:
-        self.becomes.setflags(write=False)
+        n, k = operator.index(self.n), operator.index(self.n_prime)
+        if k > n:
+            raise ValueError("mapping cannot increase the order")
+        becomes = np.asarray(self.becomes)
+        integral = becomes.shape == (n,) and becomes.dtype.kind in "iu"
+        if not integral or k < 0 or (n and (int(becomes.min()) < 0 or int(becomes.max()) >= k)):
+            raise ValueError(f"mapping of order {n} needs {n} integer targets in [0, {k})")
+        # in range, so the cast loses nothing, even from uint64
+        becomes = becomes.astype(np.int64, copy=False)
+        empty = np.flatnonzero(np.bincount(becomes, minlength=k) == 0)
+        if empty.size:
+            raise ValueError(f"target {int(empty[0])} has no member")
+        becomes.setflags(write=False)
+        object.__setattr__(self, "becomes", becomes)
 
     @property
     def is_trivial(self) -> bool:
@@ -70,7 +91,7 @@ class ContractionMapping:
 
     @property
     def representatives(self) -> np.ndarray:
-        """Smallest member of each fibre; ``n`` for a target without one."""
+        """Smallest member of each fibre."""
         reps = np.full(self.n_prime, self.n, dtype=np.int64)
         np.minimum.at(reps, self.becomes, np.arange(self.n, dtype=np.int64))
         return reps
@@ -82,11 +103,13 @@ class ContractionMapping:
         return tuple(np.split(order, np.cumsum(self.cluster_sizes)[:-1])) if self.n_prime else ()
 
     def validate(self, g: ColouredGraph) -> None:
-        """Check every structural invariant against the source graph.
+        """Check the invariants that need the source graph.
 
-        Raises ValueError on the first violation.  Covers the checks run on
-        every application, plus the numbering of targets by ascending
-        representative and the connectivity of every fibre.
+        Target range and members were checked when the mapping was built.
+        This adds the checks run on every application (the graph's order and
+        monochromatic fibres), the numbering of targets by ascending
+        representative and the connectivity of every fibre.  Raises
+        ValueError on the first violation.
         """
         _check_mapping_structure(g, self)
         reps = self.representatives
@@ -204,29 +227,16 @@ def evaluate_contraction_mapping(g: ColouredGraph) -> ContractionMapping:
     return compact_mapping(g, project_to_roots(build_functional_digraph(g)))
 
 
-def _check_targets(mapping: ContractionMapping) -> None:
-    """One integer target in 0..n_prime-1 per source vertex, as indexing by ``becomes`` needs."""
-    n, k, becomes = mapping.n, mapping.n_prime, mapping.becomes
-    integral = becomes.shape == (n,) and becomes.dtype.kind in "iu"
-    if not integral or (n and (int(becomes.min()) < 0 or int(becomes.max()) >= k)):
-        raise ValueError(f"mapping of order {n} needs {n} integer targets in [0, {k})")
-
-
 def _check_mapping_structure(g: ColouredGraph, mapping: ContractionMapping) -> np.ndarray:
-    """O(n) checks run on every application: graph order, ``n_prime <= n``,
-    target range, a member for every target, monochromatic fibres.  Returns
-    every target's colour, scattered from ``g.colours`` through ``becomes``."""
+    """O(n) checks run on every application: the graph's order and
+    monochromatic fibres (target range and members were checked when the
+    mapping was built).  Returns every target's colour, scattered from
+    ``g.colours`` through ``becomes``."""
     if mapping.n != g.n:
         raise ValueError("mapping was built for a different graph order")
-    # also bounds the scatter array below by the graph, whatever n_prime claims
-    if mapping.n_prime > mapping.n:
-        raise ValueError("mapping cannot increase the order")
-    _check_targets(mapping)
-    # colours are non-negative, so -1 survives only at a target nobody maps to
-    colours = np.full(mapping.n_prime, -1, dtype=np.int64)
+    # every target has a member, so the scatter writes every entry
+    colours = np.empty(mapping.n_prime, dtype=np.int64)
     colours[mapping.becomes] = g.colours
-    if (colours < 0).any():
-        raise ValueError(f"target {int(np.argmin(colours))} has no member")
     if not np.array_equal(colours[mapping.becomes], g.colours):
         raise ValueError("some fibre is not monochromatic")
     return colours
@@ -250,21 +260,9 @@ def _compose(n0: int, mappings: Iterable[ContractionMapping]) -> np.ndarray:
     for mapping in mappings:
         if mapping.n != width:
             raise ValueError(f"mapping chain mismatch: expected source order {width}, got {mapping.n}")
-        _check_targets(mapping)
         total = mapping.becomes[total]
         width = mapping.n_prime
     return total
-
-
-def compose_total_mapping(trace: ContractionTrace) -> np.ndarray:
-    """Compose the per-iteration mappings into one original-to-final map.
-
-    Zero iterations compose to the identity.  A chain whose orders do not
-    line up, or a round whose targets fall outside 0..n_prime-1, raises
-    ValueError.
-    """
-    n0 = trace.per_iteration[0].n if trace.per_iteration else int(trace.total_map.size)
-    return _compose(n0, (r.mapping for r in trace.per_iteration))
 
 
 def contract_to_fixpoint(g: ColouredGraph, max_iterations: int | None = None) -> tuple[ColouredGraph, ContractionTrace]:
@@ -304,56 +302,39 @@ def contract_to_fixpoint(g: ColouredGraph, max_iterations: int | None = None) ->
     return current, trace
 
 
-# what a malformed trace or partition raises from numpy indexing and from the
-# engine's own checks
-_MALFORMED = (ValueError, IndexError, TypeError)
-
-
 def equivalent_contractions(g: ColouredGraph, final: ColouredGraph, trace: ContractionTrace, partition: ContractionMapping) -> bool:
     """True when the trace and final graph of ``contract_to_fixpoint(g)``
     realise exactly the partition's contraction of g.
 
     The partition maps every vertex to its block, such as
-    ``oracle.colour_partition`` returns, in any block numbering.  Checks, in
-    order: the rounds chain from order n, each round's targets lie in
-    0..n_prime-1 and each has a member, and they compose to
+    ``oracle.colour_partition`` returns, in any block numbering.  Every
+    round and the partition were checked when they were built: each is onto
+    its targets, so a malformed one never reaches this function.  What a
+    well-formed trace, partition or final graph can still get wrong returns
+    False.  Checks, in order: the rounds chain from order n and compose to
     ``trace.total_map``, onto the last round's k targets; the partition maps
-    n vertices onto k blocks, each with a member; the fibre partition equals
-    the block partition, whatever the numbering; ``final`` has k vertices,
-    each with its fibre's colour (so every round's fibres, which lie inside
-    the composed ones, are monochromatic); and its edge set, re-expressed
-    over block indices, equals the block-level edge set of g.  ``final`` is
-    read as given, never rebuilt from the rounds.  Every comparison is a
-    whole-array pass, the edge sets as sorted keys ``lo * k + hi``.  Any
-    structural mismatch in the trace or the partition returns False rather
-    than raising.
+    n vertices onto k blocks; the fibre partition equals the block
+    partition, whatever the numbering; ``final`` has k vertices, each with
+    its fibre's colour (so every round's fibres, which lie inside the
+    composed ones, are monochromatic); and its edge set, re-expressed over
+    block indices, equals the block-level edge set of g.  ``final`` is read
+    as given, never rebuilt from the rounds.  Every comparison is a
+    whole-array pass, the edge sets as sorted keys ``lo * k + hi``.
     """
     n = g.n
     mappings = [r.mapping for r in trace.per_iteration]
     try:
         total = _compose(n, mappings)
-        # _compose checked the chain of orders and every target's range; more
-        # targets than sources leaves one without a member
-        for m in mappings:
-            if m.n_prime > m.n or (np.bincount(m.becomes.astype(np.int64, copy=False), minlength=m.n_prime) == 0).any():
-                return False
-    except _MALFORMED:
+    except ValueError:
         return False
     if not np.array_equal(total, trace.total_map):
         return False
     # every round is onto its targets, so total is onto the last round's
-    total = total.astype(np.int64, copy=False)
     k = mappings[-1].n_prime if mappings else n
 
-    if partition.n != n:
+    if partition.n != n or partition.n_prime != k:
         return False
-    try:
-        _check_targets(partition)
-    except _MALFORMED:
-        return False
-    block_of = partition.becomes.astype(np.int64, copy=False)
-    if partition.n_prime != k or (np.bincount(block_of, minlength=k) == 0).any():
-        return False
+    block_of = partition.becomes
     # corr[t] is the block of fibre t; corr[total] == block_of says that every
     # fibre lies inside one block, and as fibres and blocks are non-empty, corr
     # is then onto the k blocks: a bijection

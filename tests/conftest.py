@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -52,11 +53,18 @@ def tampered_inputs(g, final, trace, partition, rng):
     wrong ``total_map``, a wrong last-round mapping with ``total_map``
     recomputed to match it, and a wrong final graph (one edge dropped, or one
     vertex recoloured when it has no edge).  Only the last replaces ``final``.
+    A target out of range and an unused target cannot be built: for those two
+    the partition is the ValueError construction raised, its message checked.
     """
     n, k, becomes = partition.n, partition.n_prime, partition.becomes
 
     def part(targets, n_prime=k):
         return ContractionMapping(n=n, n_prime=n_prime, becomes=targets)
+
+    def refused(targets, n_prime, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            part(targets, n_prime)
+        return info.value
 
     def with_maps(records, total):
         return ContractionTrace(per_iteration=tuple(records), total_map=total)
@@ -66,7 +74,7 @@ def tampered_inputs(g, final, trace, partition, rng):
     if n:
         bad = becomes.copy()
         bad[int(rng.integers(n))] = k if rng.random() < 0.5 else n
-        out.append(("target out of range", final, trace, part(bad)))
+        out.append(("target out of range", final, trace, refused(bad, k, f"mapping of order {n} needs {n} integer targets in [0, {k})")))
     if k >= 2:
         i, j = (int(x) for x in rng.choice(k, size=2, replace=False))
         members = np.flatnonzero(becomes == i)
@@ -78,7 +86,8 @@ def tampered_inputs(g, final, trace, partition, rng):
         merged -= merged > j
         out.append(("two blocks merged", final, trace, part(merged, k - 1)))
     at = int(rng.integers(k + 1))
-    out.append(("unused target", final, trace, part(becomes + (becomes >= at), k + 1)))
+    unused = "mapping cannot increase the order" if k == n else f"target {at} has no member"
+    out.append(("unused target", final, trace, refused(becomes + (becomes >= at), k + 1, unused)))
     if n:
         total = trace.total_map.copy()
         v = int(rng.integers(n))

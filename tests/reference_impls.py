@@ -297,8 +297,8 @@ def equivalent_by_sets(g, trace, partition):
     final vertex has its block's colour, and the final edge set
     re-expressed over block indices equals the block-level edge set of g.
     Any structural mismatch in the trace returns False rather than raising;
-    the partition is read through its ``fibres`` alone, so its claimed
-    orders go unchecked, and targets ``bincount`` refuses raise.
+    every round and the partition were checked onto their targets when they
+    were built, and the partition is read through its ``fibres`` alone.
     """
     try:
         total = _compose(g.n, [r.mapping for r in trace.per_iteration])

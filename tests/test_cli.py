@@ -56,6 +56,37 @@ def test_contract_writes_both_targets(p4_file, tmp_path, capsys):
     assert json.loads(stats_path.read_text())["iterations"] == 2
 
 
+def test_contract_refuses_two_outputs_to_one_target(p4_file, tmp_path, capsys, monkeypatch):
+    # a usage error, found before the input is read: the input named here does not exist
+    missing = str(tmp_path / "missing.graph")
+    out_path = tmp_path / "both.txt"
+    monkeypatch.chdir(tmp_path)
+    for flags in (
+        ["--out", "-", "--stats", "-"],
+        ["--out", "-", "--trace"],
+        ["--out", "-", "--stats", "-", "--trace"],
+        ["--out", str(out_path), "--stats", str(out_path)],
+        ["--out", "both.txt", "--stats", str(tmp_path / "sub" / ".." / "both.txt")],
+    ):
+        for source in (p4_file, missing):
+            assert run_cli(["contract", source, *flags]) == 2, flags
+            captured = capsys.readouterr()
+            assert captured.out == "", flags
+            assert captured.err.startswith("error: "), flags
+            assert not out_path.exists(), flags
+
+
+def test_contract_distinct_targets_write_as_before(p4_file, tmp_path, capsys):
+    out_path = tmp_path / "contracted.graph"
+    assert run_cli(["contract", p4_file, "--out", str(out_path), "--stats", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["iterations"] == 2
+    assert parse_graph(out_path.read_text()).n == 1
+    for flags in (["--stats", "-"], ["--trace"]):
+        assert run_cli(["contract", p4_file, *flags]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["final_n"] == 1 and captured.err == ""
+
+
 def test_contract_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(P4_TEXT))
     assert run_cli(["contract", "-", "--stats", "-"]) == 0

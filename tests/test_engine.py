@@ -14,7 +14,6 @@ from colourcontract import (
     colour_partition,
     compact_mapping,
     component_contraction,
-    compose_total_mapping,
     contract_to_fixpoint,
     equivalent_contractions,
     evaluate_contraction_mapping,
@@ -25,6 +24,7 @@ from colourcontract import (
     project_to_roots,
     stats_dict,
 )
+from colourcontract.engine import _compose
 from reference_impls import contract_by_relabel, equivalent_by_sets, relabel_form, replay, roots_by_iterated_lookup
 
 from conftest import FIG24_EXPECTED
@@ -236,26 +236,31 @@ def test_mapping_validate_catches_tampering(p4):
     mp.validate(p4)  # the genuine mapping passes
 
 
-def test_mapping_checks_reject_an_empty_target(p4):
+def test_mapping_checks_reject_an_empty_target():
     # [0, 0, 2, 2] leaves target 1 empty; with n_prime 5 it also claims more targets than vertices
-    for n_prime, message in ((3, "^target 1 has no member$"), (5, "cannot increase the order")):
-        gap = ContractionMapping(n=4, n_prime=n_prime, becomes=np.array([0, 0, 2, 2]))
+    for n_prime, message in ((3, "^target 1 has no member$"), (5, "^mapping cannot increase the order$")):
         with pytest.raises(ValueError, match=message):
-            apply_contraction(p4, gap)
-        with pytest.raises(ValueError, match=message):
-            gap.validate(p4)
+            ContractionMapping(n=4, n_prime=n_prime, becomes=np.array([0, 0, 2, 2]))
 
 
 def test_mapping_target_check_is_shared(p4):
+    # one check at construction, whether a mapping is built directly or
+    # copied from a round with new targets
     _, trace = contract_to_fixpoint(p4)
+    first = trace.per_iteration[0].mapping
     message = r"^mapping of order 4 needs 4 integer targets in \[0, 2\)$"
-    for becomes in ([0.0, 1.0, 0.0, 1.0], [0, 1, 0], [0, 2, 0, 1], [0, -1, 0, 1]):
-        bad = ContractionMapping(n=4, n_prime=2, becomes=np.array(becomes))
+    for becomes in ([0.0, 1.0, 0.0, 1.0], [0, 1, 0], [0, 2, 0, 1], [0, -1, 0, 1], [[0, 1, 0, 1]]):
         with pytest.raises(ValueError, match=message):
-            apply_contraction(p4, bad)
-        record = dataclasses.replace(trace.per_iteration[0], mapping=bad)
+            ContractionMapping(n=4, n_prime=2, becomes=np.array(becomes))
         with pytest.raises(ValueError, match=message):
-            compose_total_mapping(ContractionTrace(per_iteration=(record,), total_map=np.zeros(4, dtype=np.int64)))
+            dataclasses.replace(first, becomes=np.array(becomes))
+
+
+def test_mapping_orders_must_be_integers():
+    with pytest.raises(TypeError):
+        ContractionMapping(n=4.0, n_prime=1, becomes=np.zeros(4, dtype=np.int64))
+    with pytest.raises(TypeError):
+        ContractionMapping(n=4, n_prime=1.0, becomes=np.zeros(4, dtype=np.int64))
 
 
 def test_mapping_validate_follows_targets_not_colours():
@@ -452,41 +457,39 @@ def test_stats_wall_time_accounts_for_whole_run():
 def test_compose_zero_iterations_is_identity():
     g = new_graph(3, [(0, 1), (1, 2)], [0, 1, 0])
     _, trace = contract_to_fixpoint(g)
-    assert compose_total_mapping(trace).tolist() == [0, 1, 2]
+    assert trace.iterations == 0
+    assert trace.total_map.tolist() == [0, 1, 2]
 
 
 def test_compose_p4(p4):
     _, trace = contract_to_fixpoint(p4)
-    assert compose_total_mapping(trace).tolist() == [0, 0, 0, 0]
-    assert np.array_equal(compose_total_mapping(trace), trace.total_map)
+    first, second = (r.mapping for r in trace.per_iteration)
+    assert first.becomes.tolist() == [0, 1, 0, 1] and second.becomes.tolist() == [0, 0]
+    assert trace.total_map.tolist() == [0, 0, 0, 0]
 
 
 def test_compose_chain_mismatch(p4, fig24):
     _, trace_a = contract_to_fixpoint(p4)
-    _, trace_b = contract_to_fixpoint(fig24)
+    final_b, trace_b = contract_to_fixpoint(fig24)
+    partition = colour_partition(fig24)
     mixed = ContractionTrace(
         per_iteration=(trace_b.per_iteration[0], trace_a.per_iteration[1]),
         total_map=np.arange(24),
     )
     with pytest.raises(ValueError, match="chain"):
-        compose_total_mapping(mixed)
+        _compose(24, [r.mapping for r in mixed.per_iteration])
+    assert equivalent_contractions(fig24, final_b, trace_b, partition)
+    assert not equivalent_contractions(fig24, final_b, mixed, partition)
 
 
 def test_compose_rejects_targets_outside_the_next_order(p4):
-    final, trace = contract_to_fixpoint(p4)
-    partition = colour_partition(p4)
-    first, second = trace.per_iteration
-
-    # a negative target and one past the round's own order, as the last round
-    # and with a round after it: both are chain mismatches
+    # a negative target and one past the round's own order cannot be built,
+    # so no trace can carry them into a composition
+    _, trace = contract_to_fixpoint(p4)
+    first = trace.per_iteration[0]
     for becomes in ([0, -1, 1, 1], [0, 2, 0, 1]):
-        record = dataclasses.replace(first, mapping=dataclasses.replace(first.mapping, becomes=np.asarray(becomes)))
-        alone = ContractionTrace(per_iteration=(record,), total_map=np.asarray(becomes))
-        chained = ContractionTrace(per_iteration=(record, second), total_map=np.zeros(4, dtype=np.int64))
-        for tampered in (alone, chained):
-            with pytest.raises(ValueError, match="targets"):
-                compose_total_mapping(tampered)
-            assert not equivalent_contractions(p4, final, tampered, partition)
+        with pytest.raises(ValueError, match=r"^mapping of order 4 needs 4 integer targets in \[0, 2\)$"):
+            dataclasses.replace(first, mapping=dataclasses.replace(first.mapping, becomes=np.asarray(becomes)))
 
 
 def test_total_map_matches_oracle_blocks(fig24):
@@ -541,23 +544,18 @@ def test_equivalent_false_on_malformed_partitions_the_set_check_misreads():
     final, trace = contract_to_fixpoint(g)
     becomes = [0, 0, 1, 1, 2, 3]
     assert equivalent_contractions(g, final, trace, _partition(6, 4, becomes))
-    # the set check reads the fibres alone, never the orders the mapping claims
-    lax = {
-        "source order too large": _partition(7, 4, becomes),
-        "target count one short": _partition(6, 3, becomes),
-    }
-    for name, partition in lax.items():
-        assert equivalent_by_sets(g, trace, partition), name
-        assert not equivalent_contractions(g, final, trace, partition), name
-    # and counts the fibres with bincount, which refuses these targets
-    for name, partition in {
-        "negative target": _partition(6, 4, [0, 0, 1, 1, -1, 3]),
-        "float targets": _partition(6, 4, [0.0, 0.0, 1.0, 1.0, 2.0, 3.0]),
-        "two-dimensional targets": _partition(6, 4, [becomes]),
+    # the set check reads the fibres alone, never the orders the mapping
+    # claims, and counts them with bincount; none of these can be built
+    for name, (n, n_prime, targets) in {
+        "source order too large": (7, 4, becomes),
+        "target count one short": (6, 3, becomes),
+        "negative target": (6, 4, [0, 0, 1, 1, -1, 3]),
+        "float targets": (6, 4, [0.0, 0.0, 1.0, 1.0, 2.0, 3.0]),
+        "two-dimensional targets": (6, 4, [becomes]),
     }.items():
-        with pytest.raises((ValueError, TypeError)):
-            equivalent_by_sets(g, trace, partition)
-        assert not equivalent_contractions(g, final, trace, partition), name
+        message = rf"^mapping of order {n} needs {n} integer targets in \[0, {n_prime}\)$"
+        with pytest.raises(ValueError, match=message):
+            _partition(n, n_prime, targets)
 
 
 def test_equivalent_false_on_partitions_only_one_check_catches():
@@ -568,40 +566,38 @@ def test_equivalent_false_on_partitions_only_one_check_catches():
     cases = {
         # colours and block-level edges agree; the target count does not
         "blocks merged": (g, _partition(6, 3, [0, 0, 1, 1, 0, 2])),
-        # as many targets as fibres, one of them unused
-        "blocks merged, an unused target added": (g, _partition(6, 4, [0, 0, 1, 1, 0, 2])),
         # as many targets as fibres, colours and block-level edges agree; a fibre straddles two blocks
         "vertex moved": (path, _partition(3, 2, [0, 0, 1])),
-        # the fibre {1, 2} split by a target past the claimed count
-        "target out of range": (path, _partition(3, 2, [0, 1, 2])),
     }
     for name, (h, partition) in cases.items():
         final, trace = contract_to_fixpoint(h)
         assert equivalent_contractions(h, final, trace, colour_partition(h)), name
         assert not equivalent_by_sets(h, trace, partition), name
         assert not equivalent_contractions(h, final, trace, partition), name
+    # as many targets as fibres, one of them unused; and the fibre {1, 2}
+    # split by a target past the claimed count: neither can be built
+    with pytest.raises(ValueError, match="^target 3 has no member$"):
+        _partition(6, 4, [0, 0, 1, 1, 0, 2])
+    with pytest.raises(ValueError, match=r"^mapping of order 3 needs 3 integer targets in \[0, 2\)$"):
+        _partition(3, 2, [0, 1, 2])
 
 
 def test_equivalent_false_on_malformed_trace(p4):
-    final, trace = contract_to_fixpoint(p4)
-    partition = colour_partition(p4)
-    first, second = trace.per_iteration
-
-    def replaced(record, becomes):
-        return dataclasses.replace(record, mapping=dataclasses.replace(record.mapping, becomes=np.asarray(becomes)))
-
+    # no malformed round can be built, so none reaches a trace
+    _, trace = contract_to_fixpoint(p4)
+    first, second = (r.mapping for r in trace.per_iteration)
     cases = {
         # round one points past the order of round two
-        "target out of range": ((replaced(first, [0, 5, 0, 1]), second), np.zeros(4, dtype=np.int64)),
-        "negative target": ((first, replaced(second, [0, -1])), np.array([0, -1, 0, -1])),
-        "float targets": ((replaced(first, [0.0, 1.0, 0.0, 1.0]), second), np.zeros(4, dtype=np.int64)),
-        "float targets in the last round": ((first, replaced(second, [0.0, 0.0])), np.zeros(4)),
-        "final map past the order": ((first, replaced(second, [0, 10**12])), np.array([0, 10**12, 0, 10**12])),
+        "target out of range": (first, [0, 5, 0, 1]),
+        "negative target": (second, [0, -1]),
+        "float targets": (first, [0.0, 1.0, 0.0, 1.0]),
+        "float targets in the last round": (second, [0.0, 0.0]),
+        "final map past the order": (second, [0, 10**12]),
     }
-    assert not equivalent_by_sets(p4, ContractionTrace(*cases["target out of range"]), partition)
-    for name, (records, total) in cases.items():
-        tampered = ContractionTrace(per_iteration=records, total_map=total)
-        assert not equivalent_contractions(p4, final, tampered, partition), name
+    for name, (mapping, becomes) in cases.items():
+        n, k = mapping.n, mapping.n_prime
+        with pytest.raises(ValueError, match=rf"^mapping of order {n} needs {n} integer targets in \[0, {k}\)$"):
+            dataclasses.replace(mapping, becomes=np.asarray(becomes))
 
 
 def test_equivalent_false_when_final_edges_differ(fig24):
@@ -619,21 +615,12 @@ def test_equivalent_false_when_final_edges_differ(fig24):
         assert not equivalent_contractions(fig24, wrong, trace, partition), name
 
 
-def test_equivalent_false_on_a_round_target_without_a_member(p4):
-    # target 1 of round one has no member; composed, the rounds still send
-    # every vertex to the one block, so only a per-round check sees the gap
-    final, trace = contract_to_fixpoint(p4)
-    partition = colour_partition(p4)
-    first = trace.per_iteration[0]
-    gapped = ContractionTrace(
-        per_iteration=(
-            dataclasses.replace(first, mapping=_partition(4, 3, [0, 2, 0, 2])),
-            dataclasses.replace(first, mapping=_partition(3, 1, [0, 0, 0])),
-        ),
-        total_map=np.zeros(4, dtype=np.int64),
-    )
-    assert not equivalent_by_sets(p4, gapped, partition)
-    assert not equivalent_contractions(p4, final, gapped, partition)
+def test_equivalent_false_on_a_round_target_without_a_member():
+    # target 1 of round one has no member; composed with a round [0, 0, 0],
+    # the rounds would still send every vertex to the one block, so only a
+    # per-round check sees the gap: construction is that check
+    with pytest.raises(ValueError, match="^target 1 has no member$"):
+        _partition(4, 3, [0, 2, 0, 2])
 
 
 def test_equivalent_accepts_unsigned_round_targets(p4, fig24):

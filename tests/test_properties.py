@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colourcontract import (
+    ContractionMapping,
     apply_contraction,
     build_functional_digraph,
     colour_neighbourhood_set,
     colour_partition,
     component_contraction,
-    compose_total_mapping,
     contract_to_fixpoint,
     equivalent_contractions,
     evaluate_contraction_mapping,
@@ -134,6 +134,31 @@ def test_oracle_partition_matches_scipy_components():
     check()
 
 
+@given(st.integers(0, 6), st.sampled_from(["int64", "int32", "uint8", "uint64", "float64"]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_mapping_construction_accepts_exactly_the_onto_maps(n, dtype, data):
+    # mostly n values in 0..k-1 with k <= n, so that onto maps turn up often
+    k = data.draw(st.one_of(st.integers(0, n), st.integers(-1, 7)))
+    size = data.draw(st.one_of(st.just(n), st.integers(0, 7)))
+    if k >= 1 and data.draw(st.booleans()):
+        low, high = 0, k - 1
+    else:
+        low, high = (0 if np.dtype(dtype).kind == "u" else -1), k + 1
+    values = data.draw(st.lists(st.integers(low, high), min_size=size, max_size=size))
+    becomes = np.array(values, dtype=dtype)
+    if data.draw(st.sampled_from([False, False, False, True])):
+        becomes = becomes.reshape(1, size)
+    onto = becomes.dtype.kind in "iu" and becomes.shape == (n,) and k >= 0 and set(values) == set(range(k))
+    try:
+        mapping = ContractionMapping(n=n, n_prime=k, becomes=becomes)
+    except ValueError:
+        assert not onto
+        return
+    assert onto
+    assert mapping.becomes.dtype == np.int64 and not mapping.becomes.flags.writeable
+    assert mapping.becomes.tolist() == values
+
+
 @given(coloured_graphs())
 @settings(max_examples=80, deadline=None)
 def test_engine_agrees_with_oracle(g):
@@ -160,6 +185,10 @@ def test_equivalence_matches_set_reference(g, seed):
     # the set check rebuilds the final graph itself, so a wrong one given is False
     final, trace = contract_to_fixpoint(g)
     for name, f, t, p in tampered_inputs(g, final, trace, colour_partition(g), np.random.default_rng(seed)):
+        if isinstance(p, ValueError):
+            # refused at construction, so no check ever sees it
+            assert name in ("target out of range", "unused target"), name
+            continue
         expected = equivalent_by_sets(g, t, p) and f is final
         assert expected == (name in ("untouched", "renumbered targets")), name
         assert equivalent_contractions(g, f, t, p) == expected, name
@@ -192,7 +221,10 @@ def test_per_iteration_invariants(g):
         for t, fibre in enumerate(mapping.fibres):
             if fibre.size == 1 and colour_neighbourhood_set(step_graph, [int(fibre[0])]).size:
                 assert int(next_mapping.cluster_sizes[next_mapping.becomes[t]]) > 1
-    assert np.array_equal(compose_total_mapping(trace), trace.total_map)
+    total = np.arange(g.n)
+    for record in trace.per_iteration:
+        total = record.mapping.becomes[total]
+    assert np.array_equal(total, trace.total_map)
 
 
 @given(coloured_graphs(), st.integers(0, 2**32 - 1))
