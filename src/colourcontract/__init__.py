@@ -35,7 +35,7 @@ from .graph_io import (
     stats_dict,
     stats_json,
 )
-from .oracle import colour_component, colour_partition, component_contraction
+from .oracle import colour_component, colour_partition
 from .worstcase import (
     FibInstance,
     FibReport,
@@ -52,7 +52,6 @@ __all__ = [
     "graphs_equal",
     "colour_component",
     "colour_partition",
-    "component_contraction",
     "ContractionMapping",
     "ContractionTrace",
     "IterationRecord",

@@ -13,10 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import contract_to_fixpoint, equivalent_contractions
+from .engine import apply_contraction, contract_to_fixpoint, equivalent_contractions
 from .generators import RandomSpec, assign_random_colours, check_seed, gen_erdos_renyi, permute_enumeration
 from .graph_io import export_dot, parse_graph, serialize_graph, stats_json
-from .oracle import colour_partition, component_contraction
+from .oracle import colour_partition
 from .worstcase import classify_roles, generate_fib_instance
 
 
@@ -66,8 +66,7 @@ def _cmd_contract(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.input))
-    contracted, _ = component_contraction(g)
-    _write_text(args.out if args.out else "-", serialize_graph(contracted))
+    _write_text(args.out if args.out else "-", serialize_graph(apply_contraction(g, colour_partition(g))))
     return 0
 
 

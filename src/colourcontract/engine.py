@@ -265,18 +265,17 @@ def _compose(n0: int, mappings: Iterable[ContractionMapping]) -> np.ndarray:
     return total
 
 
-def contract_to_fixpoint(g: ColouredGraph, max_iterations: int | None = None) -> tuple[ColouredGraph, ContractionTrace]:
+def contract_to_fixpoint(g: ColouredGraph) -> tuple[ColouredGraph, ContractionTrace]:
     """Iterate evaluation and application until nothing contracts.
 
     Returns the fully contracted graph plus a trace with one record per
     executed application.  An input already at the fixpoint (including the
     empty and one-vertex graphs) returns immediately with zero iterations.
-    ``max_iterations`` defaults to ``iteration_bound(n) + 2``; exceeding it
-    raises RuntimeError because the convergence guarantee would be broken.
+    More than ``iteration_bound(n) + 2`` applications raise RuntimeError,
+    because the convergence guarantee would be broken.
     """
     n0 = g.n
-    if max_iterations is None:
-        max_iterations = iteration_bound(n0) + 2 if n0 >= 1 else 0
+    max_iterations = iteration_bound(n0) + 2 if n0 >= 1 else 0
     records: list[IterationRecord] = []
     current = g
     while True:

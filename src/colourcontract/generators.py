@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ColouredGraph, _sorted_unique, relabel_keys
+from .graph import _MAX_ORDER, ColouredGraph, _sorted_unique, relabel_keys
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,8 @@ class RandomSpec:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("n must be non-negative")
+        if self.n >= _MAX_ORDER:
+            raise ValueError(f"n must be below {_MAX_ORDER}")
         if (self.m is None) == (self.p is None):
             raise ValueError("exactly one of m and p must be given")
         max_pairs = self.n * (self.n - 1) // 2

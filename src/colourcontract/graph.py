@@ -8,6 +8,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# the adjacency keys lo*n + hi stay inside int64 for every n below this
+_MAX_ORDER = 2**31
+
 
 @dataclass(frozen=True)
 class ColouredGraph:
@@ -77,31 +80,21 @@ def _endpoints(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def rows_of(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric adjacency rows ``(indptr, indices)`` of the edges with the
     given keys ``lo * n + hi``, strictly ascending (a graph's keys or any
-    ascending subset of them); each row strictly ascends, built with one
-    sort of the transposed keys.
+    ascending subset of them); each row strictly ascends.
 
-    Row v lists its lower neighbours, then its upper ones.  The upper
-    halves are the key order itself; sorted, the transposed keys
-    ``hi * n + lo`` list the lower halves row after row.
+    One sort of the arcs of both orientations, the keys and the transposed
+    keys ``hi * n + lo``, lists the rows one after another; an arc's
+    quotient and remainder by n are its row and its neighbour.
     """
-    m = keys.size
     lo, hi = _endpoints(n, keys)
-    upper = np.bincount(lo, minlength=n)
-    lower = np.bincount(hi, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(upper + lower, out=indptr[1:])
-    indices = np.empty(2 * m, dtype=np.int64)
-    at = np.arange(m, dtype=np.int64)
-    # edge j is entry j of the upper halves, which row lo's lower half and
-    # every earlier row's lower half precede
-    indices[at + np.cumsum(lower)[lo]] = hi
-    transposed = hi * n
-    transposed += lo
+    hi *= n
+    hi += lo
+    arcs = np.concatenate((keys, hi))
     del lo, hi
-    transposed.sort()
-    row, neighbour = divmod(transposed, max(n, 1))
-    # likewise, every earlier row's upper half precedes entry j of the lower halves
-    indices[at + (np.cumsum(upper) - upper)[row]] = neighbour
+    arcs.sort()
+    row, indices = divmod(arcs, max(n, 1))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
     return indptr, indices
 
 

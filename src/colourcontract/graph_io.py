@@ -38,7 +38,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .engine import ContractionTrace
-from .graph import ColouredGraph, new_graph
+from .graph import _MAX_ORDER, ColouredGraph, new_graph
 
 # fills for DOT output; colour ids map to ranks, ranks cycle over this palette
 _PALETTE = (
@@ -48,8 +48,6 @@ _PALETTE = (
 _ROLE_FILLS = {"P": "#c44e52", "Q": "#ccb974", "R": "#4c72b0"}
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-# the adjacency keys lo*n + hi stay inside int64 for every n below this
-_MAX_ORDER = 2**31
 
 # the line-by-line parse splits this many characters, up to the next \n, into
 # lines at a time, so it never holds every line of the text at once

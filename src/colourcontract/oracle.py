@@ -1,13 +1,14 @@
-"""Naive traversal-based reference for colour components and their contraction.
+"""Naive traversal-based reference for the colour components.
 
-This path is deliberately simple: breadth-first search over adjacency rows
-that hold only the same-colour edges (``graph.rows_within``).  It finds its
-partition independently of the iterative engine, so the two can
-cross-check each other.  What it shares with the engine is the graph layer,
-the rows, the frontier BFS ``graph._grow`` and the quotient by a labelling,
-``graph.relabel_keys``, which tests check against a set-based reference,
-and the type of its answer: a ``ContractionMapping`` numbered by smallest
-member, as a round's mapping is.  It calls no engine step function.
+This path is deliberately simple: the oracle finds its partition by
+breadth-first search alone, over adjacency rows that hold only the
+same-colour edges (``graph.rows_within``).  It finds that partition
+independently of the iterative engine, so the two can cross-check each
+other.  What it shares with the engine is the graph layer, the rows and the
+frontier BFS ``graph._grow``, and the type of its answer: a
+``ContractionMapping`` numbered by smallest member, as a round's mapping is.
+Its quotient is ``engine.apply_contraction`` of that partition, as a round's
+is; it calls no engine step that finds a partition.
 """
 
 from __future__ import annotations
@@ -15,19 +16,16 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import ContractionMapping
-from .graph import ColouredGraph, _grow, relabel_keys, rows_within
+from .graph import ColouredGraph, _grow, rows_within
 
 
 def colour_component(g: ColouredGraph, v: int) -> np.ndarray:
-    """Maximal connected monochromatic vertex set containing v, ascending.
-
-    Breadth-first over the same-colour rows: each step gathers the rows of
-    the newest frontier only and keeps the neighbours not reached before.
-    """
+    """Maximal connected monochromatic vertex set containing v, ascending:
+    v's block of ``colour_partition(g)``."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for order {g.n}")
-    indptr, indices = rows_within(g, g.colours)
-    return np.sort(_grow(indptr, indices, v, np.zeros(g.n, dtype=bool), np.empty(g.n, dtype=np.int64)))
+    block_of = colour_partition(g).becomes
+    return np.flatnonzero(block_of == block_of[v])
 
 
 def colour_partition(g: ColouredGraph) -> ContractionMapping:
@@ -50,16 +48,3 @@ def colour_partition(g: ColouredGraph) -> ContractionMapping:
             block_of[_grow(indptr, indices, v, covered, owner)] = v
     is_first = block_of == ids
     return ContractionMapping(n=g.n, n_prime=int(is_first.sum()), becomes=(np.cumsum(is_first) - 1)[block_of])
-
-
-def component_contraction(g: ColouredGraph) -> tuple[ColouredGraph, np.ndarray]:
-    """One-shot contraction: one vertex per colour component.
-
-    Returns the contracted graph and the vertex-to-block map.  Block-internal
-    edges vanish; edges between blocks collapse to a single edge.
-    """
-    partition = colour_partition(g)
-    k, block_of = partition.n_prime, partition.becomes
-    colours = np.empty(k, dtype=np.int64)
-    colours[block_of] = g.colours
-    return ColouredGraph(n=k, colours=colours, keys=relabel_keys(g, block_of, k)), block_of

@@ -13,7 +13,8 @@ engine on purpose: ``equivalent_by_sets``, the set-based form of
 application, and differs in how it compares and in rebuilding the final
 graph by applying every round in turn, where the package checks the final
 graph the engine returned; ``replay`` rebuilds the graph before every
-round of a trace the same way; ``fib_by_growth`` builds the worst-case family by running one engine
+round of a trace the same way; ``component_orders`` reads a trace's rounds
+and composes them itself; ``fib_by_growth`` builds the worst-case family by running one engine
 evaluation per level, the construction that the closed-form generator
 replaced.
 """
@@ -382,3 +383,31 @@ def fib_by_growth(level):
         roles = ("P",) * k + ("R",) * (n - k) + ("Q",) * k
         prev_order = n
     return g, roles, prev_order
+
+
+def component_orders(g, trace):
+    """Orders of every final vertex's component, round by round, as a
+    (rounds + 1, k) array: entry (j, c) counts the vertices of the graph
+    after j rounds (row 0: g; the last row: the final graph, all ones) that
+    final vertex c collects.  The rounds are composed one gather at a time;
+    per round, one unique of the keys ``total_map * k_j + composed_j``, k_j
+    the order after j rounds, lists each final vertex's distinct vertices
+    after j rounds, and a bincount counts them."""
+    total = trace.total_map
+    k = trace.per_iteration[-1].n_prime if trace.iterations else g.n
+    composed = np.arange(g.n, dtype=np.int64)
+    rows = [np.bincount(total, minlength=k)]
+    for record in trace.per_iteration:
+        composed, width = record.mapping.becomes[composed], record.n_prime
+        rows.append(np.bincount(np.unique(total * width + composed) // width, minlength=k))
+    return np.array(rows)
+
+
+def r_star(s):
+    """The paper's sharp round bound for a component of order s >= 1: the
+    largest i with F(i + 2) <= s, F the Fibonacci numbers."""
+    i, f, f_next = 0, 1, 2  # F(i + 2), F(i + 3)
+    while f_next <= s:
+        i += 1
+        f, f_next = f_next, f + f_next
+    return i

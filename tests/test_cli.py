@@ -326,6 +326,13 @@ def test_input_that_is_not_utf8_is_a_failure(tmp_path, monkeypatch, capsys):
     assert _contract_bytes(tmp_path, monkeypatch, capsys, P4_TEXT.encode("latin-1"))[0] == (0, "1 0\n0\n", "")
 
 
+def test_gen_random_refuses_an_order_the_text_format_cannot_hold(capsys):
+    # parse_graph refuses n = 2**31, so gen never writes it, nor allocates for it
+    for edges in (["--m", "0"], ["--p", "0.5"]):
+        assert run_cli(["gen", "random", "--n", "2147483648", *edges, "--colours", "1", "--seed", "0"]) == 1, edges
+        assert capsys.readouterr() == ("", "error: n must be below 2147483648\n"), edges
+
+
 def test_missing_file_is_failure_not_usage_error(capsys):
     assert run_cli(["contract", "/nonexistent/xyz.graph"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from colourcontract import (
     permute_enumeration,
 )
 from colourcontract import generators
+from colourcontract.graph import _MAX_ORDER
 from reference_impls import sample_pairs_by_set
 
 
@@ -35,6 +36,14 @@ def test_spec_validates_ranges():
         RandomSpec(n=5, m=2, colours=0)
     with pytest.raises(ValueError):
         RandomSpec(n=5, m=2, seed=-3)
+
+
+def test_spec_refuses_an_order_the_text_format_cannot_hold():
+    # refused at construction, before gen_erdos_renyi allocates n colours
+    for edges in ({"m": 0}, {"p": 0.5}):
+        with pytest.raises(ValueError, match=f"^n must be below {_MAX_ORDER}$"):
+            RandomSpec(n=_MAX_ORDER, **edges)
+        assert RandomSpec(n=_MAX_ORDER - 1, **edges).n == 2**31 - 1
 
 
 def test_negative_seed_is_refused_before_drawing():

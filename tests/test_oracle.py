@@ -5,11 +5,11 @@ import pytest
 
 from colourcontract import (
     RandomSpec,
+    apply_contraction,
     assign_random_colours,
     colour_component,
     colour_neighbourhood_set,
     colour_partition,
-    component_contraction,
     gen_erdos_renyi,
     graphs_equal,
     new_graph,
@@ -136,37 +136,41 @@ def test_partition_monochromatic_connected_gives_one_block(p4):
 
 def test_contraction_of_proper_graph_is_identity():
     g = new_graph(3, [(0, 1), (1, 2)], [0, 1, 0])
-    contracted, block_of = component_contraction(g)
+    partition = colour_partition(g)
+    contracted = apply_contraction(g, partition)
     assert graphs_equal(contracted, g)
-    assert block_of.tolist() == [0, 1, 2]
+    assert partition.becomes.tolist() == [0, 1, 2]
 
 
 def test_contraction_p4_to_point(p4):
-    contracted, block_of = component_contraction(p4)
+    partition = colour_partition(p4)
+    contracted = apply_contraction(p4, partition)
     assert contracted.n == 1 and contracted.m == 0
-    assert block_of.tolist() == [0, 0, 0, 0]
+    assert partition.becomes.tolist() == [0, 0, 0, 0]
 
 
 def test_contraction_figure_graph(fig24):
-    contracted, block_of = component_contraction(fig24)
+    partition = colour_partition(fig24)
+    contracted = apply_contraction(fig24, partition)
     assert contracted.n == FIG24_EXPECTED["final_n"]
     assert contracted.m == FIG24_EXPECTED["final_m"]
     assert contracted.colours.tolist() == FIG24_EXPECTED["final_colours"]
     assert [tuple(e) for e in contracted.edge_array().tolist()] == FIG24_EXPECTED["final_edges"]
-    k, edges, colours = contract_by_relabel(fig24, block_of)
+    k, edges, colours = contract_by_relabel(fig24, partition.becomes)
     assert k == contracted.n
     assert edges == {tuple(e) for e in contracted.edge_array().tolist()}
     assert colours == contracted.colours.tolist()
 
 
 def test_contraction_idempotent(fig24):
-    once, _ = component_contraction(fig24)
-    twice, _ = component_contraction(once)
+    once = apply_contraction(fig24, colour_partition(fig24))
+    twice = apply_contraction(once, colour_partition(once))
     assert graphs_equal(once, twice)
     assert once.is_properly_coloured()
 
 
 def test_contraction_empty_graph():
     g = new_graph(0, [], [])
-    contracted, block_of = component_contraction(g)
-    assert contracted.n == 0 and block_of.size == 0
+    partition = colour_partition(g)
+    contracted = apply_contraction(g, partition)
+    assert contracted.n == 0 and partition.becomes.size == 0

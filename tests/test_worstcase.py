@@ -11,9 +11,10 @@ from colourcontract import (
     generate_fib_instance,
     graphs_equal,
     iteration_bound,
+    new_graph,
     verify_fib_instance,
 )
-from reference_impls import fib_by_growth
+from reference_impls import component_orders, fib_by_growth, r_star
 
 
 def test_fib_number_values():
@@ -155,3 +156,89 @@ def test_generator_runs_no_engine_code(monkeypatch):
     assert inst.graph.n == fib_number(14) and inst.graph.m == fib_number(14) - 1
     monkeypatch.undo()
     assert graphs_equal(inst.graph, fib_by_growth(12)[0])
+
+
+# ------------------------------------------- the sharp bound, per component
+
+# connected labelled graphs on s vertices, and how many of them need r_star(s) rounds
+CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
+NEEDING_THE_BOUND = {1: 1, 2: 1, 3: 1, 4: 17, 5: 2, 6: 128}
+
+
+def _edge_sets_union(n, masks):
+    """Disjoint union of the one-colour graphs on n vertices whose edge sets
+    are the given bit masks over the pairs (i, j), i < j, in lexicographic
+    order: graph number t of the union sits on vertices t*n .. t*n + n - 1."""
+    lo, hi = np.triu_indices(n, 1)
+    which, bit = np.nonzero((np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(lo.size)) & 1)
+    order = n * len(masks)
+    return new_graph(order, np.column_stack([which * n + lo[bit], which * n + hi[bit]]), np.zeros(order, dtype=np.int64))
+
+
+def _per_component(g):
+    """Per final vertex: its smallest original vertex, its component's order
+    and the rounds in which that component still had more than one vertex."""
+    _, trace = contract_to_fixpoint(g)
+    orders = component_orders(g, trace)
+    smallest = np.unique(trace.total_map, return_index=True)[1]
+    return smallest, orders, (orders[:-1] > 1).sum(axis=0)
+
+
+def _assert_round_law(orders):
+    """n_j >= n_{j+1} + n_{j+2} for every component while n_{j+1} > 1."""
+    for j in range(orders.shape[0] - 2):
+        open_ = orders[j + 1] > 1
+        assert (orders[j][open_] >= orders[j + 1][open_] + orders[j + 2][open_]).all(), j
+
+
+@pytest.fixture(scope="module")
+def all_small_graphs():
+    """For n = 1..6, every labelled one-colour graph on n vertices, as one
+    disjoint union (n = 6: 2**15 graphs, 196 608 vertices, 245 760 edges),
+    contracted once."""
+    unions = {}
+    for n in range(1, 7):
+        g = _edge_sets_union(n, range(2 ** (n * (n - 1) // 2)))
+        unions[n] = (g, *_per_component(g))
+    assert unions[6][0].n == 196608 and unions[6][0].m == 245760
+    return unions
+
+
+def test_every_component_order_up_to_six_attains_the_sharp_bound(all_small_graphs):
+    for n, (g, _, orders, rounds) in all_small_graphs.items():
+        sizes = orders[0]
+        assert sizes.sum() == g.n
+        for s in range(1, n + 1):
+            assert rounds[sizes == s].max() == r_star(s) == iteration_bound(s), (n, s)
+        _assert_round_law(orders)
+
+
+def test_counts_of_connected_graphs_needing_the_sharp_bound(all_small_graphs):
+    for s in range(1, 7):
+        _, _, orders, rounds = all_small_graphs[s]
+        connected = orders[0] == s
+        assert connected.sum() == CONNECTED[s], s
+        assert (rounds[connected] == r_star(s)).sum() == NEEDING_THE_BOUND[s], s
+
+
+def test_a_component_contracts_in_the_union_as_it_does_alone(all_small_graphs):
+    g, smallest, orders, rounds = all_small_graphs[6]
+    worst = np.flatnonzero((orders[0] == 6) & (rounds == 3))
+    picked = np.unique(np.concatenate([smallest[worst[::40]] // 6, np.random.default_rng(0).integers(0, 2**15, 8)]))
+    for mask in picked.tolist():
+        alone = _edge_sets_union(6, [mask])
+        smallest_alone, orders_alone, rounds_alone = _per_component(alone)
+        for c, v in enumerate(smallest_alone.tolist()):
+            u = int(np.searchsorted(smallest, mask * 6 + v))
+            assert smallest[u] == mask * 6 + v, (mask, v)
+            assert rounds[u] == rounds_alone[c], (mask, v)
+            assert np.array_equal(orders[: rounds[u] + 1, u], orders_alone[: rounds_alone[c] + 1, c]), (mask, v)
+
+
+def test_worst_case_family_meets_the_round_law_with_equality():
+    for i in range(2, 17):
+        g = generate_fib_instance(i).graph
+        _, orders, rounds = _per_component(g)
+        assert orders.shape == (i + 1, 1) and rounds.tolist() == [i] == [r_star(g.n)], i
+        n_j = orders[:, 0]
+        assert (n_j[:-2] == n_j[1:-1] + n_j[2:]).all(), i
