@@ -171,4 +171,4 @@ def permute_enumeration(g: ColouredGraph, seed: int) -> tuple[ColouredGraph, np.
     perm = _rng(seed).permutation(g.n).astype(np.int64)
     colours = np.empty(g.n, dtype=np.int64)
     colours[perm] = g.colours
-    return ColouredGraph(n=g.n, colours=colours, keys=relabel_keys(g, perm, g.n)), perm
+    return ColouredGraph(n=g.n, colours=colours, keys=relabel_keys(g.n, g.keys, perm, g.n)), perm

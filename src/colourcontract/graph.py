@@ -221,12 +221,13 @@ def _pair_keys(a: np.ndarray, b: np.ndarray, k: int, out: np.ndarray | None = No
     return _sorted_unique(keys)
 
 
-def relabel_keys(g: ColouredGraph, label: np.ndarray, k: int) -> np.ndarray:
-    """Sorted distinct keys ``min * k + max`` of g's edges taken through
+def relabel_keys(n: int, keys: np.ndarray, label: np.ndarray, k: int) -> np.ndarray:
+    """Sorted distinct keys ``min * k + max`` of the edges with the given
+    keys ``lo * n + hi`` (a graph's keys or any subset of them) taken through
     ``label``, one integer in 0..k-1 per vertex (the graph built from the
     keys checks them): the edge set of the quotient by the labelling.  Edges
     inside one label vanish; parallel ones collapse."""
-    lo, hi = g.endpoints()
+    lo, hi = _endpoints(n, keys)
     label = label.astype(np.int64, copy=False)
     a, b = label[lo], label[hi]
     del lo, hi

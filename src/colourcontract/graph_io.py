@@ -338,7 +338,11 @@ def export_dot(g: ColouredGraph, role_labels: Iterable[str] | None = None) -> st
 def stats_dict(initial: ColouredGraph, final: ColouredGraph, trace: ContractionTrace, include_trace: bool = False) -> dict:
     """JSON-ready summary of one contraction run: totals plus per-iteration
     rows numbered from 1, and the peak resident set size of this process so
-    far in MB (``ru_maxrss``, which Linux gives in KiB)."""
+    far in MB (``ru_maxrss``, which Linux gives in KiB).
+
+    A row's ``m_before`` is ``IterationRecord.m``: the same-colour edges the
+    round read, not every edge of the graph before it.  ``m0`` and
+    ``final_m`` count every edge."""
     per_iteration = []
     for k, r in enumerate(trace.per_iteration, start=1):
         row = {"iteration": k, "n_before": r.n, "m_before": r.m, "n_after": r.n_prime, "wall_time_ms": r.wall_time_ms}

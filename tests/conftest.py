@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from colourcontract import ContractionMapping, ContractionTrace, new_graph
+from colourcontract import ContractionMapping, ContractionTrace, evaluate_contraction_mapping, graphs_equal, new_graph
+from reference_impls import replay
 
 # path on four vertices taking two iterations: 0-2-3-1 in one colour
 P4_EDGES = [(0, 2), (1, 3), (2, 3)]
@@ -115,3 +116,19 @@ def tampered_inputs(g, final, trace, partition, rng):
             colours[int(rng.integers(final.n))] += 1
         out.append(("wrong final", new_graph(final.n, edges, colours), trace, partition))
     return out
+
+
+def check_whole_edge_rounds(g, final, trace):
+    """A run of ``contract_to_fixpoint(g)``, whose rounds read only the
+    same-colour edges, against rounds over every edge (``replay``'s graphs):
+    round k's targets are what evaluating replay's k-th graph gives, its
+    ``m`` counts that graph's same-colour edges, replay's last graph is at
+    the fixpoint, and ``final`` equals it."""
+    graphs = replay(g, trace)
+    for k, record in enumerate(trace.per_iteration):
+        whole = graphs[k]
+        assert np.array_equal(record.mapping.becomes, evaluate_contraction_mapping(whole).becomes), f"round {k + 1}"
+        lo, hi = whole.endpoints()
+        assert record.m == int((whole.colours[lo] == whole.colours[hi]).sum()), f"round {k + 1}"
+    assert evaluate_contraction_mapping(graphs[-1]).is_trivial
+    assert graphs_equal(final, graphs[-1])

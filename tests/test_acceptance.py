@@ -31,7 +31,7 @@ from colourcontract import (
     verify_fib_instance,
 )
 
-from conftest import FIG24_COLOURS, FIG24_EDGES, FIG24_EXPECTED, P4_EDGES, tampered_inputs
+from conftest import FIG24_COLOURS, FIG24_EDGES, FIG24_EXPECTED, P4_EDGES, check_whole_edge_rounds, tampered_inputs
 from reference_impls import (
     contract_by_relabel,
     equivalent_by_sets,
@@ -261,6 +261,22 @@ def test_criterion_5_scratchpad_variants_identical():
         True,
         f"{rounds} rounds, {elapsed:.1f}s",
     )
+
+
+def test_criterion_5_same_colour_rounds_equal_whole_edge_rounds():
+    # the rounds read only the same-colour edges and the cross-colour ones
+    # are relabelled once, at the end: every round's targets, every round's
+    # same-colour edge count and the final graph must be what rounds over
+    # every edge give
+    rounds = 0
+    for i, g in _random_corpus():
+        final, trace = contract_to_fixpoint(g)
+        try:
+            check_whole_edge_rounds(g, final, trace)
+        except AssertionError as failure:
+            raise AssertionError(f"case {i}: {failure}") from None
+        rounds += trace.iterations
+    _report("criterion 5, rounds over the same-colour edges equal whole-edge rounds on all 512 cases", rounds > 512, f"{rounds} rounds")
 
 
 def test_criterion_6_large_scale_statistics():

@@ -8,7 +8,9 @@ from colourcontract import (
     ColouredGraph,
     ContractionMapping,
     ContractionTrace,
+    RandomSpec,
     apply_contraction,
+    assign_random_colours,
     build_functional_digraph,
     colour_neighbourhood_set,
     colour_partition,
@@ -16,6 +18,7 @@ from colourcontract import (
     contract_to_fixpoint,
     equivalent_contractions,
     evaluate_contraction_mapping,
+    gen_erdos_renyi,
     generate_fib_instance,
     graphs_equal,
     iteration_bound,
@@ -27,7 +30,7 @@ from colourcontract import engine
 from colourcontract.engine import _compose
 from reference_impls import contract_by_relabel, equivalent_by_sets, relabel_form, replay, roots_by_iterated_lookup
 
-from conftest import FIG24_EXPECTED
+from conftest import FIG24_EXPECTED, check_whole_edge_rounds
 
 
 # ---------------------------------------------------------------- bound
@@ -392,10 +395,11 @@ def test_merge_duplicate_heavy_and_edgeless():
 # ---------------------------------------------------------- full runs
 
 def test_fixpoint_already_proper():
+    # only cross-colour edges: no round runs, and the input itself comes back
     g = new_graph(3, [(0, 1), (1, 2)], [0, 1, 0])
     final, trace = contract_to_fixpoint(g)
     assert trace.iterations == 0
-    assert graphs_equal(final, g)
+    assert final is g
     assert trace.total_map.tolist() == [0, 1, 2]
     assert trace.per_iteration == ()
 
@@ -403,7 +407,23 @@ def test_fixpoint_already_proper():
 def test_fixpoint_degenerate_orders():
     for g in (new_graph(0, [], []), new_graph(1, [], [0])):
         final, trace = contract_to_fixpoint(g)
-        assert trace.iterations == 0 and graphs_equal(final, g)
+        assert trace.iterations == 0 and final is g
+
+
+def test_rounds_read_only_same_colour_edges():
+    # one colour: round 1 reads every edge, and no edge is left to relabel
+    g = generate_fib_instance(12).graph
+    final, trace = contract_to_fixpoint(g)
+    assert trace.iterations == 12 and trace.per_iteration[0].m == g.m
+    assert (final.n, final.m) == (1, 0)
+    check_whole_edge_rounds(g, final, trace)
+    # 64 colours: almost every edge joins two colours, never read by a round,
+    # and reaches the final graph through the composed map
+    g = assign_random_colours(gen_erdos_renyi(RandomSpec(n=3000, m=24000, seed=0)), 64, seed=1)
+    final, trace = contract_to_fixpoint(g)
+    assert trace.iterations >= 2 and trace.per_iteration[0].m < g.m // 32
+    assert final.m > g.m // 2
+    check_whole_edge_rounds(g, final, trace)
 
 
 def test_fixpoint_p4(p4):
@@ -452,6 +472,20 @@ def test_stats_wall_time_accounts_for_whole_run():
         assert stats["total_wall_time_ms"] <= outer_ms
         ratios.append(stats["total_wall_time_ms"] / outer_ms)
     assert max(ratios) >= 0.8, ratios
+
+
+def test_finish_wall_time_counts_the_final_relabelling(monkeypatch, fig24):
+    # the cross-colour edges are relabelled after the last round, inside the finish
+    real = engine.relabel_keys
+
+    def slow(n, keys, label, k):
+        time.sleep(0.05)
+        return real(n, keys, label, k)
+
+    monkeypatch.setattr(engine, "relabel_keys", slow)
+    final, trace = contract_to_fixpoint(fig24)
+    assert trace.iterations == 1 and final.m == FIG24_EXPECTED["final_m"]
+    assert trace.finish_wall_time_ms >= 50.0
 
 
 # ---------------------------------------------------------- composition

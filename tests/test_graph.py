@@ -117,7 +117,7 @@ def test_new_graph_leaves_the_callers_edges_unchanged():
 def test_relabel_keys_of_empty_edge_sets():
     for g in (new_graph(0, [], []), new_graph(3, [], [0, 1, 2])):
         for label, k in ((np.zeros(g.n, dtype=np.int64), 1), (np.arange(g.n), g.n), (np.arange(g.n) % 2, 5)):
-            keys = relabel_keys(g, label, k)
+            keys = relabel_keys(g.n, g.keys, label, k)
             assert keys.dtype == np.int64 and keys.size == 0
             assert contract_by_relabel(g, label)[1] == set()
 

@@ -23,7 +23,7 @@ from colourcontract import (
     serialize_graph,
 )
 from colourcontract.graph import relabel_keys, rows_of, rows_within
-from conftest import tampered_inputs
+from conftest import check_whole_edge_rounds, tampered_inputs
 from reference_impls import (
     adjacency,
     contract_by_relabel,
@@ -77,7 +77,7 @@ def test_relabel_keys_matches_set_reference(g, data):
     ]
     for label, k in labellings:
         label = np.array(label, dtype=np.int64)
-        keys = relabel_keys(g, label, k)
+        keys = relabel_keys(g.n, g.keys, label, k)
         want = sorted(a * k + b for a, b in contract_by_relabel(g, label)[1])
         assert keys.dtype == np.int64 and keys.tolist() == want
 
@@ -253,6 +253,13 @@ def test_scratchpad_variants_observationally_identical(g):
     for k, record in enumerate(trace.per_iteration):
         assert relabel_form(graphs[k + 1]) == contract_by_relabel(graphs[k], record.mapping.becomes.tolist())
     assert relabel_form(final) == contract_by_relabel(g, trace.total_map.tolist())
+
+
+@given(coloured_graphs())
+@settings(max_examples=100, deadline=None)
+def test_same_colour_rounds_equal_whole_edge_rounds(g):
+    final, trace = contract_to_fixpoint(g)
+    check_whole_edge_rounds(g, final, trace)
 
 
 @given(coloured_graphs())
