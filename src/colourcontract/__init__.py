@@ -38,11 +38,9 @@ from .graph_io import (
 from .oracle import colour_component, colour_partition
 from .worstcase import (
     FibInstance,
-    FibReport,
     classify_roles,
     fib_number,
     generate_fib_instance,
-    verify_fib_instance,
 )
 
 __all__ = [
@@ -64,10 +62,8 @@ __all__ = [
     "contract_to_fixpoint",
     "equivalent_contractions",
     "FibInstance",
-    "FibReport",
     "fib_number",
     "generate_fib_instance",
-    "verify_fib_instance",
     "classify_roles",
     "RandomSpec",
     "gen_erdos_renyi",

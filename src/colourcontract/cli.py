@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import apply_contraction, contract_to_fixpoint, equivalent_contractions
+from .engine import ContractionMapping, apply_contraction, contract_to_fixpoint, equivalent_contractions
 from .generators import RandomSpec, assign_random_colours, check_seed, gen_erdos_renyi, permute_enumeration
 from .graph_io import export_dot, parse_graph, serialize_graph, stats_json
 from .oracle import colour_partition
@@ -70,15 +70,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _block_minima(block_of: np.ndarray) -> np.ndarray:
-    """Every vertex labelled by the smallest vertex of its block, so two
-    labellings of one partition give equal arrays whatever the block numbers."""
-    n = block_of.size
-    minima = np.full(int(block_of.max()) + 1 if n else 0, n, dtype=np.int64)
-    np.minimum.at(minima, block_of, np.arange(n, dtype=np.int64))
-    return minima[block_of]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     # every seed is checked before any work, so a bad one prints no result
     for seed in args.seeds or []:
@@ -88,13 +79,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     partition = colour_partition(g)
     ok = equivalent_contractions(g, final, trace, partition)
     print(f"base: {'equivalent' if ok else 'MISMATCH'} (iterations={trace.iterations}, blocks={partition.n_prime})")
-    base_blocks = _block_minima(trace.total_map) if args.seeds else None
+    # every vertex labelled by the smallest member of its block, so two
+    # labellings of one partition compare equal whatever the block numbers
+    if args.seeds:
+        base_blocks = ContractionMapping(n=g.n, n_prime=final.n, becomes=trace.total_map).representatives[trace.total_map]
     for seed in args.seeds or []:
         h, perm = permute_enumeration(g, seed)
         final_h, trace_h = contract_to_fixpoint(h)
         ok_h = equivalent_contractions(h, final_h, trace_h, colour_partition(h))
         # original vertex v is vertex perm[v] of h
-        stable = np.array_equal(_block_minima(trace_h.total_map[perm]), base_blocks)
+        blocks_h = trace_h.total_map[perm]
+        stable = np.array_equal(ContractionMapping(n=g.n, n_prime=final_h.n, becomes=blocks_h).representatives[blocks_h], base_blocks)
         ok = ok and ok_h and stable
         print(f"seed {seed}: {'equivalent' if ok_h else 'MISMATCH'}, partition {'stable' if stable else 'UNSTABLE'} under relabelling")
     print(f"verify: {'OK' if ok else 'FAILED'}")

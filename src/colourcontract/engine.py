@@ -157,9 +157,10 @@ class ContractionTrace:
 
     ``total_map`` sends every original vertex to its final vertex.
     ``finish_wall_time_ms`` is the time after the last application: the
-    evaluation that finds the fixpoint, the composition of ``total_map`` and
-    the relabelling of the cross-colour edges into the final graph (with no
-    application, the split of the edges by colour too).  The rounds and the
+    composition of ``total_map`` and the relabelling of the cross-colour
+    edges into the final graph (with no application, the split of the edges
+    by colour too).  No evaluation is needed to find the fixpoint: the
+    rounds stop when the same-colour graph has no edge.  The rounds and the
     finish together cover the whole ``contract_to_fixpoint`` call.
     """
 
@@ -282,7 +283,7 @@ def _compose(n0: int, mappings: Iterable[ContractionMapping]) -> np.ndarray:
 
 
 def contract_to_fixpoint(g: ColouredGraph) -> tuple[ColouredGraph, ContractionTrace]:
-    """Iterate evaluation and application until nothing contracts.
+    """Iterate evaluation and application until no same-colour edge is left.
 
     A round reads only the edges inside one colour: a vertex's pointer
     depends on its same-colour neighbours alone, and every fibre is
@@ -306,15 +307,15 @@ def contract_to_fixpoint(g: ColouredGraph) -> tuple[ColouredGraph, ContractionTr
     same = g.colours[lo] == g.colours[hi]
     del lo, hi
     current = g if same.all() else ColouredGraph(n=n0, colours=g.colours, keys=g.keys[same])
-    while True:
-        mapping = evaluate_contraction_mapping(current)
-        if mapping.is_trivial:
-            break
+    # every edge of current joins one colour and points its upper end at its
+    # lower one, so the mapping is trivial exactly when no edge is left
+    while current.m:
         if len(records) >= max_iterations:
             raise RuntimeError(
                 f"no fixpoint after {max_iterations} iterations at order {current.n}; "
                 "the convergence guarantee is broken"
             )
+        mapping = evaluate_contraction_mapping(current)
         contracted = apply_contraction(current, mapping)
         t1 = time.perf_counter()
         records.append(IterationRecord(m=current.m, mapping=mapping, wall_time_ms=(t1 - t0) * 1000.0))
@@ -322,8 +323,8 @@ def contract_to_fixpoint(g: ColouredGraph) -> tuple[ColouredGraph, ContractionTr
     total = _compose(n0, [r.mapping for r in records])
     final = g
     if records:
-        # at the fixpoint the same-colour quotient has no edge left, so the
-        # final graph's edges are the cross-colour ones, relabelled
+        # the same-colour quotient has no edge left, so the final graph's
+        # edges are the cross-colour ones, relabelled
         k = current.n
         final = ColouredGraph(n=k, colours=current.colours, keys=relabel_keys(n0, g.keys[~same], total, k))
     trace = ContractionTrace(

@@ -7,7 +7,8 @@ has order 1 or 2, and the step map is the closed form
 contraction step reproduces level i - 1 exactly and the full run takes
 exactly i iterations, matching iteration_bound.  The generator builds the
 edge list straight from that closed form, without running the engine, so the
-tightness checks in ``verify_fib_instance`` are an independent cross-check.
+tightness checks in the tests (``tests/test_worstcase.py``, every level
+0-22) are an independent cross-check of the engine.
 """
 
 from __future__ import annotations
@@ -16,13 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    apply_contraction,
-    contract_to_fixpoint,
-    evaluate_contraction_mapping,
-    iteration_bound,
-)
-from .graph import ColouredGraph, graphs_equal, new_graph
+from .engine import evaluate_contraction_mapping
+from .graph import ColouredGraph, new_graph
 
 ROLE_PAIR_ROOT = "P"  # representative of a two-vertex cluster (a fresh leaf)
 ROLE_NON_ROOT = "Q"   # non-representative member of a cluster
@@ -43,12 +39,11 @@ def fib_number(j: int) -> int:
 
 @dataclass(frozen=True)
 class FibInstance:
-    """One level of the family: the graph, per-vertex roles, previous order."""
+    """One level of the family: the graph and its per-vertex roles."""
 
     graph: ColouredGraph
     level: int
     roles: tuple[str, ...]
-    prev_order: int
 
 
 def generate_fib_instance(level: int) -> FibInstance:
@@ -73,10 +68,10 @@ def generate_fib_instance(level: int) -> FibInstance:
         n, k = n + k, n
     graph = new_graph(order, edges, np.zeros(order, dtype=np.int64))
     if level == 0:
-        return FibInstance(graph=graph, level=0, roles=(ROLE_LONE_ROOT,), prev_order=0)
+        return FibInstance(graph=graph, level=0, roles=(ROLE_LONE_ROOT,))
     pairs = fib_number(level)
     roles = (ROLE_PAIR_ROOT,) * pairs + (ROLE_LONE_ROOT,) * fib_number(level - 1) + (ROLE_NON_ROOT,) * pairs
-    return FibInstance(graph=graph, level=level, roles=roles, prev_order=fib_number(level + 1))
+    return FibInstance(graph=graph, level=level, roles=roles)
 
 
 def classify_roles(g: ColouredGraph) -> tuple[str, ...]:
@@ -90,101 +85,3 @@ def classify_roles(g: ColouredGraph) -> tuple[str, ...]:
     roles = np.full(g.n, ROLE_NON_ROOT)
     roles[mapping.representatives] = np.where(mapping.cluster_sizes > 1, ROLE_PAIR_ROOT, ROLE_LONE_ROOT)
     return tuple(roles.tolist())
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class FibReport:
-    """Outcome of verifying one instance; failures are enumerated, not raised."""
-
-    level: int
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-
-def _expected_roles(level: int) -> tuple[str, ...]:
-    if level == 0:
-        return (ROLE_LONE_ROOT,)
-    pair_roots = fib_number(level)        # leaves added at this level
-    reps = fib_number(level + 1)          # all representatives
-    order = fib_number(level + 2)
-    return tuple(
-        ROLE_PAIR_ROOT if v < pair_roots else (ROLE_LONE_ROOT if v < reps else ROLE_NON_ROOT)
-        for v in range(order)
-    )
-
-
-def verify_fib_instance(inst: FibInstance) -> FibReport:
-    """Re-check every defining property of a generated instance."""
-    i = inst.level
-    g = inst.graph
-    checks: list[CheckResult] = []
-
-    expected_order = fib_number(i + 2)
-    monochrome = np.unique(g.colours).size <= 1
-    checks.append(
-        CheckResult(
-            "order",
-            g.n == expected_order and monochrome,
-            f"order {g.n}, expected {expected_order}, monochromatic {monochrome}",
-        )
-    )
-
-    if i == 0:
-        checks.append(CheckResult("step_map", True, "not applicable at level 0"))
-        checks.append(CheckResult("step_graph", True, "not applicable at level 0"))
-    else:
-        prev_n = fib_number(i + 1)
-        mapping = evaluate_contraction_mapping(g)
-        idx = np.arange(g.n, dtype=np.int64)
-        closed_form = np.where(idx < prev_n, idx, idx - prev_n)
-        checks.append(
-            CheckResult(
-                "step_map",
-                mapping.n_prime == prev_n and np.array_equal(mapping.becomes, closed_form),
-                f"n_prime {mapping.n_prime}, expected {prev_n}",
-            )
-        )
-        previous = generate_fib_instance(i - 1)
-        stepped = apply_contraction(g, mapping)
-        checks.append(
-            CheckResult(
-                "step_graph",
-                graphs_equal(stepped, previous.graph),
-                "one application must reproduce the previous level exactly",
-            )
-        )
-
-    expected_roles = _expected_roles(i)
-    expected_prev = fib_number(i + 1) if i >= 1 else 0
-    checks.append(
-        CheckResult(
-            "role_windows",
-            inst.roles == expected_roles and inst.prev_order == expected_prev,
-            f"P count {fib_number(i) if i else 0}, representative count {fib_number(i + 1) if i else 1}",
-        )
-    )
-
-    final, trace = contract_to_fixpoint(g)
-    bound_tight = i == 0 or iteration_bound(g.n) == i
-    checks.append(
-        CheckResult(
-            "fixpoint_iterations",
-            final.n == 1 and trace.iterations == i and bound_tight,
-            f"iterations {trace.iterations}, final order {final.n}, bound {iteration_bound(g.n)}",
-        )
-    )
-
-    return FibReport(level=i, checks=tuple(checks))

@@ -13,12 +13,15 @@ import numpy as np
 
 from colourcontract import (
     RandomSpec,
+    apply_contraction,
     assign_random_colours,
+    classify_roles,
     colour_neighbourhood_set,
     colour_partition,
     contract_to_fixpoint,
     equivalent_contractions,
     evaluate_contraction_mapping,
+    fib_number,
     gen_erdos_renyi,
     generate_fib_instance,
     graphs_equal,
@@ -28,7 +31,6 @@ from colourcontract import (
     permute_enumeration,
     serialize_graph,
     stats_dict,
-    verify_fib_instance,
 )
 
 from conftest import FIG24_COLOURS, FIG24_EDGES, FIG24_EXPECTED, P4_EDGES, check_whole_edge_rounds, tampered_inputs
@@ -73,19 +75,22 @@ def test_criterion_1_worst_case_family_tightness():
     expected_orders = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377]
     for i in range(13):
         inst = generate_fib_instance(i)
-        assert inst.graph.n == expected_orders[i], f"level {i} order"
-        report = verify_fib_instance(inst)
-        assert report.ok, f"level {i}: {[(c.name, c.detail) for c in report.failures()]}"
-        final, trace = contract_to_fixpoint(inst.graph)
-        assert trace.iterations == i and final.n == 1
+        g = inst.graph
+        assert g.n == expected_orders[i] == fib_number(i + 2), f"level {i} order"
+        assert np.unique(g.colours).size == 1, f"level {i} colours"
+        # one step is the closed form and reproduces level i - 1 exactly
+        prev_n = fib_number(i + 1)
+        mapping = evaluate_contraction_mapping(g)
+        idx = np.arange(g.n)
+        assert mapping.n_prime == prev_n, f"level {i} step order"
+        assert np.array_equal(mapping.becomes, np.where(idx < prev_n, idx, idx - prev_n)), f"level {i} step map"
         if i >= 1:
-            assert iteration_bound(inst.graph.n) == i
-        if i >= 1:
-            stepped_prev = generate_fib_instance(i - 1).graph
-            from colourcontract import apply_contraction
-
-            one_step = apply_contraction(inst.graph, evaluate_contraction_mapping(inst.graph))
-            assert graphs_equal(one_step, stepped_prev)
+            assert graphs_equal(apply_contraction(g, mapping), generate_fib_instance(i - 1).graph), f"level {i} step graph"
+        # role windows: P, then R, then Q; the pointer forest gives the same
+        windows = "R" if i == 0 else "P" * fib_number(i) + "R" * fib_number(i - 1) + "Q" * fib_number(i)
+        assert "".join(inst.roles) == windows and classify_roles(g) == inst.roles, f"level {i} roles"
+        final, trace = contract_to_fixpoint(g)
+        assert trace.iterations == i == iteration_bound(g.n) and final.n == 1, f"level {i} rounds"
     elapsed = time.perf_counter() - started
     _report(
         "criterion 1, adversarial family attains the bound at levels 0..12",

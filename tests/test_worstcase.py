@@ -12,7 +12,6 @@ from colourcontract import (
     graphs_equal,
     iteration_bound,
     new_graph,
-    verify_fib_instance,
 )
 from reference_impls import component_orders, fib_by_growth, r_star
 
@@ -27,7 +26,6 @@ def test_level_zero():
     inst = generate_fib_instance(0)
     assert inst.graph.n == 1 and inst.graph.m == 0
     assert inst.roles == ("R",)
-    assert inst.prev_order == 0
 
 
 def test_level_one_is_single_edge():
@@ -46,85 +44,71 @@ def test_level_two_explicit():
     assert mp.becomes.tolist() == [0, 1, 0]
 
 
-def test_orders_follow_fibonacci():
+# every tightness check runs on every level up to the benchmark's fib22
+LEVELS = range(0, 23)
+
+
+@pytest.fixture(scope="module")
+def family():
+    return [generate_fib_instance(i) for i in LEVELS]
+
+
+def test_orders_follow_fibonacci(family):
     expected = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377]
     for i, order in enumerate(expected):
-        assert generate_fib_instance(i).graph.n == order
+        assert family[i].graph.n == order
+    for i, inst in enumerate(family):
+        assert inst.level == i
+        assert inst.graph.n == fib_number(i + 2), i
+        assert np.unique(inst.graph.colours).size == 1, i
 
 
-def test_one_step_reproduces_previous_level():
-    for i in range(1, 10):
-        inst = generate_fib_instance(i)
-        stepped = apply_contraction(inst.graph, evaluate_contraction_mapping(inst.graph))
-        assert graphs_equal(stepped, generate_fib_instance(i - 1).graph)
+def test_one_step_reproduces_previous_level(family):
+    for i in LEVELS[1:]:
+        g = family[i].graph
+        stepped = apply_contraction(g, evaluate_contraction_mapping(g))
+        assert graphs_equal(stepped, family[i - 1].graph), i
 
 
-def test_step_map_closed_form():
-    for i in range(1, 12):
-        inst = generate_fib_instance(i)
+def test_step_map_closed_form(family):
+    # at level 0 the closed form is the identity on the one vertex
+    for i in LEVELS:
         prev_n = fib_number(i + 1)
-        mp = evaluate_contraction_mapping(inst.graph)
-        idx = np.arange(inst.graph.n)
-        assert mp.n_prime == prev_n
-        assert np.array_equal(mp.becomes, np.where(idx < prev_n, idx, idx - prev_n))
+        mp = evaluate_contraction_mapping(family[i].graph)
+        idx = np.arange(family[i].graph.n)
+        assert mp.n_prime == prev_n, i
+        assert np.array_equal(mp.becomes, np.where(idx < prev_n, idx, idx - prev_n)), i
 
 
-def test_pointer_forest_clusters_have_order_at_most_two():
-    for i in range(0, 12):
-        mp = evaluate_contraction_mapping(generate_fib_instance(i).graph)
-        assert int(mp.cluster_sizes.max(initial=1)) <= 2
+def test_pointer_forest_clusters_have_order_at_most_two(family):
+    for i in LEVELS:
+        mp = evaluate_contraction_mapping(family[i].graph)
+        assert int(mp.cluster_sizes.max(initial=1)) <= 2, i
 
 
-def test_role_window_counts():
-    for i in range(1, 12):
-        roles = generate_fib_instance(i).roles
+def test_role_window_counts(family):
+    assert family[0].roles == ("R",)
+    for i in LEVELS[1:]:
+        roles = family[i].roles
         assert roles.count("P") == fib_number(i)
         assert roles.count("P") + roles.count("R") == fib_number(i + 1)
         assert roles.count("Q") == fib_number(i)
         # windows are contiguous: P block, then R, then Q
         joined = "".join(roles)
-        assert joined == "P" * fib_number(i) + "R" * fib_number(i - 1) + "Q" * fib_number(i)
+        assert joined == "P" * fib_number(i) + "R" * fib_number(i - 1) + "Q" * fib_number(i), i
 
 
-def test_classify_roles_matches_generator_labels():
-    for i in range(0, 10):
-        inst = generate_fib_instance(i)
-        assert classify_roles(inst.graph) == inst.roles
+def test_classify_roles_matches_generator_labels(family):
+    for i in LEVELS:
+        assert classify_roles(family[i].graph) == family[i].roles, i
 
 
-def test_exactly_level_many_iterations():
-    for i in range(0, 13):
-        inst = generate_fib_instance(i)
-        final, trace = contract_to_fixpoint(inst.graph)
-        assert final.n == 1
-        assert trace.iterations == i
-        if i >= 1:
-            assert iteration_bound(inst.graph.n) == i
-
-
-def test_verify_reports_all_pass():
-    for i in range(0, 11):
-        report = verify_fib_instance(generate_fib_instance(i))
-        assert report.ok, report.failures()
-        assert {c.name for c in report.checks} == {
-            "order", "step_map", "step_graph", "role_windows", "fixpoint_iterations",
-        }
-
-
-def test_verify_enumerates_failures_instead_of_raising():
-    from colourcontract import FibInstance, new_graph
-
-    # wrong roles on a correct graph: the report flags it, nothing raises
-    genuine = generate_fib_instance(2)
-    forged = FibInstance(graph=genuine.graph, level=2, roles=("Q", "Q", "Q"), prev_order=genuine.prev_order)
-    report = verify_fib_instance(forged)
-    assert not report.ok
-    assert [c.name for c in report.failures()] == ["role_windows"]
-
-    # wrong graph entirely
-    bogus = FibInstance(graph=new_graph(3, [], [0, 0, 0]), level=2, roles=genuine.roles, prev_order=2)
-    report = verify_fib_instance(bogus)
-    assert not report.ok
+def test_exactly_level_many_iterations(family):
+    for i in LEVELS:
+        g = family[i].graph
+        final, trace = contract_to_fixpoint(g)
+        assert final.n == 1, i
+        assert trace.iterations == i == iteration_bound(g.n), i
 
 
 def test_level_ceiling_enforced():
@@ -137,9 +121,9 @@ def test_level_ceiling_enforced():
 def test_closed_form_matches_growth_through_the_engine():
     for i in range(0, 21):
         inst = generate_fib_instance(i)
-        graph, roles, prev_order = fib_by_growth(i)
+        graph, roles, _ = fib_by_growth(i)
         assert graphs_equal(inst.graph, graph), i
-        assert inst.roles == roles and inst.prev_order == prev_order, i
+        assert inst.roles == roles, i
 
 
 def test_generator_runs_no_engine_code(monkeypatch):
