@@ -12,21 +12,13 @@ from .engine import (
     ContractionTrace,
     IterationRecord,
     apply_contraction,
-    build_functional_digraph,
-    compact_mapping,
     contract_to_fixpoint,
     equivalent_contractions,
     evaluate_contraction_mapping,
     iteration_bound,
-    project_to_roots,
 )
 from .generators import RandomSpec, assign_random_colours, gen_erdos_renyi, permute_enumeration
-from .graph import (
-    ColouredGraph,
-    colour_neighbourhood_set,
-    graphs_equal,
-    new_graph,
-)
+from .graph import ColouredGraph, graphs_equal, new_graph
 from .graph_io import (
     GraphParseError,
     export_dot,
@@ -35,7 +27,7 @@ from .graph_io import (
     stats_dict,
     stats_json,
 )
-from .oracle import colour_component, colour_partition
+from .oracle import colour_partition
 from .worstcase import (
     FibInstance,
     classify_roles,
@@ -46,17 +38,12 @@ from .worstcase import (
 __all__ = [
     "ColouredGraph",
     "new_graph",
-    "colour_neighbourhood_set",
     "graphs_equal",
-    "colour_component",
     "colour_partition",
     "ContractionMapping",
     "ContractionTrace",
     "IterationRecord",
     "iteration_bound",
-    "build_functional_digraph",
-    "project_to_roots",
-    "compact_mapping",
     "apply_contraction",
     "evaluate_contraction_mapping",
     "contract_to_fixpoint",

@@ -79,17 +79,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     partition = colour_partition(g)
     ok = equivalent_contractions(g, final, trace, partition)
     print(f"base: {'equivalent' if ok else 'MISMATCH'} (iterations={trace.iterations}, blocks={partition.n_prime})")
-    # every vertex labelled by the smallest member of its block, so two
-    # labellings of one partition compare equal whatever the block numbers
     if args.seeds:
-        base_blocks = ContractionMapping(n=g.n, n_prime=final.n, becomes=trace.total_map).representatives[trace.total_map]
+        base_blocks = ContractionMapping(n=g.n, n_prime=final.n, becomes=trace.total_map).fibre_minima
     for seed in args.seeds or []:
         h, perm = permute_enumeration(g, seed)
         final_h, trace_h = contract_to_fixpoint(h)
         ok_h = equivalent_contractions(h, final_h, trace_h, colour_partition(h))
         # original vertex v is vertex perm[v] of h
-        blocks_h = trace_h.total_map[perm]
-        stable = np.array_equal(ContractionMapping(n=g.n, n_prime=final_h.n, becomes=blocks_h).representatives[blocks_h], base_blocks)
+        blocks_h = ContractionMapping(n=g.n, n_prime=final_h.n, becomes=trace_h.total_map[perm])
+        stable = np.array_equal(blocks_h.fibre_minima, base_blocks)
         ok = ok and ok_h and stable
         print(f"seed {seed}: {'equivalent' if ok_h else 'MISMATCH'}, partition {'stable' if stable else 'UNSTABLE'} under relabelling")
     print(f"verify: {'OK' if ok else 'FAILED'}")

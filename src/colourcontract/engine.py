@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import ColouredGraph, _grow, _integers, relabel_keys, rows_within
+from .graph import ColouredGraph, _grow, _integers, graphs_equal, relabel_keys, rows_within
 
 
 def iteration_bound(n: int) -> int:
@@ -49,9 +49,9 @@ class ContractionMapping:
     ``becomes[v]`` is the target, in ``0..n_prime-1``, of source vertex
     ``v``; the fibre of target ``t`` is every vertex that becomes ``t``, and
     its smallest member is its representative.  Targets are numbered by
-    ascending representative.  ``cluster_sizes``, ``representatives`` and
-    ``fibres`` are derived from ``becomes`` on each access, for tests and
-    other callers; the contraction path itself reads ``becomes`` alone.
+    ascending representative.  ``cluster_sizes``, ``representatives``,
+    ``fibre_minima`` and ``fibres`` are derived from ``becomes`` on each
+    access, for checks and tests; the contraction path reads ``becomes`` alone.
 
     Construction checks that the map is onto: ``n`` and ``n_prime`` are
     integers with ``0 <= n_prime <= n``, ``becomes`` is an integer array of
@@ -95,6 +95,12 @@ class ContractionMapping:
         reps = np.full(self.n_prime, self.n, dtype=np.int64)
         np.minimum.at(reps, self.becomes, np.arange(self.n, dtype=np.int64))
         return reps
+
+    @property
+    def fibre_minima(self) -> np.ndarray:
+        """Every vertex's smallest fibre-mate: equal for two mappings exactly
+        when they have the same fibres, whatever the target numbering."""
+        return self.representatives[self.becomes]
 
     @property
     def fibres(self) -> tuple[np.ndarray, ...]:
@@ -341,24 +347,12 @@ def equivalent_contractions(g: ColouredGraph, final: ColouredGraph, trace: Contr
 
     The partition maps every vertex to its block, such as
     ``oracle.colour_partition`` returns, in any block numbering.  Every
-    round and the partition were checked when they were built: each is onto
-    its targets, so a malformed one never reaches this function.  What a
-    well-formed trace, partition or final graph can still get wrong returns
-    False.  Checks, in order: the rounds chain from order n and compose to
-    ``trace.total_map``, onto the last round's k targets; the partition maps
-    n vertices onto k blocks; the fibre partition equals the block
-    partition, whatever the numbering; ``final`` has k vertices, each with
-    its fibre's colour (so every round's fibres, which lie inside the
-    composed ones, are monochromatic); and its edge set, re-expressed over
-    block indices, equals the block-level edge set of g.  ``final`` is read
-    as given, never rebuilt from the rounds.  Every comparison is a
-    whole-array pass, the edge sets as sorted keys ``lo * k + hi``.
-
-    When ``final`` is the graph ``contract_to_fixpoint`` returned, its edges
-    are g's relabelled through ``total_map``, so the last comparison follows
-    from the fibre-to-block bijection by construction.  It is kept because it
-    still refuses a tampered ``final``.  The independent cross-checks of the
-    engine's edges are the oracle partition and ``tests/reference_impls``.
+    round and the partition were checked onto their targets when they were
+    built, so what is left to get wrong returns False.  Checks, in order: the
+    rounds chain from order n and compose to ``trace.total_map``; its fibres
+    are the partition's blocks, compared by smallest member; and ``final``,
+    read as given, equals the quotient of g by those fibres, which refuses a
+    fibre of two colours.
     """
     n = g.n
     mappings = [r.mapping for r in trace.per_iteration]
@@ -369,19 +363,10 @@ def equivalent_contractions(g: ColouredGraph, final: ColouredGraph, trace: Contr
     if not np.array_equal(total, trace.total_map):
         return False
     # every round is onto its targets, so total is onto the last round's
-    k = mappings[-1].n_prime if mappings else n
-
-    if partition.n != n or partition.n_prime != k:
+    fibres = ContractionMapping(n, mappings[-1].n_prime if mappings else n, total)
+    if not np.array_equal(fibres.fibre_minima, partition.fibre_minima):
         return False
-    block_of = partition.becomes
-    # corr[t] is the block of fibre t; corr[total] == block_of says that every
-    # fibre lies inside one block, and as fibres and blocks are non-empty, corr
-    # is then onto the k blocks: a bijection
-    corr = np.zeros(k, dtype=np.int64)
-    corr[total] = block_of
-    if not np.array_equal(corr[total], block_of):
+    try:
+        return graphs_equal(final, apply_contraction(g, fibres))
+    except ValueError:  # a fibre of two colours
         return False
-
-    if final.n != k or not np.array_equal(final.colours[total], g.colours):
-        return False
-    return np.array_equal(relabel_keys(final.n, final.keys, corr, k), relabel_keys(n, g.keys, block_of, k))

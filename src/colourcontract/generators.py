@@ -41,6 +41,8 @@ class RandomSpec:
             raise ValueError("p must be in [0, 1]")
         if self.colours < 1:
             raise ValueError("colour count must be at least 1")
+        if self.colours > 2**63:  # colours are int64, 0..colours-1
+            raise ValueError(f"colour count must be at most {2**63}")
         check_seed(self.seed)
 
 

@@ -16,7 +16,6 @@ from colourcontract import (
     apply_contraction,
     assign_random_colours,
     classify_roles,
-    colour_neighbourhood_set,
     colour_partition,
     contract_to_fixpoint,
     equivalent_contractions,
@@ -32,6 +31,7 @@ from colourcontract import (
     serialize_graph,
     stats_dict,
 )
+from colourcontract.graph import colour_neighbourhood_set
 
 from conftest import FIG24_COLOURS, FIG24_EDGES, FIG24_EXPECTED, P4_EDGES, check_whole_edge_rounds, tampered_inputs
 from reference_impls import (

@@ -333,6 +333,13 @@ def test_gen_random_refuses_an_order_the_text_format_cannot_hold(capsys):
         assert capsys.readouterr() == ("", "error: n must be below 2147483648\n"), edges
 
 
+def test_gen_random_refuses_a_colour_count_int64_ids_cannot_hold(capsys):
+    # refused before the edges are sampled, not by numpy after them
+    for colours in ("9223372036854775809", str(2**70)):
+        assert run_cli(["gen", "random", "--n", "10", "--m", "5", "--colours", colours, "--seed", "1"]) == 1, colours
+        assert capsys.readouterr() == ("", "error: colour count must be at most 9223372036854775808\n"), colours
+
+
 def test_missing_file_is_failure_not_usage_error(capsys):
     assert run_cli(["contract", "/nonexistent/xyz.graph"]) == 1
     assert "error:" in capsys.readouterr().err

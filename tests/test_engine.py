@@ -8,13 +8,11 @@ from colourcontract import (
     ColouredGraph,
     ContractionMapping,
     ContractionTrace,
+    IterationRecord,
     RandomSpec,
     apply_contraction,
     assign_random_colours,
-    build_functional_digraph,
-    colour_neighbourhood_set,
     colour_partition,
-    compact_mapping,
     contract_to_fixpoint,
     equivalent_contractions,
     evaluate_contraction_mapping,
@@ -23,11 +21,11 @@ from colourcontract import (
     graphs_equal,
     iteration_bound,
     new_graph,
-    project_to_roots,
     stats_dict,
 )
 from colourcontract import engine
-from colourcontract.engine import _compose
+from colourcontract.engine import _compose, build_functional_digraph, compact_mapping, project_to_roots
+from colourcontract.graph import colour_neighbourhood_set
 from reference_impls import contract_by_relabel, equivalent_by_sets, relabel_form, replay, roots_by_iterated_lookup
 
 from conftest import FIG24_EXPECTED, check_whole_edge_rounds
@@ -648,6 +646,41 @@ def test_equivalent_false_when_final_edges_differ(fig24):
         "the input graph": fig24,
     }.items():
         assert not equivalent_contractions(fig24, wrong, trace, partition), name
+
+
+def test_equivalent_accepts_a_renumbered_last_round(fig24):
+    # fibres are compared by smallest member and final with the quotient by
+    # the composed map, so a last round numbered otherwise still holds when
+    # total_map and final follow the same numbering
+    final, trace = contract_to_fixpoint(fig24)
+    partition = colour_partition(fig24)
+    last = trace.per_iteration[-1]
+    sigma = np.random.default_rng(5).permutation(last.n_prime)
+    assert not np.array_equal(sigma, np.arange(last.n_prime))
+    renumbered = ContractionTrace(
+        per_iteration=trace.per_iteration[:-1] + (dataclasses.replace(last, mapping=dataclasses.replace(last.mapping, becomes=sigma[last.mapping.becomes])),),
+        total_map=sigma[trace.total_map],
+    )
+    colours = np.empty(final.n, dtype=np.int64)
+    colours[sigma] = final.colours
+    final_sigma = new_graph(final.n, sigma[final.edge_array()], colours)
+    assert equivalent_by_sets(fig24, renumbered, partition)
+    assert equivalent_contractions(fig24, final_sigma, renumbered, partition)
+    # each half alone is refused: the final graph must follow the numbering
+    assert not equivalent_contractions(fig24, final, renumbered, partition)
+    assert not equivalent_contractions(fig24, final_sigma, trace, partition)
+
+
+def test_equivalent_false_on_a_block_of_two_colours():
+    # one round maps the path 0-1-2-3, coloured [0, 0, 1, 1], to one vertex,
+    # and the partition is the same map: the fibres agree, but no quotient
+    # exists, so no one-vertex final graph of either colour is accepted
+    g = new_graph(4, [(0, 1), (1, 2), (2, 3)], [0, 0, 1, 1])
+    one = ContractionMapping(n=4, n_prime=1, becomes=np.zeros(4, dtype=np.int64))
+    trace = ContractionTrace(per_iteration=(IterationRecord(m=3, mapping=one, wall_time_ms=0.0),), total_map=np.zeros(4, dtype=np.int64))
+    for colour in (0, 1):
+        assert not equivalent_contractions(g, new_graph(1, [], [colour]), trace, one), colour
+    assert not equivalent_by_sets(g, trace, one)
 
 
 def test_equivalent_false_on_a_round_target_without_a_member():

@@ -46,6 +46,18 @@ def test_spec_refuses_an_order_the_text_format_cannot_hold():
         assert RandomSpec(n=_MAX_ORDER - 1, **edges).n == 2**31 - 1
 
 
+def test_spec_refuses_a_colour_count_int64_ids_cannot_hold():
+    # refused at construction, before gen_erdos_renyi draws any edge
+    for colours in (2**63 + 1, 2**70):
+        with pytest.raises(ValueError, match=f"^colour count must be at most {2**63}$"):
+            RandomSpec(n=10, m=5, colours=colours)
+    with pytest.raises(ValueError, match="^colour count must be at least 1$"):
+        RandomSpec(n=10, m=5, colours=0)
+    spec = RandomSpec(n=10, m=5, colours=2**63, seed=3)
+    g = assign_random_colours(gen_erdos_renyi(spec), spec.colours, spec.seed + 1)
+    assert g.colours.dtype == np.int64 and (g.colours >= 0).all()
+
+
 def test_negative_seed_is_refused_before_drawing():
     g = gen_erdos_renyi(RandomSpec(n=5, m=4, seed=0))
     with pytest.raises(ValueError, match="^seed must be non-negative$"):

@@ -3,7 +3,6 @@ import pytest
 
 from colourcontract import (
     ColouredGraph,
-    colour_neighbourhood_set,
     colour_partition,
     contract_to_fixpoint,
     equivalent_contractions,
@@ -11,7 +10,7 @@ from colourcontract import (
     new_graph,
     serialize_graph,
 )
-from colourcontract.graph import _sorted_unique, relabel_keys, rows_of
+from colourcontract.graph import _sorted_unique, colour_neighbourhood_set, relabel_keys, rows_of
 from reference_impls import contract_by_relabel, serialize_by_join, validate_by_keys, validate_by_rows
 
 

@@ -7,13 +7,13 @@ from colourcontract import (
     RandomSpec,
     apply_contraction,
     assign_random_colours,
-    colour_component,
-    colour_neighbourhood_set,
     colour_partition,
     gen_erdos_renyi,
     graphs_equal,
     new_graph,
 )
+from colourcontract.graph import colour_neighbourhood_set
+from colourcontract.oracle import colour_component
 from reference_impls import bfs_colour_component, contract_by_relabel, ordered_unionfind_blocks, scipy_blocks, unionfind_blocks
 
 from conftest import FIG24_EXPECTED

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from colourcontract import (
     ContractionMapping,
     apply_contraction,
-    build_functional_digraph,
-    colour_neighbourhood_set,
     colour_partition,
     contract_to_fixpoint,
     equivalent_contractions,
@@ -19,10 +17,10 @@ from colourcontract import (
     new_graph,
     parse_graph,
     permute_enumeration,
-    project_to_roots,
     serialize_graph,
 )
-from colourcontract.graph import relabel_keys, rows_of, rows_within
+from colourcontract.engine import build_functional_digraph, project_to_roots
+from colourcontract.graph import colour_neighbourhood_set, relabel_keys, rows_of, rows_within
 from conftest import check_whole_edge_rounds, tampered_inputs
 from reference_impls import (
     adjacency,
