@@ -257,8 +257,10 @@ def _check_mapping_structure(g: ColouredGraph, mapping: ContractionMapping) -> n
     ``g.colours`` through ``becomes``."""
     if mapping.n != g.n:
         raise ValueError("mapping was built for a different graph order")
-    # every target has a member, so the scatter writes every entry
-    colours = np.empty(mapping.n_prime, dtype=np.int64)
+    # every target has a member, so the scatter writes every entry; g's own
+    # dtype, so that uint64 ids at or above 2**63 survive and a quotient
+    # keeps its input's colour dtype
+    colours = np.empty(mapping.n_prime, dtype=g.colours.dtype)
     colours[mapping.becomes] = g.colours
     if not np.array_equal(colours[mapping.becomes], g.colours):
         raise ValueError("some fibre is not monochromatic")
@@ -278,13 +280,22 @@ def apply_contraction(g: ColouredGraph, mapping: ContractionMapping) -> Coloured
 
 
 def _compose(n0: int, mappings: Iterable[ContractionMapping]) -> np.ndarray:
-    total = np.arange(n0, dtype=np.int64)
+    """Every vertex of order n0 taken through the chain of mappings, which
+    must run from order n0, each from the order its predecessor reaches.
+
+    Composed from the last mapping back, so each gather is as long as its
+    mapping's source: about 2.6 n0 values in all on the worst-case family,
+    whose orders shrink by the golden ratio, not n0 per round (level 22:
+    0.96 -> 0.12 ms)."""
+    mappings = list(mappings)
     width = n0
     for mapping in mappings:
         if mapping.n != width:
             raise ValueError(f"mapping chain mismatch: expected source order {width}, got {mapping.n}")
-        total = mapping.becomes[total]
         width = mapping.n_prime
+    total = np.arange(width, dtype=np.int64)
+    for mapping in reversed(mappings):
+        total = total[mapping.becomes]
     return total
 
 
@@ -310,9 +321,17 @@ def contract_to_fixpoint(g: ColouredGraph) -> tuple[ColouredGraph, ContractionTr
     records: list[IterationRecord] = []
     t0 = time.perf_counter()
     lo, hi = g.endpoints()
-    same = g.colours[lo] == g.colours[hi]
-    del lo, hi
-    current = g if same.all() else ColouredGraph(n=n0, colours=g.colours, keys=g.keys[same])
+    colours = g.colours
+    if n0 and int(colours.max()) < 256:
+        # a uint8 copy for this one compare, whose two random gathers then
+        # move an eighth of the bytes: 2.7 -> 2.0 ms on the ER benchmark input
+        # (the stored dtype stays: uint8 colours in every round slowed it)
+        colours = colours.astype(np.uint8)
+    same = colours[lo] == colours[hi]
+    del lo, hi, colours
+    # np.compress, not a boolean index: with a quarter of 541k edges kept,
+    # 3.8 -> 1.0 ms for this copy and 3.8 -> 1.4 ms for the finish's, numpy 2.4
+    current = g if same.all() else ColouredGraph(n=n0, colours=g.colours, keys=np.compress(same, g.keys))
     # every edge of current joins one colour and points its upper end at its
     # lower one, so the mapping is trivial exactly when no edge is left
     while current.m:
@@ -332,7 +351,7 @@ def contract_to_fixpoint(g: ColouredGraph) -> tuple[ColouredGraph, ContractionTr
         # the same-colour quotient has no edge left, so the final graph's
         # edges are the cross-colour ones, relabelled
         k = current.n
-        final = ColouredGraph(n=k, colours=current.colours, keys=relabel_keys(n0, g.keys[~same], total, k))
+        final = ColouredGraph(n=k, colours=current.colours, keys=relabel_keys(n0, np.compress(~same, g.keys), total, k))
     trace = ContractionTrace(
         per_iteration=tuple(records),
         total_map=total,

@@ -171,6 +171,6 @@ def permute_enumeration(g: ColouredGraph, seed: int) -> tuple[ColouredGraph, np.
     partitions over the new labels can be pulled back to the original ones.
     """
     perm = _rng(seed).permutation(g.n).astype(np.int64)
-    colours = np.empty(g.n, dtype=np.int64)
+    colours = np.empty_like(g.colours)
     colours[perm] = g.colours
     return ColouredGraph(n=g.n, colours=colours, keys=relabel_keys(g.n, g.keys, perm, g.n)), perm

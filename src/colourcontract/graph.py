@@ -103,7 +103,9 @@ def rows_within(g: ColouredGraph, label: np.ndarray) -> tuple[np.ndarray, np.nda
     per vertex (g's colours, or a mapping's targets): the graph whose
     connected components are the connected pieces of the label classes."""
     lo, hi = g.endpoints()
-    return rows_of(g.n, g.keys[label[lo] == label[hi]])
+    # np.compress, not a boolean index: about 3x faster at middling densities
+    # on numpy 2.4 (3.8 -> 1.0 ms keeping a quarter of 541k keys)
+    return rows_of(g.n, np.compress(label[lo] == label[hi], g.keys))
 
 
 def _grow(indptr: np.ndarray, indices: np.ndarray, seeds: int | np.ndarray, covered: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -176,7 +178,8 @@ def _sorted_unique(values: np.ndarray, return_index: bool = False):
     canonical text do, are returned as they are, found by one comparison
     pass and never sorted.  The keys of a contraction round descend within
     their first few values, so a 16-value head is compared first and only
-    ascending input pays for the whole pass.
+    ascending input pays for the whole pass.  Non-negative values below
+    twice their count are deduplicated by a bitmap instead of a sort.
     """
     if return_index:
         order = np.argsort(values)
@@ -185,6 +188,14 @@ def _sorted_unique(values: np.ndarray, return_index: bool = False):
         head = values[:16]
         if (head[1:] > head[:-1]).all() and (values[1:] > values[:-1]).all():
             return values
+        # values in 0..2*size-1 are marked in a bitmap of at most 2 bytes per
+        # value and read back in order: on the 406k relabelled keys of the ER
+        # benchmark's finish, all below k**2 = 58 081, 0.87 ms against 1.37 ms
+        top = int(values.max())
+        if top < 2 * values.size and int(values.min()) >= 0:
+            seen = np.zeros(top + 1, dtype=bool)
+            seen[values] = True
+            return np.flatnonzero(seen).astype(values.dtype, copy=False)
         ordered = np.sort(values)
     first = np.empty(ordered.size, dtype=bool)
     first[:1] = True
@@ -232,8 +243,13 @@ def relabel_keys(n: int, keys: np.ndarray, label: np.ndarray, k: int) -> np.ndar
     a, b = label[lo], label[hi]
     del lo, hi
     crossing = a != b
-    # only the crossing ends stay alive through the key build and the sort
-    a, b = a[crossing], b[crossing]
+    # only the crossing ends stay alive through the key build and the sort.
+    # Every edge crosses when the keys join different fibres, as the finish's
+    # cross-colour keys do: no copy then (two copies of the ER benchmark's
+    # 406k such keys took 0.96 ms); otherwise np.compress, about 3x faster
+    # than a boolean index at middling densities on numpy 2.4
+    if not crossing.all():
+        a, b = np.compress(crossing, a), np.compress(crossing, b)
     del crossing
     return _pair_keys(a, b, k, out=b)
 

@@ -9,10 +9,10 @@ from a plain line-by-line reader, adjacency lists from the edge list, the
 edge-key and adjacency-row checks from per-key and per-row Python loops,
 and the exact edge sampler from a Python set.  Three exceptions use the
 engine on purpose: ``equivalent_by_sets``, the set-based form of
-``equivalent_contractions``, reuses the engine's composition and round
-application, and differs in how it compares and in rebuilding the final
-graph by applying every round in turn, where the package checks the final
-graph the engine returned; ``replay`` rebuilds the graph before every
+``equivalent_contractions``, reuses the engine's round application (its
+composition is ``compose_forward``, below), and differs in how it compares
+and in rebuilding the final graph by applying every round in turn, where
+the package checks the final graph the engine returned; ``replay`` rebuilds the graph before every
 round of a trace the same way; ``component_orders`` reads a trace's rounds
 and composes them itself; ``fib_by_growth`` builds the worst-case family by running one engine
 evaluation per level, the construction that the closed-form generator
@@ -23,7 +23,7 @@ from collections import deque
 
 import numpy as np
 
-from colourcontract.engine import _compose, apply_contraction, evaluate_contraction_mapping
+from colourcontract.engine import apply_contraction, evaluate_contraction_mapping
 from colourcontract.graph import _sorted_unique, new_graph
 
 
@@ -290,6 +290,19 @@ def sample_pairs_by_set(n, m, rng):
     return np.array(order[:m], dtype=np.int64).reshape(-1, 2)
 
 
+def compose_forward(n0, mappings):
+    """Every vertex of order n0 taken through the mappings in turn, first to
+    last, one list lookup per vertex and mapping.  Raises ValueError when a
+    mapping's source order is not the order its predecessor reaches."""
+    total, width = list(range(n0)), n0
+    for mapping in mappings:
+        if mapping.n != width:
+            raise ValueError(f"mapping chain mismatch: expected source order {width}, got {mapping.n}")
+        becomes = mapping.becomes.tolist()
+        total, width = [becomes[v] for v in total], mapping.n_prime
+    return np.array(total, dtype=np.int64)
+
+
 def equivalent_by_sets(g, trace, partition):
     """True when the trace realises exactly the partition's contraction.
 
@@ -302,7 +315,7 @@ def equivalent_by_sets(g, trace, partition):
     were built, and the partition is read through its ``fibres`` alone.
     """
     try:
-        total = _compose(g.n, [r.mapping for r in trace.per_iteration])
+        total = compose_forward(g.n, [r.mapping for r in trace.per_iteration])
     except ValueError:
         return False
     if not np.array_equal(total, trace.total_map):

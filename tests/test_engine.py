@@ -26,7 +26,7 @@ from colourcontract import (
 from colourcontract import engine
 from colourcontract.engine import _compose, build_functional_digraph, compact_mapping, project_to_roots
 from colourcontract.graph import colour_neighbourhood_set
-from reference_impls import contract_by_relabel, equivalent_by_sets, relabel_form, replay, roots_by_iterated_lookup
+from reference_impls import compose_forward, contract_by_relabel, equivalent_by_sets, relabel_form, replay, roots_by_iterated_lookup
 
 from conftest import FIG24_EXPECTED, check_whole_edge_rounds
 
@@ -516,6 +516,21 @@ def test_compose_chain_mismatch(p4, fig24):
     assert not equivalent_contractions(fig24, final_b, mixed, partition)
 
 
+def test_compose_checks_the_whole_chain_before_composing(p4):
+    # the chain is checked first to last, and only then composed from the
+    # last mapping back: a mismatch anywhere raises, naming the first one
+    _, trace = contract_to_fixpoint(p4)
+    first, second = (r.mapping for r in trace.per_iteration)
+    for n0, chain, expected, got in ((5, [first, second], 5, 4), (4, [first, first], 2, 4), (4, [first, second, second], 1, 2)):
+        message = f"^mapping chain mismatch: expected source order {expected}, got {got}$"
+        with pytest.raises(ValueError, match=message):
+            _compose(n0, chain)
+        with pytest.raises(ValueError, match=message):
+            compose_forward(n0, chain)
+    assert np.array_equal(_compose(4, [first, second]), compose_forward(4, [first, second]))
+    assert _compose(4, []).tolist() == [0, 1, 2, 3]
+
+
 def test_compose_rejects_targets_outside_the_next_order(p4):
     # a negative target and one past the round's own order cannot be built,
     # so no trace can carry them into a composition
@@ -702,3 +717,44 @@ def test_equivalent_accepts_unsigned_round_targets(p4, fig24):
             total_map=trace.total_map.astype(np.uint64),
         )
         assert equivalent_contractions(g, final, unsigned, colour_partition(g))
+
+
+def test_contraction_keeps_uint64_colours_at_and_above_2_63():
+    # a valid graph whose colour ids int64 cannot hold: the quotient's
+    # colours are scattered in the input's own dtype, so the rounds, the
+    # oracle's quotient and the equivalence check all accept it
+    g = ColouredGraph(n=3, colours=np.array([2**63, 2**63, 0], dtype=np.uint64), keys=np.array([1, 5]))
+    final, trace = contract_to_fixpoint(g)
+    assert trace.iterations == 1 and (final.n, final.keys.tolist()) == (2, [1])
+    assert final.colours.dtype == np.uint64 and final.colours.tolist() == [2**63, 0]
+    partition = colour_partition(g)
+    assert equivalent_contractions(g, final, trace, partition)
+    assert graphs_equal(apply_contraction(g, partition), final)
+
+
+def test_contracted_graph_keeps_its_colour_dtype():
+    # ids up to 127 (int8 holds no more) and up to 255 (the narrowed split
+    # compare's uint8 holds no more), in every integer type that holds them:
+    # the same final graph, colours in the input's dtype, after any rounds
+    g = assign_random_colours(gen_erdos_renyi(RandomSpec(n=400, m=1600, seed=3)), 4, seed=4)
+    for top, dtypes in ((127, (np.int8, np.uint8, np.int64, np.uint64)), (255, (np.uint8, np.int16, np.int64, np.uint64))):
+        ids = np.array([0, 1, top // 2, top])[g.colours]
+        results = []
+        for dtype in dtypes:
+            h = ColouredGraph(n=g.n, colours=ids.astype(dtype), keys=g.keys)
+            final, trace = contract_to_fixpoint(h)
+            assert trace.iterations >= 2 and final.colours.dtype == dtype
+            assert equivalent_contractions(h, final, trace, colour_partition(h))
+            results.append(final)
+        assert all(graphs_equal(results[0], final) for final in results[1:])
+
+
+def test_split_tells_colours_apart_beyond_a_byte():
+    # the split compares a uint8 copy of the colours only when every id fits:
+    # colours that agree in their low byte, or in their low 63 bits, stay apart
+    for colours in ([0, 0, 256], [1, 1, 2**40 + 1], np.array([2**63, 2**63, 0], dtype=np.uint64)):
+        g = ColouredGraph(n=3, colours=np.asarray(colours), keys=np.array([1, 5]))
+        final, trace = contract_to_fixpoint(g)
+        assert trace.iterations == 1 and (final.n, final.m) == (2, 1), colours
+        assert final.colours.tolist() == [int(colours[0]), int(colours[2])]
+        assert contract_to_fixpoint(ColouredGraph(n=2, colours=g.colours[1:], keys=np.array([1])))[0].n == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from colourcontract import (
+    ColouredGraph,
     RandomSpec,
     assign_random_colours,
     colour_partition,
@@ -232,6 +233,15 @@ def test_permutation_preserves_structure():
         assert int(h.degrees[perm[v]]) == int(g.degrees[v])
     edge_set = {tuple(sorted((int(perm[u]), int(perm[v])))) for u, v in g.edge_array().tolist()}
     assert edge_set == {tuple(e) for e in h.edge_array().tolist()}
+
+
+def test_permutation_keeps_uint64_colours_at_and_above_2_63():
+    # colours are scattered in the input's own dtype, so ids int64 cannot
+    # hold travel with their vertices as they are
+    g = ColouredGraph(n=3, colours=np.array([2**63, 2**64 - 1, 0], dtype=np.uint64), keys=np.array([1, 5]))
+    h, perm = permute_enumeration(g, seed=3)
+    assert h.colours.dtype == np.uint64
+    assert [int(h.colours[perm[v]]) for v in range(3)] == [2**63, 2**64 - 1, 0]
 
 
 def test_permutation_inverse_recovers_original(p4):

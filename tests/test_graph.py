@@ -272,6 +272,29 @@ def test_sorted_unique_matches_np_unique():
         assert all(values.tolist().index(int(x)) == int(i) for x, i in zip(uniq, first))
 
 
+def test_sorted_unique_bitmap_and_sort_branches_match_np_unique():
+    # without return_index, values in 0..2*size-1 are deduplicated by a
+    # bitmap and all others by a sort: both sides of each bound, in the
+    # dtypes the package hands it, keep the input's dtype
+    rng = np.random.default_rng(12)
+    arrays = [np.empty(0, dtype=np.int64)]
+    for size in (1, 2, 5, 64, 1000):
+        for top in (2 * size - 1, 2 * size, 5 * size):
+            values = rng.integers(0, top + 1, size=size)
+            values[rng.integers(size)] = top
+            arrays.append(values[::-1].copy() if size > 1 else values)
+        # negative values below twice the count
+        arrays.append(np.r_[size, rng.integers(-size, size, size=size), -1])
+    arrays += [np.array([3, 0, 3, 1]), np.array([-1, 0, 1]), np.array([1, -1])]
+    for values in arrays:
+        for dtype in (np.int64, np.int32, np.uint64):
+            if dtype == np.uint64 and values.size and values.min() < 0:
+                continue
+            typed = values.astype(dtype)
+            got = _sorted_unique(typed)
+            assert got.dtype == dtype and np.array_equal(got, np.unique(typed)), (values.tolist(), dtype)
+
+
 def test_immutable_after_construction():
     g = new_graph(2, [(0, 1)], [0, 1])
     with pytest.raises(ValueError):

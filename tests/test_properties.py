@@ -70,6 +70,9 @@ def test_relabel_keys_matches_set_reference(g, data):
         (data.draw(st.lists(st.integers(0, n + extra), min_size=n, max_size=n)), n + extra + 1),
         (data.draw(st.permutations(range(n))), n),
         (list(range(n)), n),
+        # three labels: keys below 2*3 dedupe by the bitmap whenever three
+        # or more edges cross
+        (data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), 3),
         # every edge vanishes
         ([extra] * n, extra + 1),
     ]
