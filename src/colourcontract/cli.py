@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation or verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Sequence
@@ -119,7 +120,10 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing reads it
+    and never changes it."""
     parser = argparse.ArgumentParser(
         prog="colourcontract",
         description="Contract every connected monochromatic region of a vertex-coloured graph to a single vertex.",

@@ -259,13 +259,18 @@ def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequ
 
     Edges may arrive in any order and orientation; duplicates collapse to a
     single edge.  An edge array must have shape (m, 2), or hold nothing.
-    Self-loops, out-of-range endpoints and endpoints or colours that are
-    not integers are rejected.
+    Self-loops, out-of-range endpoints, negative colours and endpoints or
+    colours that are not integers are rejected.  A colour array of any
+    integer dtype is kept in that dtype.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    # the graph checks the colours again, but n sizes arrays before it does
-    col = _integers(colours, "colour ids")
+    # the graph checks the colours again, but n sizes arrays before it does.
+    # An integer array keeps its dtype: uint64 ids at or above 2**63 are valid
+    if isinstance(colours, np.ndarray) and colours.dtype.kind in "iu":
+        col = colours
+    else:
+        col = _integers(colours, "colour ids")
     if col.ndim != 1 or col.size != n:
         raise ValueError(f"expected colours of shape ({n},), got {col.shape}")
 

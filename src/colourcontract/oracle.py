@@ -1,8 +1,9 @@
 """Naive traversal-based reference for the colour components.
 
-This path is deliberately simple: the oracle finds its partition by
-breadth-first search alone, over adjacency rows that hold only the
-same-colour edges (``graph.rows_within``).  It finds that partition
+This path is deliberately simple: the oracle reads adjacency rows that
+hold only the same-colour edges (``graph.rows_within``).  Blocks of one and
+two vertices are read off the row lengths in whole-array passes, and a
+breadth-first search runs once per larger block.  It finds that partition
 independently of the iterative engine, so the two can cross-check each
 other.  What it shares with the engine is the graph layer, the rows and the
 frontier BFS ``graph._grow``, and the type of its answer: a
@@ -32,19 +33,34 @@ def colour_partition(g: ColouredGraph) -> ContractionMapping:
     """All colour components, as the mapping of every vertex to its block,
     blocks numbered by smallest member.
 
-    The search runs over the rows of the same-colour edges alone.  A vertex
-    with an empty row is a block of its own; every other block is grown by
-    frontier BFS from the lowest uncovered index up, so its seed is its
-    smallest member, and the seed is scattered onto the block.  One cumsum
-    over the vertices that label themselves then numbers the blocks.
+    The search runs over the rows of the same-colour edges alone.  Blocks
+    of one and two vertices are found in whole-array passes: a vertex with
+    an empty row is a block of its own, and an edge whose two ends have one
+    row entry each is a block of two, labelled by its lower end.  Every
+    other block is grown by frontier BFS, once per block, from the lowest
+    uncovered index up, so its seed is its smallest member, and the seed is
+    scattered onto the block.  One cumsum over the vertices that label
+    themselves then numbers the blocks.
     """
     indptr, indices = rows_within(g, g.colours)
-    covered = indptr[1:] == indptr[:-1]
-    owner = np.empty(g.n, dtype=np.int64)
+    degree = np.diff(indptr)
+    # one uncovered place past the last vertex ends the scan for seeds
+    covered = np.append(degree == 0, False)
     ids = np.arange(g.n, dtype=np.int64)
     block_of = ids.copy()
-    for v in np.flatnonzero(~covered).tolist():
-        if not covered[v]:
-            block_of[_grow(indptr, indices, v, covered, owner)] = v
+    ends = np.flatnonzero(degree == 1)
+    other = indices[indptr[ends]]
+    paired = degree[other] == 1
+    ends, other = ends[paired], other[paired]
+    # both ends of a pair are listed, each labelled by the lower one
+    block_of[ends] = np.minimum(ends, other)
+    covered[ends] = True
+    owner = np.empty(g.n, dtype=np.int64)
+    # a bool argmin stops at the first uncovered place, so the scans for
+    # the seeds cross every vertex once in all
+    v = int(np.argmin(covered))
+    while v < g.n:
+        block_of[_grow(indptr, indices, v, covered, owner)] = v
+        v += int(np.argmin(covered[v:]))
     is_first = block_of == ids
     return ContractionMapping(n=g.n, n_prime=int(is_first.sum()), becomes=(np.cumsum(is_first) - 1)[block_of])

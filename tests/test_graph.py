@@ -126,6 +126,21 @@ def test_negative_colour_rejected():
         new_graph(2, [], [0, -1])
 
 
+def test_new_graph_keeps_uint64_colours_at_and_above_2_63():
+    # new_graph keeps an integer colour array's dtype, so ids int64 cannot
+    # hold reach the graph as given and contract through both routes
+    g = new_graph(4, [(0, 1), (1, 2), (2, 3)], np.array([2**63, 2**63, 0, 2**64 - 1], dtype=np.uint64))
+    assert g.colours.dtype == np.uint64 and g.colours.tolist() == [2**63, 2**63, 0, 2**64 - 1]
+    final, trace = contract_to_fixpoint(g)
+    assert final.colours.dtype == np.uint64 and final.colours.tolist() == [2**63, 0, 2**64 - 1]
+    partition = colour_partition(g)
+    assert partition.becomes.tolist() == [0, 0, 1, 2]
+    assert equivalent_contractions(g, final, trace, partition)
+    # negative ids are refused whatever the integer dtype
+    with pytest.raises(ValueError, match="non-negative"):
+        new_graph(2, [], np.array([0, -1], dtype=np.int8))
+
+
 def test_direct_construction_validates():
     # the transposed orientation of an edge is refused by the type itself
     with pytest.raises(ValueError, match="lo < hi"):

@@ -12,6 +12,7 @@ from colourcontract import (
     graphs_equal,
     new_graph,
 )
+from colourcontract import oracle
 from colourcontract.graph import colour_neighbourhood_set
 from colourcontract.oracle import colour_component
 from reference_impls import bfs_colour_component, contract_by_relabel, ordered_unionfind_blocks, scipy_blocks, unionfind_blocks
@@ -122,10 +123,68 @@ def test_partition_matches_scipy_components_with_many_blocks():
     assert ([b.tolist() for b in part.fibres], g.colours[part.representatives].tolist()) == (blocks, colours)
 
 
-def test_partition_proper_colouring_gives_singletons(triangle_two_colours):
-    g = new_graph(3, [(0, 1), (1, 2)], [0, 1, 0])
+def test_partition_isolated_same_colour_pairs():
+    # three pairs, each joined by one same-colour edge and by nothing else
+    g = new_graph(7, [(0, 5), (1, 3), (2, 6)], [0, 1, 2, 1, 3, 0, 2])
     part = colour_partition(g)
-    assert [b.tolist() for b in part.fibres] == [[0], [1], [2]]
+    assert [b.tolist() for b in part.fibres] == [[0, 5], [1, 3], [2, 6], [4]]
+    assert part.becomes.tolist() == [0, 1, 2, 1, 3, 0, 2]
+
+
+def test_partition_path_of_three_is_not_split_into_a_pair():
+    # the path's two ends have one same-colour edge each, but its middle two,
+    # so no edge of it is a whole block
+    g = new_graph(4, [(2, 0), (0, 3)], [0, 1, 0, 0])
+    part = colour_partition(g)
+    assert [b.tolist() for b in part.fibres] == [[0, 2, 3], [1]]
+
+
+def test_partition_pair_with_cross_colour_edges():
+    # 1 and 3 share a colour; their edges to 0, 2 and 4 cross colours and do
+    # not count against the pair
+    g = new_graph(5, [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (0, 4)], [0, 1, 2, 1, 3])
+    part = colour_partition(g)
+    assert [b.tolist() for b in part.fibres] == [[0], [1, 3], [2], [4]]
+    assert graphs_equal(apply_contraction(g, part), new_graph(4, [(0, 1), (1, 2), (1, 3), (0, 3)], [0, 1, 2, 3]))
+
+
+def test_partition_on_sparse_64_colour_graphs_matches_unionfind():
+    # few same-colour edges per vertex: most non-singleton blocks are pairs
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        n = int(rng.integers(50, 400))
+        g = assign_random_colours(gen_erdos_renyi(RandomSpec(n=n, m=int(rng.integers(n, 8 * n)), seed=trial)), 64, seed=trial + 1)
+        part = colour_partition(g)
+        blocks, colours = ordered_unionfind_blocks(g)
+        assert ([b.tolist() for b in part.fibres], g.colours[part.representatives].tolist()) == (blocks, colours)
+
+
+def test_partition_grows_once_per_block_of_three_or_more(monkeypatch):
+    # blocks of one and two vertices are found without a search; the search
+    # runs once for each larger block, not once per vertex it covers
+    grow, calls = oracle._grow, []
+
+    def counting_grow(*args):
+        calls.append(args[2])
+        return grow(*args)
+
+    monkeypatch.setattr(oracle, "_grow", counting_grow)
+    n = 3000
+    g = assign_random_colours(gen_erdos_renyi(RandomSpec(n=n, m=12000, seed=2)), 16, seed=3)
+    part = colour_partition(g)
+    blocks, _ = ordered_unionfind_blocks(g)
+    large = [b[0] for b in blocks if len(b) >= 3]
+    assert sum(len(b) == 2 for b in blocks) > 50 and len(large) > 50
+    assert calls == large
+    assert [b.tolist() for b in part.fibres] == blocks
+
+
+def test_partition_proper_colouring_gives_singletons(triangle_two_colours):
+    # no same-colour edge at all, with and without cross-colour edges
+    for g in (new_graph(3, [(0, 1), (1, 2)], [0, 1, 0]), new_graph(3, [], [0, 0, 0])):
+        part = colour_partition(g)
+        assert [b.tolist() for b in part.fibres] == [[0], [1], [2]]
+        assert part.n_prime == 3 and part.becomes.tolist() == [0, 1, 2]
 
 
 def test_partition_monochromatic_connected_gives_one_block(p4):
