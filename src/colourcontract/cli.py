@@ -10,13 +10,13 @@ import argparse
 import functools
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .engine import ContractionMapping, apply_contraction, contract_to_fixpoint, equivalent_contractions
 from .generators import RandomSpec, assign_random_colours, check_seed, gen_erdos_renyi, permute_enumeration
-from .graph_io import export_dot, parse_graph, serialize_graph, stats_json
+from .graph_io import export_dot, parse_graph, stats_json, text_blocks
 from .oracle import colour_partition
 from .worstcase import classify_roles, generate_fib_instance
 
@@ -30,12 +30,13 @@ def _read_text(path: str) -> bytes | str:
         return handle.read()
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, pieces: Iterable[str]) -> None:
+    """Write the pieces of a text one after another, as they come."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
 def _same_target(a: str, b: str) -> bool:
@@ -59,15 +60,15 @@ def _cmd_contract(args: argparse.Namespace) -> int:
         g, _ = permute_enumeration(g, args.permute_seed)
     final, trace = contract_to_fixpoint(g)
     if graph_target is not None:
-        _write_text(graph_target, serialize_graph(final))
+        _write_text(graph_target, text_blocks(final))
     if stats_target is not None:
-        _write_text(stats_target, stats_json(g, final, trace, include_trace=args.trace))
+        _write_text(stats_target, [stats_json(g, final, trace, include_trace=args.trace)])
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.input))
-    _write_text(args.out if args.out else "-", serialize_graph(apply_contraction(g, colour_partition(g))))
+    _write_text(args.out if args.out else "-", text_blocks(apply_contraction(g, colour_partition(g))))
     return 0
 
 
@@ -97,10 +98,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_gen_fib(args: argparse.Namespace) -> int:
     inst = generate_fib_instance(args.level)
-    text = serialize_graph(inst.graph)
     if args.roles:
-        text = f"# level: {inst.level}\n# roles: {' '.join(inst.roles)}\n" + text
-    sys.stdout.write(text)
+        sys.stdout.write(f"# level: {inst.level}\n# roles: {' '.join(inst.roles)}\n")
+    _write_text("-", text_blocks(inst.graph))
     return 0
 
 
@@ -109,7 +109,7 @@ def _cmd_gen_random(args: argparse.Namespace) -> int:
     g = gen_erdos_renyi(spec)
     # colour draws use seed + 1 so the edge stream stays reproducible on its own
     g = assign_random_colours(g, spec.colours, spec.seed + 1)
-    sys.stdout.write(serialize_graph(g))
+    _write_text("-", text_blocks(g))
     return 0
 
 

@@ -206,8 +206,8 @@ def parse_by_lines(text):
 
     Returns (order, edge set, colour list) like relabel_form, or raises
     LineError at the first offending line.  Within a line the token count is
-    checked first, then the integers (Python int(), inside 64 bits), then
-    their values.  n must be below 2**31; a missing line is reported one past
+    checked first, then the integers (Python int(), inside int64, or below
+    2**64 for colour ids), then their values.  n must be below 2**31; a missing line is reported one past
     the last content line.
     """
     content = []
@@ -215,7 +215,7 @@ def parse_by_lines(text):
         if raw.strip() and not raw.strip().startswith("#"):
             content.append((line_no, raw.split()))
 
-    def ints(k, count):
+    def ints(k, count, top=2**63):
         if k >= len(content):
             raise LineError(content[-1][0] + 1 if content else 1)
         line_no, tokens = content[k]
@@ -225,7 +225,7 @@ def parse_by_lines(text):
             values = [int(t) for t in tokens]
         except ValueError:
             raise LineError(line_no) from None
-        if any(not -(2**63) <= x < 2**63 for x in values):
+        if any(not -(2**63) <= x < top for x in values):
             raise LineError(line_no)
         return line_no, values
 
@@ -234,7 +234,7 @@ def parse_by_lines(text):
         raise LineError(line_no)
     k, colours = 1, []
     if n > 0:
-        line_no, colours = ints(1, n)
+        line_no, colours = ints(1, n, top=2**64)
         k = 2
         if min(colours) < 0:
             raise LineError(line_no)

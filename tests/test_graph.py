@@ -10,7 +10,7 @@ from colourcontract import (
     new_graph,
     serialize_graph,
 )
-from colourcontract.graph import _sorted_unique, colour_neighbourhood_set, relabel_keys, rows_of
+from colourcontract.graph import _argsort_first, _packed_first, _sorted_unique, colour_neighbourhood_set, relabel_keys, rows_of
 from reference_impls import contract_by_relabel, serialize_by_join, validate_by_keys, validate_by_rows
 
 
@@ -139,6 +139,28 @@ def test_new_graph_keeps_uint64_colours_at_and_above_2_63():
     # negative ids are refused whatever the integer dtype
     with pytest.raises(ValueError, match="non-negative"):
         new_graph(2, [], np.array([0, -1], dtype=np.int8))
+
+
+def test_new_graph_holds_python_colour_ids_at_2_63_as_uint64():
+    g = new_graph(2, [], [2**63, 0])
+    assert g.colours.dtype == np.uint64 and g.colours.tolist() == [2**63, 0]
+    # below 2**63 the ids stay int64
+    assert new_graph(2, [], [2**63 - 1, 0]).colours.dtype == np.int64
+
+
+def test_new_graph_refuses_python_colour_ids_at_2_64():
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        new_graph(2, [], [2**64, 0])
+
+
+def test_new_graph_refuses_endpoints_outside_64_bits_as_out_of_range():
+    with pytest.raises(ValueError, match=r"^edge endpoint out of range: \(0, 18446744073709551616\)$"):
+        new_graph(2, [(0, 2**64)], [1, 0])
+    # the first pair with an end outside 0..n-1 is named, in or out of 64 bits
+    with pytest.raises(ValueError, match=r"^edge endpoint out of range: \(0, 5\)$"):
+        new_graph(3, [(0, 1), (0, 5), (2**64, 1)], [1, 0, 0])
+    with pytest.raises(ValueError, match=r"^edge endpoint out of range: \(0, 9223372036854775808\)$"):
+        new_graph(2, [(0, 2**63)], [1, 0])
 
 
 def test_direct_construction_validates():
@@ -308,6 +330,62 @@ def test_sorted_unique_bitmap_and_sort_branches_match_np_unique():
             typed = values.astype(dtype)
             got = _sorted_unique(typed)
             assert got.dtype == dtype and np.array_equal(got, np.unique(typed)), (values.tolist(), dtype)
+
+
+def _first_position_cases():
+    """(values, bits) for each case both first-position branches are
+    checked on; bits is the packed word's width, None for negative values."""
+    rng = np.random.default_rng(13)
+    cases = [np.empty(0, dtype=np.int64), np.array([9]), np.array([4, 4, 4, 4])]
+    cases += [rng.integers(0, 30, size=200), rng.integers(-30, 30, size=200)]
+    # 100 positions take 7 bits: a largest value of 57 bits packs into
+    # exactly 64, one of 58 bits one over
+    for top in (2**57 - 1, 2**58 - 1):
+        values = rng.integers(0, 50, size=100) * (top // 50)
+        values[37] = top
+        cases.append(values)
+    out = []
+    for values in cases:
+        for dtype in (np.int64, np.int32, np.uint64):
+            if (dtype == np.int32 and values.size and np.abs(values).max() >= 2**31) or (dtype == np.uint64 and values.size and values.min() < 0):
+                continue
+            typed = values.astype(dtype)
+            bits = None
+            if not typed.size or typed.min() >= 0:
+                bits = (int(typed.max()) if typed.size else 0).bit_length() + max(typed.size - 1, 0).bit_length()
+            out.append((typed, bits))
+    return out
+
+
+def test_first_position_branches_match_np_unique():
+    # the packed sort and the argsort each give np.unique's values, in the
+    # input's dtype, and first positions
+    widths = set()
+    for values, bits in _first_position_cases():
+        expected = np.unique(values, return_index=True)
+        branches = [_argsort_first]
+        if bits is not None and bits <= 64:
+            branches.append(lambda values: _packed_first(values, max(values.size - 1, 0).bit_length()))
+        for branch in branches:
+            uniq, first = branch(values)
+            assert uniq.dtype == values.dtype and first.dtype == expected[1].dtype
+            assert np.array_equal(uniq, expected[0]) and np.array_equal(first, expected[1]), (branch, values.tolist())
+        widths.add(bits)
+    assert {None, 64, 65} <= widths
+
+
+def test_sorted_unique_packs_positions_up_to_64_bits(monkeypatch):
+    # _sorted_unique takes the argsort only for negative values or a pack
+    # over 64 bits, and gives np.unique's result either way
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: sorts.append(1) or argsort(*args, **kwargs))
+    for values, bits in _first_position_cases():
+        del sorts[:]
+        uniq, first = _sorted_unique(values, return_index=True)
+        expected = np.unique(values, return_index=True)
+        assert np.array_equal(uniq, expected[0]) and np.array_equal(first, expected[1]) and uniq.dtype == values.dtype
+        assert bool(sorts) == (bits is None or bits > 64), (values.tolist(), bits)
 
 
 def test_immutable_after_construction():

@@ -470,8 +470,14 @@ def test_int64_extremes_in_id_and_colour_position(plain_reads):
     assert g.colours.tolist() == [10**18 - 1, 0] and plain_reads == [True]
     g = parse_graph("2 1\n9223372036854775807 0\n0 1\n")
     assert g.colours.tolist() == [2**63 - 1, 0] and plain_reads[1] is False
+    # colour ids reach 2**64 - 1, held as uint64 from 2**63 on; other numbers stop at int64
+    for top in (2**63, 2**64 - 1):
+        text = f"2 1\n{top} 0\n0 1\n"
+        check_against_line_reference(text)
+        g = parse_graph(text)
+        assert g.colours.dtype == np.uint64 and g.colours.tolist() == [top, 0]
     cases = [
-        ("2 1\n9223372036854775808 0\n0 1\n", 2, "64-bit"),
+        ("2 1\n18446744073709551616 0\n0 1\n", 2, "64-bit"),
         ("2 1\n0 0\n9223372036854775808 1\n", 3, "64-bit"),
         ("2 1\n0 0\n9223372036854775807 1\n", 3, "out of range"),
         ("9223372036854775808 0\n", 1, "64-bit"),
@@ -534,8 +540,49 @@ def test_serialize_writes_every_width_and_dtype_as_str_does():
     for g in graphs:
         text = serialize_graph(g)
         assert text == serialize_by_join(g)
-        if not g.n or int(g.colours.max()) < 2**63:
-            assert graphs_equal(parse_graph(text), g)
+        assert graphs_equal(parse_graph(text), g)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_write_blocks_need_not_align_with_lines(monkeypatch, chunk):
+    # the writer turns a block of values into text at a time; blocks of 1, 3
+    # and 7 values end inside the colour line and between an edge's two
+    # ends, and the text must still be the joined lines', for ids of 1 to 20
+    # digits
+    monkeypatch.setattr(graph_io, "_WRITE_CHUNK", chunk)
+    widths = [10**k for k in range(20)] + [2**64 - 1]
+    n = len(widths)
+    edges = [(v, (v * 7 + 3) % n) for v in range(n) if (v * 7 + 3) % n != v]
+    graphs = [
+        new_graph(n, edges, np.array(widths, dtype=np.uint64)),
+        new_graph(n, edges, np.array(widths[::-1], dtype=np.uint64)),
+        new_graph(12_345, [(0, 12_344), (9, 10_000), (99, 100), (1, 2)], np.arange(12_345) % 5),
+        new_graph(5, [], [3, 0, 2, 0, 1]),
+        new_graph(0, [], []),
+        generate_fib_instance(7).graph,
+    ]
+    for g in graphs:
+        text = serialize_graph(g)
+        assert text == serialize_by_join(g)
+        assert "".join(graph_io.text_blocks(g)) == text
+        assert graphs_equal(parse_graph(text), g)
+
+
+def test_uint64_colours_round_trip_and_contract_from_the_command_line(tmp_path, capsys):
+    # colour ids at and above 2**63 are written by serialize_graph and read
+    # back by the line reader as uint64; contracting that text from the
+    # command line gives the library's result
+    g = new_graph(4, [(0, 1), (1, 2), (2, 3)], np.array([2**63, 2**63, 2**64 - 1, 0], dtype=np.uint64))
+    text = serialize_graph(g)
+    assert text == "4 3\n9223372036854775808 9223372036854775808 18446744073709551615 0\n0 1\n1 2\n2 3\n"
+    parsed = parse_graph(text)
+    assert parsed.colours.dtype == np.uint64 and graphs_equal(parsed, g)
+    path = tmp_path / "wide.graph"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(["contract", str(path)]) == 0
+    final, _ = contract_to_fixpoint(g)
+    assert capsys.readouterr().out == serialize_graph(final)
+    assert final.colours.tolist() == [2**63, 2**64 - 1, 0]
 
 
 def test_round_trip_random_graphs():
