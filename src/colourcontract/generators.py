@@ -57,12 +57,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _batch(missing: int) -> int:
-    """Pairs in one batch of the exact sampler: four times the ``missing``
-    pairs, plus 16, and at least 64.  These sizes fix the random stream."""
-    return max(4 * missing + 16, 64)
-
-
 def _draw_keys(n: int, pairs: int, rng: np.random.Generator) -> np.ndarray:
     """Keys lo*n + hi of ``pairs`` uniform pairs, self-loops dropped, in draw
     order."""
@@ -88,45 +82,28 @@ def _sample_pairs_exact(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Keys lo*n + hi of the first m distinct unordered pairs from an endless
     stream of uniform draws, ascending.
 
-    Rejecting repeats in draw order is uniform sampling without replacement;
-    test sizes keep the rejection rate harmless.  The stream is drawn in
-    batches, each sized by the pairs still missing, counted over every
-    distinct pair drawn so far, so the draws, and the pairs, depend on the
-    seed alone.
+    Rejecting repeats in draw order is uniform sampling without replacement.
+    numpy fills a bounded draw one element after another from the generator
+    state, so consecutive draws of k1 and k2 pairs give the pairs of one
+    k1 + k2 draw: the stream, and the pairs, depend on the seed alone, not
+    on how the stream is cut.
 
-    A head of m + m//16 + 64 keys nearly always holds m distinct ones, and
-    then nothing past it is read.  numpy fills a bounded draw one element
-    after another from the generator state, so the first k pairs of a batch
-    equal a k-pair draw from the same state: the head is drawn alone, with
-    room for the self-loops dropped.  When those keys fall short of the head,
-    or the head of m distinct keys, as on dense or tiny graphs, the state is
-    restored and the batches are drawn whole.  Each batch's new keys are
-    merged into the distinct keys so far, which size the next batch, and
-    the whole collection is sorted once, at the end.
+    A head of m + m//16 + 64 pairs nearly always holds m distinct ones, and
+    then nothing past it is drawn.  When it falls short, as on dense or tiny
+    graphs, as many pairs again as are drawn so far are appended, until the
+    keys hold m distinct ones.
     """
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    head = m + m // 16 + 64  # room for the few repeats among the first m keys
-    state = rng.bit_generator.state
-    keys = _draw_keys(n, min(_batch(m), head + head // 8 + 64), rng)
-    if keys.size >= head:
-        uniq, first_pos = _sorted_unique(keys[:head], return_index=True)
+    drawn = m + m // 16 + 64  # room for the few repeats among the first m keys
+    keys = _draw_keys(n, drawn, rng)
+    while True:
+        uniq, first_pos = _sorted_unique(keys, return_index=True)
         if uniq.size >= m:
             return _first_m(uniq, first_pos, m)
-    del keys
-    rng.bit_generator.state = state
-    seen = np.empty(0, dtype=np.int64)
-    parts = []
-    while seen.size < m:
-        drawn = _draw_keys(n, _batch(m - seen.size), rng)
-        parts.append(drawn)
-        drawn = _sorted_unique(drawn)
-        at = np.searchsorted(seen, drawn)
-        # past the last key, compared with -1, which no key equals
-        new = np.append(seen, -1)[at] != drawn
-        seen = np.insert(seen, at[new], drawn[new])
-    uniq, first_pos = _sorted_unique(np.concatenate(parts), return_index=True)
-    return _first_m(uniq, first_pos, m)
+        del uniq, first_pos
+        keys = np.concatenate((keys, _draw_keys(n, drawn, rng)))
+        drawn *= 2
 
 
 def _sample_pairs_bernoulli(n: int, p: float, rng: np.random.Generator) -> np.ndarray:

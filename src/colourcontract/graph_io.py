@@ -39,7 +39,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .engine import ContractionTrace
-from .graph import _MAX_ORDER, ColouredGraph, new_graph
+from .graph import _MAX_ORDER, ColouredGraph, _endpoints, new_graph
 
 # fills for DOT output; colour ids map to ranks, ranks cycle over this palette
 _PALETTE = (
@@ -333,15 +333,11 @@ def text_blocks(g: ColouredGraph) -> Iterator[str]:
     and the command line writes them to its stream as they come."""
     yield f"{g.n} {g.m}\n"
     yield from _decimal_lines(g.colours, g.n)
-    if g.m:
-        # one narrow (m, 2) array, lo and hi of each edge side by side
-        lo, hi = g.endpoints()
-        edges = np.empty((g.m, 2), dtype=np.min_scalar_type(g.n - 1))
-        edges[:, 0] = lo
-        del lo
-        edges[:, 1] = hi
-        del hi
-        yield from _decimal_lines(edges.ravel(), 2)
+    # the endpoints of one block of keys at a time, lo and hi side by side:
+    # half a block of values, rounded up
+    step = (_WRITE_CHUNK + 1) // 2
+    for start in range(0, g.m, step):
+        yield from _decimal_lines(np.column_stack(_endpoints(g.n, g.keys[start:start + step])).ravel(), 2)
 
 
 def serialize_graph(g: ColouredGraph) -> str:

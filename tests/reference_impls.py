@@ -275,9 +275,10 @@ def random_coloured_graph(rng, max_n=24, max_colours=4):
 def sample_pairs_by_set(n, m, rng):
     """First m distinct unordered pairs of the draws, kept in a Python set.
 
-    The draws come in the batches of the package's exact sampler: each batch
-    asks for four times the pairs still missing plus 16, and at least 64,
-    counted over every distinct pair drawn so far.
+    The draws come in batches of four times the pairs still missing plus
+    16, and at least 64.  Consecutive bounded draws equal one draw of their
+    total length, so the pairs do not depend on these batches: they equal
+    those of the package's exact sampler, which cuts the stream otherwise.
     """
     seen, order = set(), []
     while len(seen) < m:

@@ -340,6 +340,15 @@ def test_gen_random_refuses_a_colour_count_int64_ids_cannot_hold(capsys):
         assert capsys.readouterr() == ("", "error: colour count must be at most 9223372036854775808\n"), colours
 
 
+def test_gen_random_too_large_to_draw_is_an_error_not_a_traceback(capsys):
+    # the sampler's first draw of about 1.06e14 int64 pairs asks for 1.5 PiB,
+    # more than a 64-bit user address space holds, so numpy refuses it at once
+    argv = ["gen", "random", "--n", "2000000000", "--m", "100000000000000", "--colours", "1", "--seed", "0"]
+    assert run_cli(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_missing_file_is_failure_not_usage_error(capsys):
     assert run_cli(["contract", "/nonexistent/xyz.graph"]) == 1
     assert "error:" in capsys.readouterr().err

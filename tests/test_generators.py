@@ -74,10 +74,10 @@ def test_exact_edge_count():
 
 
 def test_exact_sampler_frees_each_batch_before_the_next_sort():
-    # a batch's draws, their min and max columns and the self-loop mask are
-    # dead once its keys are collected; kept over the next pass's sort of
-    # every key they lift the peak from about 13 to about 19 times the bytes
-    # of m int64 pairs, which is twice the bytes of the m keys returned
+    # a draw's pairs, their min and max columns and the self-loop mask are
+    # dead once its keys are formed; kept over the sort of every key they
+    # lifted the peak from about 13 to about 19 times the bytes of m int64
+    # pairs, which is twice the bytes of the m keys returned
     tracemalloc.start()
     try:
         keys = generators._sample_pairs_exact(20_000, 100_000, generators._rng(0))
@@ -90,9 +90,8 @@ def test_exact_sampler_frees_each_batch_before_the_next_sort():
 
 def test_exact_sampler_sorts_the_head_and_builds_keys_in_place():
     # with m distinct keys in its head, the sampler sorts about m keys, not
-    # the 4m of its first batch, and each batch's keys are built over one of
-    # its columns: about 8 times the bytes of m int64 pairs, against 12.7
-    # when the whole collection was sorted
+    # 4m, and each draw's keys are built over one of its columns: below 8
+    # times the bytes of m int64 pairs
     tracemalloc.start()
     try:
         keys = generators._sample_pairs_exact(20_000, 100_000, generators._rng(0))
@@ -104,9 +103,8 @@ def test_exact_sampler_sorts_the_head_and_builds_keys_in_place():
 
 
 def test_exact_sampler_draws_only_the_head():
-    # with m distinct keys in its head, the sampler draws the head alone, not
-    # the 4m + 16 pairs of its first batch: about 6.5 times the bytes of the
-    # m keys returned, against 16.9 when the first batch was drawn whole
+    # with m distinct keys in its head, the sampler draws the head alone,
+    # m + m//16 + 64 pairs: about 5.3 times the bytes of the m keys returned
     tracemalloc.start()
     try:
         keys = generators._sample_pairs_exact(20_000, 100_000, generators._rng(0))
@@ -120,62 +118,67 @@ def test_exact_sampler_draws_only_the_head():
 @pytest.mark.parametrize("n", [2, 50_000, 2**33])
 @pytest.mark.parametrize("k", [1, 64, 1001, 4096])
 def test_bounded_draw_is_filled_in_order(n, k):
-    # the exact sampler draws a batch's head alone: its pairs must be the
-    # batch's first k, on numpy's 32-bit and 64-bit bounded paths alike
+    # a draw's pairs are the first pairs of a longer draw from the same
+    # state, on numpy's 32-bit and 64-bit bounded paths alike
     for seed in range(3):
         whole = generators._rng(seed).integers(0, n, size=(5000, 2), dtype=np.int64)
         head = generators._rng(seed).integers(0, n, size=(k, 2), dtype=np.int64)
         assert np.array_equal(head, whole[:k]), (n, k, seed)
 
 
-class RecordingRng:
-    """A seeded generator that records the state before every draw, and the
-    number of pairs drawn from it."""
+@pytest.mark.parametrize("n", [2, 3, 50_000, 3 * 2**29, 2**31 - 1, 2**33])
+def test_bounded_draws_do_not_depend_on_how_the_stream_is_cut(n):
+    # numpy fills a bounded draw one value after another from the generator
+    # state, which holds PCG64's half-used 32-bit word: consecutive draws of
+    # k1, k2, ... pairs give the pairs of one draw of their sum and leave the
+    # same state, so the exact sampler's pairs depend on the seed alone.  At
+    # n = 3 * 2**29 about a quarter of the raw 32-bit values are rejected
+    cutter = np.random.default_rng(n)
+    for seed in range(20):
+        cuts = np.sort(cutter.integers(0, 5000, size=int(cutter.integers(1, 6)))).tolist()
+        whole_rng, cut_rng = generators._rng(seed), generators._rng(seed)
+        whole = whole_rng.integers(0, n, size=(5000, 2), dtype=np.int64)
+        parts = [cut_rng.integers(0, n, size=(b - a, 2), dtype=np.int64) for a, b in zip([0, *cuts], [*cuts, 5000])]
+        assert np.array_equal(np.concatenate(parts), whole), (n, seed, cuts)
+        assert cut_rng.bit_generator.state == whole_rng.bit_generator.state, (n, seed, cuts)
+
+
+class CountingRng:
+    """A seeded generator that counts the draws made from it."""
 
     def __init__(self, seed):
         self._rng = generators._rng(seed)
-        self.draws = []
-
-    @property
-    def bit_generator(self):
-        return self._rng.bit_generator
+        self.draws = 0
 
     def integers(self, low, high, size, dtype):
-        self.draws.append((self._rng.bit_generator.state, size[0]))
+        self.draws += 1
         return self._rng.integers(low, high, size=size, dtype=dtype)
 
 
 def test_exact_sampler_matches_set_reference():
-    # (2, 1) and (3, 3): the first batch is shorter than the head, which then
-    # counts the whole collection; (60, 1770) and (200, 19 900): complete
-    # graphs whose head falls short, so later batches are counted one by one.
-    # The sampler may draw a batch's head alone, and draw it again whole from
-    # the same state, so each draw must start where one of the reference's
-    # batches starts and ask for no more pairs than that batch; its pairs are
-    # then that batch's first ones.
+    # (2, 1) and (3, 3): tiny graphs; (60, 1770) and (200, 19 900): complete
+    # graphs, whose head of m + m//16 + 64 pairs falls short of m distinct
+    # ones.  The reference cuts the stream into batches of its own, which
+    # the pairs do not depend on
     cases = [(2, 1), (3, 3), (200, 19_900), (60, 1770), (60, 1769)]
     for seed in range(3):
         rng = np.random.default_rng(seed)
         for _ in range(67):
             n = int(rng.integers(2, 300))
             cases.append((n, int(rng.integers(0, min(n * (n - 1) // 2, 1500) + 1))))
-    batches = {}
+    draws = {}
     for k, (n, m) in enumerate(cases):
-        got_rng, want_rng = RecordingRng(k), RecordingRng(k)
+        got_rng = CountingRng(k)
         keys = generators._sample_pairs_exact(n, m, got_rng)
-        want = sample_pairs_by_set(n, m, want_rng)
+        want = sample_pairs_by_set(n, m, generators._rng(k))
         assert keys.dtype == np.int64 and keys.shape == (m,), (n, m)
         want = want[np.lexsort((want[:, 1], want[:, 0]))]
         assert np.array_equal(np.column_stack(divmod(keys, n)), want), (n, m)
-        starts = []
-        for state, pairs in got_rng.draws:
-            sizes = [size for start, size in want_rng.draws if start == state]
-            assert sizes and pairs <= sizes[0], (n, m)
-            if state not in starts:
-                starts.append(state)
-        batches[n, m] = len(starts)
-    assert batches[60, 1770] >= 2 and batches[200, 19_900] >= 2
-    assert batches[2, 1] == 1
+        draws[n, m] = got_rng.draws
+    # each draw after the head doubles the pairs drawn, so collecting every
+    # pair of a complete graph takes a few draws, not one per missing pair
+    for complete in ((60, 1770), (200, 19_900)):
+        assert 1 < draws[complete] <= 10, (complete, draws[complete])
 
 
 def test_zero_edges():

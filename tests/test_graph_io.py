@@ -14,7 +14,9 @@ from colourcontract.cli import run_cli
 from colourcontract import (
     ColouredGraph,
     GraphParseError,
+    RandomSpec,
     export_dot,
+    gen_erdos_renyi,
     generate_fib_instance,
     graphs_equal,
     new_graph,
@@ -566,6 +568,21 @@ def test_write_blocks_need_not_align_with_lines(monkeypatch, chunk):
         assert text == serialize_by_join(g)
         assert "".join(graph_io.text_blocks(g)) == text
         assert graphs_equal(parse_graph(text), g)
+
+
+def test_writer_memory_is_bounded_by_a_block():
+    # the edge lines are written from one block of keys at a time, never from
+    # the endpoints of the whole graph: on 540 989 edges the streamed peak is
+    # about 2.4 MB against 4.3 MB of keys
+    g = gen_erdos_renyi(RandomSpec(n=50_000, m=540_989, seed=0))
+    tracemalloc.start()
+    try:
+        for _ in graph_io.text_blocks(g):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.keys.nbytes
 
 
 def test_uint64_colours_round_trip_and_contract_from_the_command_line(tmp_path, capsys):

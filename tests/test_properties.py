@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colourcontract import (
+    ColouredGraph,
     ContractionMapping,
     apply_contraction,
     colour_partition,
@@ -279,3 +280,42 @@ def test_apply_preserves_handshake(g):
     h = apply_contraction(g, mapping)
     assert int(h.degrees.sum()) == 2 * h.m
     assert h.n == mapping.n_prime
+
+
+def _restrict(g, keep):
+    """The subgraph induced by the vertices where ``keep`` holds, numbered
+    in their old order."""
+    label = np.cumsum(keep) - 1
+    lo, hi = g.endpoints()
+    inside = keep[lo] & keep[hi]
+    return new_graph(int(keep.sum()), np.column_stack((label[lo[inside]], label[hi[inside]])), g.colours[keep])
+
+
+@given(coloured_graphs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_partial_contractions_reach_the_same_fixpoint(g, seed):
+    # confluence: any partition into connected one-colour pieces, here the
+    # colour components of a random half of the same-colour edges, contracts
+    # first and still ends at gamma(g), blocks and final graph alike
+    lo, hi = g.endpoints()
+    same = g.keys[g.colours[lo] == g.colours[hi]]
+    half = same[np.random.default_rng(seed).random(same.size) < 0.5]
+    partial = colour_partition(ColouredGraph(n=g.n, colours=g.colours, keys=half))
+    partial.validate(g)
+    final, trace = contract_to_fixpoint(g)
+    final_q, trace_q = contract_to_fixpoint(apply_contraction(g, partial))
+    composed = ContractionMapping(n=g.n, n_prime=final_q.n, becomes=trace_q.total_map[partial.becomes])
+    assert np.array_equal(composed.fibre_minima, colour_partition(g).fibre_minima)
+    assert graphs_equal(final_q, final)
+
+
+@given(coloured_graphs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_contraction_commutes_with_colour_restriction(g, seed):
+    # gamma(g[S]) = gamma(g)[S] for a random colour set S: both number their
+    # blocks by smallest member, and restriction keeps the vertex order
+    palette = np.unique(g.colours)
+    chosen = palette[np.random.default_rng(seed).random(palette.size) < 0.5]
+    final, _ = contract_to_fixpoint(g)
+    restricted, _ = contract_to_fixpoint(_restrict(g, np.isin(g.colours, chosen)))
+    assert graphs_equal(restricted, _restrict(final, np.isin(final.colours, chosen)))
