@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import ColouredGraph, _grow, _integers, graphs_equal, relabel_keys, rows_within
+from .graph import ColouredGraph, _byte_labels, _grow, _integers, graphs_equal, relabel_keys, rows_within
 
 
 def iteration_bound(n: int) -> int:
@@ -321,12 +321,9 @@ def contract_to_fixpoint(g: ColouredGraph) -> tuple[ColouredGraph, ContractionTr
     records: list[IterationRecord] = []
     t0 = time.perf_counter()
     lo, hi = g.endpoints()
-    colours = g.colours
-    if n0 and int(colours.max()) < 256:
-        # a uint8 copy for this one compare, whose two random gathers then
-        # move an eighth of the bytes: 2.7 -> 2.0 ms on the ER benchmark input
-        # (the stored dtype stays: uint8 colours in every round slowed it)
-        colours = colours.astype(np.uint8)
+    # a byte-wide copy for this one compare (the stored dtype stays: uint8
+    # colours in every round slowed it)
+    colours = _byte_labels(g.colours)
     same = colours[lo] == colours[hi]
     del lo, hi, colours
     # np.compress, not a boolean index: with a quarter of 541k edges kept,

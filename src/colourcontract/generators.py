@@ -62,13 +62,14 @@ def _draw_keys(n: int, pairs: int, rng: np.random.Generator) -> np.ndarray:
     order."""
     draw = rng.integers(0, n, size=(pairs, 2), dtype=np.int64)
     lo = np.minimum(draw[:, 0], draw[:, 1])
-    hi = np.maximum(draw[:, 0], draw[:, 1])
-    del draw
+    # the maxima over the draw's own column: three pair-length columns alive
+    # at the peak
+    hi = np.maximum(draw[:, 0], draw[:, 1], out=draw[:, 1])
     keep = lo != hi
     # built over lo: no batch-length temporary outlives this call
     lo *= n
     lo += hi
-    del hi
+    del hi, draw
     return lo[keep]
 
 

@@ -92,10 +92,14 @@ def rows_of(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     arcs = np.concatenate((keys, hi))
     del lo, hi
     arcs.sort()
-    row, indices = divmod(arcs, max(n, 1))
+    # the remainder written over the arcs: on the 269k same-colour arcs of
+    # the ER benchmark input about 0.5 ms in all, against 0.9 ms for divmod
+    # (numpy 2.4)
+    row = arcs // max(n, 1)
+    arcs -= row * n
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-    return indptr, indices
+    return indptr, arcs
 
 
 def rows_within(g: ColouredGraph, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,9 +107,21 @@ def rows_within(g: ColouredGraph, label: np.ndarray) -> tuple[np.ndarray, np.nda
     per vertex (g's colours, or a mapping's targets): the graph whose
     connected components are the connected pieces of the label classes."""
     lo, hi = g.endpoints()
+    label = _byte_labels(label)
     # np.compress, not a boolean index: about 3x faster at middling densities
     # on numpy 2.4 (3.8 -> 1.0 ms keeping a quarter of 541k keys)
     return rows_of(g.n, np.compress(label[lo] == label[hi], g.keys))
+
+
+def _byte_labels(label: np.ndarray) -> np.ndarray:
+    """``label`` as a uint8 copy when every value is below 256, otherwise
+    as it is: for comparing the labels of an edge's two ends, whose random
+    gathers then move an eighth of the bytes (on the ER benchmark input's
+    colours 1.41 -> 0.86 ms per compare, numpy 2.4).  Labels are
+    non-negative, so uint64 ids at or above 2**63 keep their dtype."""
+    if label.size and int(label.max()) < 256:
+        return label.astype(np.uint8)
+    return label
 
 
 def _grow(indptr: np.ndarray, indices: np.ndarray, seeds: int | np.ndarray, covered: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -181,8 +197,6 @@ def _sorted_unique(values: np.ndarray, return_index: bool = False):
     by one comparison pass and never sorted.  The keys of a contraction
     round descend within their first few values, so a 16-value head is
     compared first and only ascending input pays for the whole pass.
-    Non-negative values below twice their count are deduplicated by a bitmap
-    instead of a sort.
     """
     if return_index:
         position_bits = max(values.size - 1, 0).bit_length()
@@ -192,14 +206,6 @@ def _sorted_unique(values: np.ndarray, return_index: bool = False):
     head = values[:16]
     if (head[1:] > head[:-1]).all() and (values[1:] > values[:-1]).all():
         return values
-    # values in 0..2*size-1 are marked in a bitmap of at most 2 bytes per
-    # value and read back in order: on the 406k relabelled keys of the ER
-    # benchmark's finish, all below k**2 = 58 081, 0.87 ms against 1.37 ms
-    top = int(values.max())
-    if top < 2 * values.size and int(values.min()) >= 0:
-        seen = np.zeros(top + 1, dtype=bool)
-        seen[values] = True
-        return np.flatnonzero(seen).astype(values.dtype, copy=False)
     ordered = np.sort(values)
     return ordered[_run_starts(ordered)]
 
@@ -288,17 +294,35 @@ def relabel_keys(n: int, keys: np.ndarray, label: np.ndarray, k: int) -> np.ndar
     keys ``lo * n + hi`` (a graph's keys or any subset of them) taken through
     ``label``, one integer in 0..k-1 per vertex (the graph built from the
     keys checks them): the edge set of the quotient by the labelling.  Edges
-    inside one label vanish; parallel ones collapse."""
+    inside one label vanish; parallel ones collapse.
+
+    Onto few labels, ``k * k <= 2 * m`` (the keys' own count), every pair
+    ``a * k + b`` is marked in a (k, k) bitmap of at most 2 bytes per key,
+    folded onto its upper triangle: edges inside one label fall on the
+    diagonal and are dropped there, so no crossing mask, copy, min, max or
+    sort is needed.  Onto more labels, the crossing pairs are kept and their
+    keys sorted.
+    """
     lo, hi = _endpoints(n, keys)
     label = label.astype(np.int64, copy=False)
-    a, b = label[lo], label[hi]
-    del lo, hi
+    # each gather after its index array is freed: three key-length arrays
+    # alive at the peak
+    a = label[lo]
+    del lo
+    b = label[hi]
+    del hi
+    if k * k <= 2 * keys.size:
+        a *= k
+        a += b
+        del b
+        seen = np.zeros((k, k), dtype=bool)
+        seen.reshape(-1)[a] = True
+        del a
+        seen |= seen.T
+        return np.flatnonzero(np.triu(seen, 1))
     crossing = a != b
-    # only the crossing ends stay alive through the key build and the sort.
-    # Every edge crosses when the keys join different fibres, as the finish's
-    # cross-colour keys do: no copy then (two copies of the ER benchmark's
-    # 406k such keys took 0.96 ms); otherwise np.compress, about 3x faster
-    # than a boolean index at middling densities on numpy 2.4
+    # np.compress, about 3x faster than a boolean index at middling
+    # densities on numpy 2.4, and no copy when every edge crosses
     if not crossing.all():
         a, b = np.compress(crossing, a), np.compress(crossing, b)
     del crossing

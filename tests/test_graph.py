@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from colourcontract import (
     new_graph,
     serialize_graph,
 )
-from colourcontract.graph import _argsort_first, _packed_first, _sorted_unique, colour_neighbourhood_set, relabel_keys, rows_of
+from colourcontract import graph
+from colourcontract.generators import RandomSpec, gen_erdos_renyi
+from colourcontract.graph import _argsort_first, _packed_first, _pair_keys, _sorted_unique, colour_neighbourhood_set, relabel_keys, rows_of
 from reference_impls import contract_by_relabel, serialize_by_join, validate_by_keys, validate_by_rows
 
 
@@ -113,12 +117,76 @@ def test_new_graph_leaves_the_callers_edges_unchanged():
     assert g.edge_array().tolist() == [[0, 2], [1, 3], [2, 3]]
 
 
-def test_relabel_keys_of_empty_edge_sets():
-    for g in (new_graph(0, [], []), new_graph(3, [], [0, 1, 2])):
-        for label, k in ((np.zeros(g.n, dtype=np.int64), 1), (np.arange(g.n), g.n), (np.arange(g.n) % 2, 5)):
-            keys = relabel_keys(g.n, g.keys, label, k)
-            assert keys.dtype == np.int64 and keys.size == 0
-            assert contract_by_relabel(g, label)[1] == set()
+def test_relabel_keys_of_empty_edge_sets(monkeypatch):
+    # no edge in, or every edge inside one label: no key out, on both sides
+    # of the bound k * k <= 2m under which the keys are marked in a bitmap
+    sorts = []
+    monkeypatch.setattr(graph, "_pair_keys", lambda *args, **kwargs: sorts.append(1) or _pair_keys(*args, **kwargs))
+    path = new_graph(4, [(0, 1), (1, 2), (2, 3)], [0] * 4)
+    pairs = new_graph(6, [(0, 1), (2, 3), (4, 5)], [0] * 6)
+    cases = [(g, label, k) for g in (new_graph(0, [], []), new_graph(3, [], [0, 1, 2])) for label, k in ((np.zeros(g.n, dtype=np.int64), 1), (np.arange(g.n), g.n), (np.arange(g.n) % 2, 5))]
+    # k = 1 and k = 2 under the bound, k = 3 and k = 5 above it
+    cases += [(path, np.zeros(4, dtype=np.int64), 1), (path, np.full(4, 2), 3), (pairs, np.array([0, 0, 1, 1, 0, 0]), 2), (pairs, np.array([4, 4, 1, 1, 0, 0]), 5)]
+    bitmaps = set()
+    for g, label, k in cases:
+        del sorts[:]
+        keys = relabel_keys(g.n, g.keys, label, k)
+        assert keys.dtype == np.int64 and keys.size == 0
+        assert contract_by_relabel(g, label)[1] == set()
+        assert bool(sorts) == (k * k > 2 * g.m)
+        bitmaps.add(k * k <= 2 * g.m)
+    assert bitmaps == {True, False}
+
+
+def test_relabel_keys_on_both_sides_of_the_bitmap_bound(monkeypatch):
+    # onto k labels with k * k <= 2m the pair keys a*k + b are marked in a
+    # (k, k) bitmap and read off its upper triangle; above the bound the
+    # crossing pairs are sorted.  Both give the set reference's keys: at
+    # k = 0 and k = 1, at k * k = 2m exactly, and on a complete graph
+    sorts = []
+    monkeypatch.setattr(graph, "_pair_keys", lambda *args, **kwargs: sorts.append(1) or _pair_keys(*args, **kwargs))
+    rng = np.random.default_rng(14)
+    complete = new_graph(60, [(u, v) for u in range(60) for v in range(u)], [0] * 60)
+    eight = new_graph(8, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (5, 6), (6, 7), (3, 7)], [0] * 8)
+    cases = [
+        (new_graph(0, [], []), np.zeros(0, dtype=np.int64), 0),
+        (new_graph(2, [(0, 1)], [0, 0]), np.zeros(2, dtype=np.int64), 1),
+        # k * k = 2m: 2 * 2 against 2 edges, 4 * 4 against 8
+        (new_graph(3, [(0, 1), (1, 2)], [0] * 3), np.array([0, 1, 0]), 2),
+        (new_graph(3, [(0, 1), (1, 2)], [0] * 3), np.array([1, 0, 1]), 3),
+        (eight, np.array([0, 1, 2, 3, 3, 2, 1, 0]), 4),
+        (eight, np.array([0, 1, 2, 3, 3, 2, 1, 0]), 5),
+        # 1770 edges: 59 labels take the bitmap, 60 the sort
+        (complete, rng.permutation(60), 60),
+        (complete, np.minimum(rng.permutation(60), 58), 59),
+        (complete, np.arange(60) % 2, 2),
+        (complete, np.arange(60) // 2, 30),
+    ]
+    for g, label, k in cases:
+        del sorts[:]
+        keys = relabel_keys(g.n, g.keys, label, k)
+        want = sorted(a * k + b for a, b in contract_by_relabel(g, label)[1])
+        assert keys.dtype == np.int64 and keys.tolist() == want, (g.n, k)
+        assert bool(sorts) == (k * k > 2 * g.m), (g.n, k)
+    assert relabel_keys(complete.n, complete.keys, rng.permutation(60), 60).size == 1770
+
+
+def test_relabel_keys_onto_few_labels_holds_three_key_arrays():
+    # onto few labels each end is gathered through the labelling once its
+    # index array is freed, and the keys a*k + b are written over the first
+    # gather: three int64 arrays as long as the keys alive at the peak, and
+    # the k * k bytes of the bitmap
+    g = gen_erdos_renyi(RandomSpec(n=50_000, m=540_989, seed=0))
+    k = 241
+    label = np.random.default_rng(15).integers(0, k, size=g.n)
+    tracemalloc.start()
+    try:
+        keys = relabel_keys(g.n, g.keys, label, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert keys.size == k * (k - 1) // 2
+    assert peak < 3 * g.keys.nbytes + k * k + 4096
 
 
 def test_negative_colour_rejected():
@@ -309,10 +377,13 @@ def test_sorted_unique_matches_np_unique():
         assert all(values.tolist().index(int(x)) == int(i) for x, i in zip(uniq, first))
 
 
-def test_sorted_unique_bitmap_and_sort_branches_match_np_unique():
-    # without return_index, values in 0..2*size-1 are deduplicated by a
-    # bitmap and all others by a sort: both sides of each bound, in the
-    # dtypes the package hands it, keep the input's dtype
+def test_sorted_unique_ascending_and_sort_branches_match_np_unique(monkeypatch):
+    # without return_index, strictly ascending values are returned as they
+    # are and all others are sorted, dense or sparse, negative or not: both
+    # branches, in the dtypes the package hands it, keep the input's dtype
+    sorts = []
+    sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda *args, **kwargs: sorts.append(1) or sort(*args, **kwargs))
     rng = np.random.default_rng(12)
     arrays = [np.empty(0, dtype=np.int64)]
     for size in (1, 2, 5, 64, 1000):
@@ -320,16 +391,22 @@ def test_sorted_unique_bitmap_and_sort_branches_match_np_unique():
             values = rng.integers(0, top + 1, size=size)
             values[rng.integers(size)] = top
             arrays.append(values[::-1].copy() if size > 1 else values)
+            arrays.append(np.unique(values))
         # negative values below twice the count
         arrays.append(np.r_[size, rng.integers(-size, size, size=size), -1])
+    # ascending past the 16-value head, then a repeat or a descent
+    arrays += [np.r_[np.arange(40), 39, np.arange(40, 60)], np.r_[np.arange(20), 3]]
     arrays += [np.array([3, 0, 3, 1]), np.array([-1, 0, 1]), np.array([1, -1])]
     for values in arrays:
+        ascending = bool((values[1:] > values[:-1]).all())
         for dtype in (np.int64, np.int32, np.uint64):
             if dtype == np.uint64 and values.size and values.min() < 0:
                 continue
             typed = values.astype(dtype)
+            del sorts[:]
             got = _sorted_unique(typed)
             assert got.dtype == dtype and np.array_equal(got, np.unique(typed)), (values.tolist(), dtype)
+            assert (got is typed) == ascending and bool(sorts) == (not ascending), (values.tolist(), dtype)
 
 
 def _first_position_cases():

@@ -1,5 +1,8 @@
 """Property-based checks of the structural guarantees, driven by hypothesis."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from colourcontract import (
     permute_enumeration,
     serialize_graph,
 )
+from colourcontract import graph
 from colourcontract.engine import build_functional_digraph, project_to_roots
 from colourcontract.graph import colour_neighbourhood_set, relabel_keys, rows_of, rows_within
 from conftest import check_whole_edge_rounds, tampered_inputs
@@ -63,25 +67,35 @@ def test_construction_invariants(g):
 @settings(max_examples=150, deadline=None)
 def test_relabel_keys_matches_set_reference(g, data):
     # every quotient and relabelling builds its keys in relabel_keys: the
-    # sorted distinct keys a*k + b of the set reference's edges (a, b), a < b
+    # sorted distinct keys a*k + b of the set reference's edges (a, b), a < b,
+    # whether the keys are marked in a (k, k) bitmap (k * k <= 2m) or the
+    # crossing pairs are sorted (k * k > 2m); the sort alone builds pair keys
     n = g.n
     extra = data.draw(st.integers(0, 3))
+    # onto at most isqrt(2m) labels the bitmap is taken, onto one more the sort
+    fit = math.isqrt(2 * g.m)
+    components = colour_partition(ColouredGraph(n=n, colours=np.zeros(n, dtype=np.int64), keys=g.keys))
     labellings = [
         # onto 0..k-1, some labels unused
         (data.draw(st.lists(st.integers(0, n + extra), min_size=n, max_size=n)), n + extra + 1),
         (data.draw(st.permutations(range(n))), n),
         (list(range(n)), n),
-        # three labels: keys below 2*3 dedupe by the bitmap whenever three
-        # or more edges cross
         (data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), 3),
-        # every edge vanishes
+        # every edge vanishes: one label, and the components, one label each
         ([extra] * n, extra + 1),
+        (components.becomes, components.n_prime),
     ]
+    if n:
+        # both sides of the bound, k * k <= 2m and k * k > 2m
+        for k in {max(fit, 1), fit + 1}:
+            labellings.append((data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), k))
     for label, k in labellings:
         label = np.array(label, dtype=np.int64)
-        keys = relabel_keys(g.n, g.keys, label, k)
+        with mock.patch.object(graph, "_pair_keys", wraps=graph._pair_keys) as sort:
+            keys = relabel_keys(g.n, g.keys, label, k)
         want = sorted(a * k + b for a, b in contract_by_relabel(g, label)[1])
         assert keys.dtype == np.int64 and keys.tolist() == want
+        assert sort.called == (k * k > 2 * g.m)
 
 
 @given(coloured_graphs(), st.data())
