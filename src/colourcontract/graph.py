@@ -184,30 +184,22 @@ def _validate(g: ColouredGraph) -> np.ndarray:
     return keys
 
 
-def _sorted_unique(values: np.ndarray, return_index: bool = False):
-    """Sorted distinct values of a 1-D array, as ``np.unique`` gives them,
-    in the input's dtype.
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of int64 keys that the caller owns, as
+    ``np.unique`` gives them; keys out of order are sorted in place.
 
-    One sort and an adjacent-difference mask.  With ``return_index`` the
-    position of each value's first occurrence comes too: non-negative values
-    that fit in 64 bits with a position beside them take one packed sort
-    (``_packed_first``), and negative values or wider packs an ``argsort``
-    (``_argsort_first``).  Without it, values that already strictly ascend,
-    as the edge keys of canonical text do, are returned as they are, found
-    by one comparison pass and never sorted.  The keys of a contraction
-    round descend within their first few values, so a 16-value head is
+    Keys that already strictly ascend, as those of canonical text do, are
+    returned as they are after one comparison pass.  A contraction round's
+    keys descend within their first few values, so a 16-value head is
     compared first and only ascending input pays for the whole pass.
     """
-    if return_index:
-        position_bits = max(values.size - 1, 0).bit_length()
-        if not values.size or (int(values.min()) >= 0 and int(values.max()).bit_length() + position_bits <= 64):
-            return _packed_first(values, position_bits)
-        return _argsort_first(values)
-    head = values[:16]
-    if (head[1:] > head[:-1]).all() and (values[1:] > values[:-1]).all():
-        return values
-    ordered = np.sort(values)
-    return ordered[_run_starts(ordered)]
+    head = keys[:16]
+    if (head[1:] > head[:-1]).all() and (keys[1:] > keys[:-1]).all():
+        return keys
+    keys.sort()
+    # a boolean index, not np.compress: with no repeats, as in fib keys,
+    # 0.33 against 0.38 ms on 46k keys (numpy 2.4)
+    return keys[_run_starts(keys)]
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -216,48 +208,6 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     return first
-
-
-def _packed_first(values: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_sorted_unique(values, return_index=True)`` of non-negative values
-    whose bits, shifted left by ``shift``, the bit length of (count - 1),
-    fit in 64.
-
-    Each value is shifted, its position ORed in, and the words are sorted
-    as one uint64 array in place: the first word of each run of equal values
-    then holds that value's smallest position, so neither an ``argsort`` nor
-    a reduction is needed.  On the 575k-key head of the ER benchmark's
-    sample this took 13 ms against the ``argsort`` path's 31 ms (2-core
-    Xeon, numpy 2.4).
-    """
-    # shifted as uint64, so that no narrower or signed type overflows
-    packed = values.astype(np.uint64)
-    packed <<= shift
-    packed |= np.arange(values.size, dtype=np.uint64)
-    packed.sort()
-    first = _run_starts(packed >> shift)
-    packed = np.compress(first, packed)
-    del first
-    # each value fits its own dtype and each position int64: written or
-    # viewed in place, with no second copy of either
-    uniq = np.empty(packed.size, dtype=values.dtype)
-    np.right_shift(packed, shift, out=uniq, casting="unsafe")
-    packed &= (1 << shift) - 1
-    return uniq, packed.view(np.intp)
-
-
-def _argsort_first(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_sorted_unique(values, return_index=True)`` by an ``argsort``: the
-    smallest position within each run of equal values, so the sort need not
-    be stable."""
-    order = np.argsort(values)
-    ordered = values[order]
-    starts = np.flatnonzero(_run_starts(ordered))
-    uniq = ordered[starts]
-    # freed before the reduction: one array of this length fewer alive at the
-    # peak, about 17 MB on the 2.2M keys of a 540k-edge sample
-    del ordered
-    return uniq, np.minimum.reduceat(order, starts) if starts.size else order[:0]
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -281,12 +231,12 @@ def _integers(values, what: str) -> np.ndarray:
 
 
 def _pair_keys(a: np.ndarray, b: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Sorted distinct keys ``min * k + max`` of the pairs (a[i], b[i]), the
+    """Keys ``min * k + max`` of the pairs (a[i], b[i]), in pair order, the
     maxima written into ``out``: b itself only when the caller owns b."""
     keys = np.minimum(a, b)
     keys *= k
     keys += np.maximum(a, b, out=out)
-    return _sorted_unique(keys)
+    return keys
 
 
 def relabel_keys(n: int, keys: np.ndarray, label: np.ndarray, k: int) -> np.ndarray:
@@ -322,11 +272,15 @@ def relabel_keys(n: int, keys: np.ndarray, label: np.ndarray, k: int) -> np.ndar
         return np.flatnonzero(np.triu(seen, 1))
     crossing = a != b
     # np.compress, about 3x faster than a boolean index at middling
-    # densities on numpy 2.4, and no copy when every edge crosses
+    # densities on numpy 2.4, and no copy when every edge crosses; one array
+    # at a time, each old one freed before the next copy
     if not crossing.all():
-        a, b = np.compress(crossing, a), np.compress(crossing, b)
+        a = np.compress(crossing, a)
+        b = np.compress(crossing, b)
     del crossing
-    return _pair_keys(a, b, k, out=b)
+    quotient_keys = _pair_keys(a, b, k, out=b)
+    del a, b  # freed before the keys are sorted in place
+    return _sorted_unique(quotient_keys)
 
 
 def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequence[int] | np.ndarray) -> ColouredGraph:
@@ -374,7 +328,7 @@ def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequ
     loops = u == v
     if loops.any():
         raise ValueError(f"self-loop at vertex {int(u[loops][0])}")
-    return ColouredGraph(n=n, colours=col, keys=_pair_keys(u, v, n))
+    return ColouredGraph(n=n, colours=col, keys=_sorted_unique(_pair_keys(u, v, n)))
 
 
 def colour_neighbourhood_set(g: ColouredGraph, members: Iterable[int]) -> np.ndarray:

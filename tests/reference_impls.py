@@ -24,7 +24,7 @@ from collections import deque
 import numpy as np
 
 from colourcontract.engine import apply_contraction, evaluate_contraction_mapping
-from colourcontract.graph import _sorted_unique, new_graph
+from colourcontract.graph import new_graph
 
 
 class UnionFind:
@@ -322,7 +322,7 @@ def equivalent_by_sets(g, trace, partition):
     if not np.array_equal(total, trace.total_map):
         return False
 
-    uniq = _sorted_unique(total)
+    uniq = np.unique(total)
     if not np.array_equal(uniq, np.arange(uniq.size, dtype=np.int64)):
         return False
     # total is onto 0..k-1, so the fibres are runs of its stable sort

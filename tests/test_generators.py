@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -141,6 +142,63 @@ def test_bounded_draws_do_not_depend_on_how_the_stream_is_cut(n):
         parts = [cut_rng.integers(0, n, size=(b - a, 2), dtype=np.int64) for a, b in zip([0, *cuts], [*cuts, 5000])]
         assert np.array_equal(np.concatenate(parts), whole), (n, seed, cuts)
         assert cut_rng.bit_generator.state == whole_rng.bit_generator.state, (n, seed, cuts)
+
+
+def _first_drawn_cases():
+    """(keys, n, bits) for each case the sampler's first-draw routine is
+    checked on: keys lo*n + hi in draw order, repeats included, and the
+    width of the packed word, the bits of n*n - 1 and of the last position."""
+    rng = np.random.default_rng(13)
+    cases = [(np.empty(0, dtype=np.int64), 5), (np.array([9], dtype=np.int64), 5), (np.array([5, 5, 5, 5], dtype=np.int64), 3)]
+    # 100 positions take 7 bits: n = 2**28 + 1 has n*n - 1 of 57 bits, so
+    # its words are exactly 64 bits wide; the least n with n*n > 2**57 has
+    # 58, one over.  Twelve ends spread over 0..n-1 give repeated pairs
+    for n, size in ((6, 200), (300, 1000), (2**28 + 1, 100), (math.isqrt(2**57) + 1, 100)):
+        ends = np.sort(rng.choice(n, size=min(n, 12), replace=False))
+        pairs = np.sort(ends[rng.integers(0, ends.size, size=(3 * size, 2))], axis=1)
+        pairs = pairs[pairs[:, 0] < pairs[:, 1]][:size]
+        cases.append((pairs[:, 0] * n + pairs[:, 1], n))
+    return [(keys, n, (n * n - 1).bit_length() + max(keys.size - 1, 0).bit_length()) for keys, n in cases]
+
+
+def _first_drawn_by_np_unique(keys, m):
+    """The m distinct keys drawn first, ascending, by a partition of
+    np.unique's first positions; None when fewer are distinct."""
+    uniq, first = np.unique(keys, return_index=True)
+    if uniq.size < m:
+        return None
+    return np.sort(uniq[np.argpartition(first, m - 1)[:m]])
+
+
+def test_first_drawn_branches_match_np_unique():
+    # the packed sort and the argsort each give the m keys whose first
+    # draws come first, ascending, and None when fewer are distinct
+    widths = set()
+    for keys, n, bits in _first_drawn_cases():
+        distinct = np.unique(keys).size
+        for m in sorted({1, max(distinct // 2, 1), max(distinct, 1), distinct + 1}):
+            got = generators._first_drawn(keys, n, m)
+            want = _first_drawn_by_np_unique(keys, m)
+            if want is None:
+                assert got is None, (n, m)
+                continue
+            assert got.dtype == np.int64 and np.array_equal(got, want), (n, m, keys.tolist())
+            # in draw order, the first m distinct keys
+            assert got.tolist() == sorted(list(dict.fromkeys(keys.tolist()))[:m]), (n, m)
+        widths.add(bits)
+    assert {64, 65} <= widths
+
+
+def test_first_drawn_packs_key_and_position_up_to_64_bits(monkeypatch):
+    # the argsort is taken only when n*n - 1 and the last position need more
+    # than 64 bits together, whatever the keys drawn
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: sorts.append(1) or argsort(*args, **kwargs))
+    for keys, n, bits in _first_drawn_cases():
+        del sorts[:]
+        generators._first_drawn(keys, n, max(np.unique(keys).size, 1))
+        assert bool(sorts) == (bits > 64), (n, bits)
 
 
 class CountingRng:

@@ -13,8 +13,8 @@ from colourcontract import (
     serialize_graph,
 )
 from colourcontract import graph
-from colourcontract.generators import RandomSpec, gen_erdos_renyi
-from colourcontract.graph import _argsort_first, _packed_first, _pair_keys, _sorted_unique, colour_neighbourhood_set, relabel_keys, rows_of
+from colourcontract.generators import RandomSpec, gen_erdos_renyi, permute_enumeration
+from colourcontract.graph import _pair_keys, _sorted_unique, colour_neighbourhood_set, relabel_keys, rows_of
 from reference_impls import contract_by_relabel, serialize_by_join, validate_by_keys, validate_by_rows
 
 
@@ -187,6 +187,52 @@ def test_relabel_keys_onto_few_labels_holds_three_key_arrays():
         tracemalloc.stop()
     assert keys.size == k * (k - 1) // 2
     assert peak < 3 * g.keys.nbytes + k * k + 4096
+
+
+def test_relabel_keys_onto_many_labels_holds_about_four_key_arrays():
+    # onto more labels the crossing pairs are compressed one array at a
+    # time, the pair keys built over the second, and those keys sorted in
+    # place once both arrays are freed.  The peak is the first compress: the
+    # other end's gather, the old and the new first array, the index array
+    # np.compress builds inside itself, and the crossing mask
+    g = gen_erdos_renyi(RandomSpec(n=50_000, m=540_989, seed=0))
+    k = 1041  # k * k > 2m: the sort path
+    label = np.random.default_rng(16).integers(0, k, size=g.n)
+    tracemalloc.start()
+    try:
+        keys = relabel_keys(g.n, g.keys, label, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    a, b = (label[end] for end in g.endpoints())
+    crossing = a != b
+    assert k * k > 2 * g.m
+    assert np.array_equal(keys, np.unique(np.minimum(a, b)[crossing] * k + np.maximum(a, b)[crossing]))
+    assert peak < 4.25 * g.keys.nbytes
+
+
+def test_quotients_leave_the_callers_arrays_unchanged(monkeypatch):
+    # the sort path sorts keys in place, but only keys its caller owns: the
+    # keys, labels and edges handed in stay as they were
+    g = gen_erdos_renyi(RandomSpec(n=40, m=300, seed=3))
+    sorts = []
+    run_starts = graph._run_starts
+    monkeypatch.setattr(graph, "_run_starts", lambda ordered: sorts.append(1) or run_starts(ordered))
+    keys, label = g.keys.copy(), np.random.default_rng(17).permutation(g.n)
+    before = keys.copy(), label.copy()
+    got = relabel_keys(g.n, keys, label, g.n)
+    assert np.array_equal(keys, before[0]) and np.array_equal(label, before[1])
+    assert got.tolist() == sorted(a * g.n + b for a, b in contract_by_relabel(g, label)[1])
+    permuted, perm = permute_enumeration(g, 5)
+    assert np.array_equal(g.keys, before[0])
+    assert np.array_equal(relabel_keys(g.n, permuted.keys, np.argsort(perm), g.n), g.keys)
+    edges = g.edge_array()[::-1, ::-1].copy()
+    colours = np.arange(g.n) % 3
+    before = edges.copy(), colours.copy()
+    assert np.array_equal(new_graph(g.n, edges, colours).keys, g.keys)
+    assert np.array_equal(edges, before[0]) and np.array_equal(colours, before[1])
+    # each of the four quotients took the sort path
+    assert len(sorts) == 4
 
 
 def test_negative_colour_rejected():
@@ -363,27 +409,26 @@ def test_sorted_unique_returns_ascending_values_unsorted():
 
 
 def test_sorted_unique_matches_np_unique():
+    # the caller owns the keys, non-negative int64: those that do not
+    # ascend are sorted in place, and the distinct ones come back
     rng = np.random.default_rng(11)
     arrays = [np.empty(0, dtype=np.int64), np.array([5]), np.array([3, 3, 3])]
-    arrays += [rng.integers(-20, 20, size=int(rng.integers(1, 300))) for _ in range(30)]
+    arrays += [rng.integers(0, 40, size=int(rng.integers(1, 300))) for _ in range(30)]
     # ascending for a head of 16 values or more, then a repeat or a descent
     arrays += [np.r_[np.arange(40), 39, np.arange(40, 60)], np.r_[np.arange(16), 3], np.r_[np.arange(15), 3]]
     for values in arrays:
-        assert np.array_equal(_sorted_unique(values), np.unique(values))
-        uniq, first = _sorted_unique(values, return_index=True)
-        expected_uniq, expected_first = np.unique(values, return_index=True)
-        assert np.array_equal(uniq, expected_uniq)
-        assert np.array_equal(first, expected_first)
-        assert all(values.tolist().index(int(x)) == int(i) for x, i in zip(uniq, first))
+        owned = values.copy()
+        got = _sorted_unique(owned)
+        assert got.dtype == np.int64 and np.array_equal(got, np.unique(values)), values.tolist()
+        assert np.array_equal(owned, np.sort(values)), values.tolist()
 
 
 def test_sorted_unique_ascending_and_sort_branches_match_np_unique(monkeypatch):
-    # without return_index, strictly ascending values are returned as they
-    # are and all others are sorted, dense or sparse, negative or not: both
-    # branches, in the dtypes the package hands it, keep the input's dtype
+    # strictly ascending keys are returned as they are and all others are
+    # sorted, dense or sparse: only the sort looks for runs of equal keys
     sorts = []
-    sort = np.sort
-    monkeypatch.setattr(np, "sort", lambda *args, **kwargs: sorts.append(1) or sort(*args, **kwargs))
+    run_starts = graph._run_starts
+    monkeypatch.setattr(graph, "_run_starts", lambda ordered: sorts.append(1) or run_starts(ordered))
     rng = np.random.default_rng(12)
     arrays = [np.empty(0, dtype=np.int64)]
     for size in (1, 2, 5, 64, 1000):
@@ -392,77 +437,15 @@ def test_sorted_unique_ascending_and_sort_branches_match_np_unique(monkeypatch):
             values[rng.integers(size)] = top
             arrays.append(values[::-1].copy() if size > 1 else values)
             arrays.append(np.unique(values))
-        # negative values below twice the count
-        arrays.append(np.r_[size, rng.integers(-size, size, size=size), -1])
     # ascending past the 16-value head, then a repeat or a descent
-    arrays += [np.r_[np.arange(40), 39, np.arange(40, 60)], np.r_[np.arange(20), 3]]
-    arrays += [np.array([3, 0, 3, 1]), np.array([-1, 0, 1]), np.array([1, -1])]
+    arrays += [np.r_[np.arange(40), 39, np.arange(40, 60)], np.r_[np.arange(20), 3], np.array([3, 0, 3, 1])]
     for values in arrays:
         ascending = bool((values[1:] > values[:-1]).all())
-        for dtype in (np.int64, np.int32, np.uint64):
-            if dtype == np.uint64 and values.size and values.min() < 0:
-                continue
-            typed = values.astype(dtype)
-            del sorts[:]
-            got = _sorted_unique(typed)
-            assert got.dtype == dtype and np.array_equal(got, np.unique(typed)), (values.tolist(), dtype)
-            assert (got is typed) == ascending and bool(sorts) == (not ascending), (values.tolist(), dtype)
-
-
-def _first_position_cases():
-    """(values, bits) for each case both first-position branches are
-    checked on; bits is the packed word's width, None for negative values."""
-    rng = np.random.default_rng(13)
-    cases = [np.empty(0, dtype=np.int64), np.array([9]), np.array([4, 4, 4, 4])]
-    cases += [rng.integers(0, 30, size=200), rng.integers(-30, 30, size=200)]
-    # 100 positions take 7 bits: a largest value of 57 bits packs into
-    # exactly 64, one of 58 bits one over
-    for top in (2**57 - 1, 2**58 - 1):
-        values = rng.integers(0, 50, size=100) * (top // 50)
-        values[37] = top
-        cases.append(values)
-    out = []
-    for values in cases:
-        for dtype in (np.int64, np.int32, np.uint64):
-            if (dtype == np.int32 and values.size and np.abs(values).max() >= 2**31) or (dtype == np.uint64 and values.size and values.min() < 0):
-                continue
-            typed = values.astype(dtype)
-            bits = None
-            if not typed.size or typed.min() >= 0:
-                bits = (int(typed.max()) if typed.size else 0).bit_length() + max(typed.size - 1, 0).bit_length()
-            out.append((typed, bits))
-    return out
-
-
-def test_first_position_branches_match_np_unique():
-    # the packed sort and the argsort each give np.unique's values, in the
-    # input's dtype, and first positions
-    widths = set()
-    for values, bits in _first_position_cases():
-        expected = np.unique(values, return_index=True)
-        branches = [_argsort_first]
-        if bits is not None and bits <= 64:
-            branches.append(lambda values: _packed_first(values, max(values.size - 1, 0).bit_length()))
-        for branch in branches:
-            uniq, first = branch(values)
-            assert uniq.dtype == values.dtype and first.dtype == expected[1].dtype
-            assert np.array_equal(uniq, expected[0]) and np.array_equal(first, expected[1]), (branch, values.tolist())
-        widths.add(bits)
-    assert {None, 64, 65} <= widths
-
-
-def test_sorted_unique_packs_positions_up_to_64_bits(monkeypatch):
-    # _sorted_unique takes the argsort only for negative values or a pack
-    # over 64 bits, and gives np.unique's result either way
-    sorts = []
-    argsort = np.argsort
-    monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: sorts.append(1) or argsort(*args, **kwargs))
-    for values, bits in _first_position_cases():
+        owned = values.copy()
         del sorts[:]
-        uniq, first = _sorted_unique(values, return_index=True)
-        expected = np.unique(values, return_index=True)
-        assert np.array_equal(uniq, expected[0]) and np.array_equal(first, expected[1]) and uniq.dtype == values.dtype
-        assert bool(sorts) == (bits is None or bits > 64), (values.tolist(), bits)
+        got = _sorted_unique(owned)
+        assert got.dtype == np.int64 and np.array_equal(got, np.unique(values)), values.tolist()
+        assert (got is owned) == ascending and bool(sorts) == (not ascending), values.tolist()
 
 
 def test_immutable_after_construction():
