@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import ColouredGraph, _byte_labels, _grow, _integers, graphs_equal, relabel_keys, rows_within
+from .graph import ColouredGraph, _endpoints, _grow, _integers, _key_slices, _same_label, graphs_equal, relabel_keys, rows_within
 
 
 def iteration_bound(n: int) -> int:
@@ -163,9 +163,9 @@ class ContractionTrace:
 
     ``total_map`` sends every original vertex to its final vertex.
     ``finish_wall_time_ms`` is the time after the last application: the
-    composition of ``total_map`` and the relabelling of the cross-colour
-    edges into the final graph (with no application, the split of the edges
-    by colour too).  No evaluation is needed to find the fixpoint: the
+    composition of ``total_map`` and the relabelling of the input's edges
+    into the final graph (with no application, the split of the edges by
+    colour too).  No evaluation is needed to find the fixpoint: the
     rounds stop when the same-colour graph has no edge.  The rounds and the
     finish together cover the whole ``contract_to_fixpoint`` call.
     """
@@ -190,17 +190,22 @@ def build_functional_digraph(g: ColouredGraph) -> np.ndarray:
     win, so each same-colour edge offers its lower end to its upper one.
     """
     b = np.arange(g.n, dtype=np.int64)
-    lo, hi = g.endpoints()
-    same = g.colours[lo] == g.colours[hi]
-    # contract_to_fixpoint hands its rounds only same-colour edges, so there
-    # nothing is filtered; only a whole graph, as the worst-case checks and
-    # the tests evaluate, has edges to drop.  Positions rather than a mask:
-    # where about a quarter of 540k edges join one colour, a boolean compress
-    # took ~4 ms per array, the positions and two gathers ~2 ms in all
-    if not same.all():
-        same = np.flatnonzero(same)
-        lo, hi = lo[same], hi[same]
-    np.minimum.at(b, hi, lo)
+    # one block of keys at a time (graph._KEY_BLOCK): the whole-array ends
+    # and colour gathers of round 1 set contract_to_fixpoint's traced peak
+    # at 10**6 vertices, 1.36 against 0.80 times the input's key bytes
+    for at in _key_slices(g.m):
+        lo, hi = _endpoints(g.n, g.keys[at])
+        same = g.colours[lo] == g.colours[hi]
+        # contract_to_fixpoint hands its rounds only same-colour edges, so
+        # there nothing is filtered; only a whole graph, as the worst-case
+        # checks and the tests evaluate, has edges to drop.  Positions rather
+        # than a mask: where about a quarter of 540k edges join one colour, a
+        # boolean compress took ~4 ms per array, the positions and two
+        # gathers ~2 ms in all
+        if not same.all():
+            same = np.flatnonzero(same)
+            lo, hi = lo[same], hi[same]
+        np.minimum.at(b, hi, lo)
     return b
 
 
@@ -306,9 +311,10 @@ def contract_to_fixpoint(g: ColouredGraph) -> tuple[ColouredGraph, ContractionTr
     depends on its same-colour neighbours alone, and every fibre is
     monochromatic, so an edge between two colours joins two colours in every
     quotient and never changes a mapping.  The rounds therefore run on the
-    same-colour subgraph of g, split off once, and the cross-colour edges are
-    taken through the composed map once, at the end: the final graph is the
-    quotient of g by ``total_map``, exactly as rounds over every edge give it.
+    same-colour subgraph of g, split off once, and g's edges are taken
+    through the composed map once, at the end, where each same-colour edge
+    falls inside one fibre and vanishes: the final graph is the quotient of g
+    by ``total_map``, exactly as rounds over every edge give it.
 
     Returns the fully contracted graph plus a trace with one record per
     executed application.  An input already at the fixpoint (including the
@@ -320,15 +326,13 @@ def contract_to_fixpoint(g: ColouredGraph) -> tuple[ColouredGraph, ContractionTr
     max_iterations = iteration_bound(n0) + 2 if n0 >= 1 else 0
     records: list[IterationRecord] = []
     t0 = time.perf_counter()
-    lo, hi = g.endpoints()
-    # a byte-wide copy for this one compare (the stored dtype stays: uint8
-    # colours in every round slowed it)
-    colours = _byte_labels(g.colours)
-    same = colours[lo] == colours[hi]
-    del lo, hi, colours
+    same = _same_label(n0, g.keys, g.colours)
+    crossing = not same.all()
     # np.compress, not a boolean index: with a quarter of 541k edges kept,
-    # 3.8 -> 1.0 ms for this copy and 3.8 -> 1.4 ms for the finish's, numpy 2.4
-    current = g if same.all() else ColouredGraph(n=n0, colours=g.colours, keys=np.compress(same, g.keys))
+    # 3.8 -> 1.0 ms for this copy, numpy 2.4; a one-colour input is handed
+    # over uncopied
+    current = ColouredGraph(n=n0, colours=g.colours, keys=np.compress(same, g.keys)) if crossing else g
+    del same
     # every edge of current joins one colour and points its upper end at its
     # lower one, so the mapping is trivial exactly when no edge is left
     while current.m:
@@ -345,10 +349,12 @@ def contract_to_fixpoint(g: ColouredGraph) -> tuple[ColouredGraph, ContractionTr
     total = _compose(n0, [r.mapping for r in records])
     final = g
     if records:
-        # the same-colour quotient has no edge left, so the final graph's
-        # edges are the cross-colour ones, relabelled
+        # the final graph is the quotient of all of g's edges by total_map:
+        # every same-colour edge lies inside one final fibre, so the
+        # relabelling drops it, and with no edge between two colours there
+        # is nothing to relabel
         k = current.n
-        final = ColouredGraph(n=k, colours=current.colours, keys=relabel_keys(n0, np.compress(~same, g.keys), total, k))
+        final = ColouredGraph(n=k, colours=current.colours, keys=relabel_keys(n0, g.keys if crossing else g.keys[:0], total, k))
     trace = ContractionTrace(
         per_iteration=tuple(records),
         total_map=total,

@@ -334,10 +334,16 @@ def text_blocks(g: ColouredGraph) -> Iterator[str]:
     yield f"{g.n} {g.m}\n"
     yield from _decimal_lines(g.colours, g.n)
     # the endpoints of one block of keys at a time, lo and hi side by side:
-    # half a block of values, rounded up
+    # half a block of values, rounded up, in the narrowest type that holds
+    # every vertex, so that the writer's max and divisions are no wider than
+    # the vertices need
     step = (_WRITE_CHUNK + 1) // 2
+    ends = np.min_scalar_type(max(g.n - 1, 0))
     for start in range(0, g.m, step):
-        yield from _decimal_lines(np.column_stack(_endpoints(g.n, g.keys[start:start + step])).ravel(), 2)
+        lo, hi = _endpoints(g.n, g.keys[start:start + step])
+        pairs = np.empty((lo.size, 2), dtype=ends)
+        pairs[:, 0], pairs[:, 1] = lo, hi
+        yield from _decimal_lines(pairs.ravel(), 2)
 
 
 def serialize_graph(g: ColouredGraph) -> str:

@@ -23,10 +23,18 @@ from colourcontract import (
     new_graph,
     stats_dict,
 )
-from colourcontract import engine
+from colourcontract import engine, graph
 from colourcontract.engine import _compose, build_functional_digraph, compact_mapping, project_to_roots
 from colourcontract.graph import colour_neighbourhood_set
-from reference_impls import compose_forward, contract_by_relabel, equivalent_by_sets, relabel_form, replay, roots_by_iterated_lookup
+from reference_impls import (
+    compose_forward,
+    contract_by_relabel,
+    equivalent_by_sets,
+    relabel_form,
+    replay,
+    roots_by_iterated_lookup,
+    unionfind_blocks,
+)
 
 from conftest import FIG24_EXPECTED, check_whole_edge_rounds
 
@@ -422,6 +430,75 @@ def test_rounds_read_only_same_colour_edges():
     assert trace.iterations >= 2 and trace.per_iteration[0].m < g.m // 32
     assert final.m > g.m // 2
     check_whole_edge_rounds(g, final, trace)
+
+
+def _check_by_sets(g, final, trace):
+    """A run against the set references: the fibres of ``total_map`` are g's
+    colour components, and ``final`` is g's quotient by them."""
+    fibres = {}
+    for v, t in enumerate(trace.total_map.tolist()):
+        fibres.setdefault(t, set()).add(v)
+    assert {frozenset(f) for f in fibres.values()} == unionfind_blocks(g)
+    assert relabel_form(final) == contract_by_relabel(g, trace.total_map.tolist())
+
+
+@pytest.mark.parametrize("block", [1, 3, 4])
+def test_contraction_on_block_edges(monkeypatch, block):
+    # the split, every round's pointers and quotient, the finish and the
+    # validation of every graph walk the keys one block at a time: with
+    # blocks of 1, 3 and 4 keys, each run agrees with the set references
+    monkeypatch.setattr(graph, "_KEY_BLOCK", block)
+    rng = np.random.default_rng(40 + block)
+    n = 14
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graphs = [new_graph(n, [], rng.integers(0, 2, size=n))]
+    # exactly one block, one key past it, and several blocks
+    for m in (block, block + 1, 3 * block + 2, 40):
+        for colours in (2, 5):
+            edges = [pairs[i] for i in rng.choice(len(pairs), size=m, replace=False)]
+            graphs.append(new_graph(n, edges, rng.integers(0, colours, size=n)))
+    # a block boundary inside one fibre: the path 0..8 in one colour, its
+    # keys between those of edges to two vertices of another colour
+    path = [(v, v + 1) for v in range(8)]
+    graphs.append(new_graph(11, path + [(0, 9), (2, 10), (4, 9), (7, 10), (9, 10)], [0] * 9 + [1, 2]))
+    finishes = set()
+    for g in graphs:
+        want = [min([v] + [u for u, w in g.edge_array().tolist() if w == v and g.colours[u] == g.colours[v]]) for v in range(g.n)]
+        assert build_functional_digraph(g).tolist() == want
+        final, trace = contract_to_fixpoint(g)
+        _check_by_sets(g, final, trace)
+        if trace.iterations:
+            finishes.add(final.n * final.n <= 2 * g.m)
+    # the finish marked a bitmap and sorted crossing keys
+    assert finishes == {True, False}
+
+
+def test_one_colour_keys_are_not_copied_and_the_finish_marks_nothing(monkeypatch):
+    # every edge joins one colour: round 1 reads the input's own keys, and
+    # with no edge between two colours the finish relabels no key
+    monkeypatch.setattr(graph, "_KEY_BLOCK", 4)
+    real = engine.relabel_keys
+    calls = []
+    monkeypatch.setattr(engine, "relabel_keys", lambda n, keys, label, k: calls.append(keys) or real(n, keys, label, k))
+    g = generate_fib_instance(8).graph
+    final, trace = contract_to_fixpoint(g)
+    assert trace.iterations == 8 and (final.n, final.m) == (1, 0)
+    assert calls[0] is g.keys
+    assert len(calls) == 9 and calls[-1].size == 0
+    _check_by_sets(g, final, trace)
+
+
+def test_every_edge_crossing_colours_runs_no_round(monkeypatch):
+    # a properly coloured input over several blocks: no round, no relabel,
+    # and the input itself comes back
+    monkeypatch.setattr(graph, "_KEY_BLOCK", 4)
+    monkeypatch.setattr(engine, "relabel_keys", None)
+    n = 12
+    g = new_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u + v) % 2], np.arange(n) % 2)
+    assert g.m > 8 and g.is_properly_coloured()
+    final, trace = contract_to_fixpoint(g)
+    assert final is g and trace.iterations == 0
+    _check_by_sets(g, final, trace)
 
 
 def test_fixpoint_p4(p4):

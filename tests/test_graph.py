@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,8 @@ from colourcontract import (
     serialize_graph,
 )
 from colourcontract import graph
-from colourcontract.generators import RandomSpec, gen_erdos_renyi, permute_enumeration
-from colourcontract.graph import _pair_keys, _sorted_unique, colour_neighbourhood_set, relabel_keys, rows_of
+from colourcontract.generators import RandomSpec, assign_random_colours, gen_erdos_renyi, permute_enumeration
+from colourcontract.graph import _sorted_unique, colour_neighbourhood_set, relabel_keys, rows_of
 from reference_impls import contract_by_relabel, serialize_by_join, validate_by_keys, validate_by_rows
 
 
@@ -121,7 +122,7 @@ def test_relabel_keys_of_empty_edge_sets(monkeypatch):
     # no edge in, or every edge inside one label: no key out, on both sides
     # of the bound k * k <= 2m under which the keys are marked in a bitmap
     sorts = []
-    monkeypatch.setattr(graph, "_pair_keys", lambda *args, **kwargs: sorts.append(1) or _pair_keys(*args, **kwargs))
+    monkeypatch.setattr(graph, "_sorted_unique", lambda keys: sorts.append(1) or _sorted_unique(keys))
     path = new_graph(4, [(0, 1), (1, 2), (2, 3)], [0] * 4)
     pairs = new_graph(6, [(0, 1), (2, 3), (4, 5)], [0] * 6)
     cases = [(g, label, k) for g in (new_graph(0, [], []), new_graph(3, [], [0, 1, 2])) for label, k in ((np.zeros(g.n, dtype=np.int64), 1), (np.arange(g.n), g.n), (np.arange(g.n) % 2, 5))]
@@ -144,7 +145,7 @@ def test_relabel_keys_on_both_sides_of_the_bitmap_bound(monkeypatch):
     # crossing pairs are sorted.  Both give the set reference's keys: at
     # k = 0 and k = 1, at k * k = 2m exactly, and on a complete graph
     sorts = []
-    monkeypatch.setattr(graph, "_pair_keys", lambda *args, **kwargs: sorts.append(1) or _pair_keys(*args, **kwargs))
+    monkeypatch.setattr(graph, "_sorted_unique", lambda keys: sorts.append(1) or _sorted_unique(keys))
     rng = np.random.default_rng(14)
     complete = new_graph(60, [(u, v) for u in range(60) for v in range(u)], [0] * 60)
     eight = new_graph(8, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (5, 6), (6, 7), (3, 7)], [0] * 8)
@@ -171,11 +172,13 @@ def test_relabel_keys_on_both_sides_of_the_bitmap_bound(monkeypatch):
     assert relabel_keys(complete.n, complete.keys, rng.permutation(60), 60).size == 1770
 
 
-def test_relabel_keys_onto_few_labels_holds_three_key_arrays():
-    # onto few labels each end is gathered through the labelling once its
-    # index array is freed, and the keys a*k + b are written over the first
-    # gather: three int64 arrays as long as the keys alive at the peak, and
-    # the k * k bytes of the bitmap
+def test_relabel_keys_onto_few_labels_and_contract_to_fixpoint_hold_about_one_key_array():
+    # onto few labels each block of keys is marked in the (k, k) bitmap in
+    # turn: at the peak the last block's ends, its pair keys and one gather
+    # beside the previous block's, and the bitmap's few copies, however many
+    # keys there are.  Contracting the ER benchmark input then holds less than
+    # one key array at its peak: the same-colour keys, the first round's
+    # quotient keys, vertex arrays and one block's temporaries
     g = gen_erdos_renyi(RandomSpec(n=50_000, m=540_989, seed=0))
     k = 241
     label = np.random.default_rng(15).integers(0, k, size=g.n)
@@ -186,15 +189,22 @@ def test_relabel_keys_onto_few_labels_holds_three_key_arrays():
     finally:
         tracemalloc.stop()
     assert keys.size == k * (k - 1) // 2
-    assert peak < 3 * g.keys.nbytes + k * k + 4096
+    assert peak < 5 * 8 * graph._KEY_BLOCK + 8 * k * k
+    coloured = assign_random_colours(g, 4, 1)
+    tracemalloc.start()
+    try:
+        final, _ = contract_to_fixpoint(coloured)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert final.n == 241
+    assert peak < g.keys.nbytes
 
 
-def test_relabel_keys_onto_many_labels_holds_about_four_key_arrays():
-    # onto more labels the crossing pairs are compressed one array at a
-    # time, the pair keys built over the second, and those keys sorted in
-    # place once both arrays are freed.  The peak is the first compress: the
-    # other end's gather, the old and the new first array, the index array
-    # np.compress builds inside itself, and the crossing mask
+def test_relabel_keys_onto_many_labels_holds_about_two_key_arrays():
+    # onto more labels each block's crossing pairs write their keys into one
+    # array as long as the keys, which is sorted in place: the peak is that
+    # array, its run mask and the distinct keys copied out of it
     g = gen_erdos_renyi(RandomSpec(n=50_000, m=540_989, seed=0))
     k = 1041  # k * k > 2m: the sort path
     label = np.random.default_rng(16).integers(0, k, size=g.n)
@@ -208,7 +218,42 @@ def test_relabel_keys_onto_many_labels_holds_about_four_key_arrays():
     crossing = a != b
     assert k * k > 2 * g.m
     assert np.array_equal(keys, np.unique(np.minimum(a, b)[crossing] * k + np.maximum(a, b)[crossing]))
-    assert peak < 4.25 * g.keys.nbytes
+    assert peak < 2 * g.keys.nbytes
+
+
+@pytest.mark.parametrize("block", [1, 4, 7])
+def test_key_passes_on_block_edges(monkeypatch, block):
+    # the same-label mask, both branches of relabel_keys and the graph's
+    # validation walk the keys one block at a time: with blocks of 1, 4 and
+    # 7 keys, on no key, exactly one block, one key past it and several
+    # blocks, each agrees with the per-edge references
+    monkeypatch.setattr(graph, "_KEY_BLOCK", block)
+    sorts = []
+    monkeypatch.setattr(graph, "_sorted_unique", lambda keys: sorts.append(1) or _sorted_unique(keys))
+    rng = np.random.default_rng(30 + block)
+    n = 12
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    branches = set()
+    for m in sorted({0, 1, block - 1, block, block + 1, 2 * block, 3 * block + 2}):
+        edges = [pairs[i] for i in rng.choice(len(pairs), size=m, replace=False)]
+        g = new_graph(n, edges, rng.integers(0, 3, size=n))
+        assert g.m == m
+        for label in (g.colours, rng.integers(0, 2, size=n)):
+            want = [bool(label[u] == label[v]) for u, v in g.edge_array().tolist()]
+            assert graph._same_label(n, g.keys, label).tolist() == want, (m, label)
+            assert graph.rows_within(g, label)[1].size == 2 * sum(want)
+        # k * k <= 2m marks a bitmap, one more label sorts
+        fit = math.isqrt(2 * m)
+        for k in {fit, fit + 1} - {0}:
+            label = rng.integers(0, k, size=n)
+            del sorts[:]
+            keys = relabel_keys(n, g.keys, label, k)
+            assert keys.tolist() == sorted(a * k + b for a, b in contract_by_relabel(g, label)[1]), (m, k)
+            assert bool(sorts) == (k * k > 2 * m)
+            branches.add(bool(sorts))
+    assert branches == {True, False}
+    # no key, onto no label: the bitmap branch
+    assert relabel_keys(0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0).size == 0
 
 
 def test_quotients_leave_the_callers_arrays_unchanged(monkeypatch):
@@ -352,7 +397,7 @@ def _perturbed_keys(rng, n, keys):
     return n, keys
 
 
-def test_construction_checks_match_per_row_reference():
+def test_construction_checks_match_per_row_reference(monkeypatch):
     cases = [
         (0, []),
         (0, [0]),
@@ -386,6 +431,12 @@ def test_construction_checks_match_per_row_reference():
         expected = validate_by_keys(n, keys)
         assert _construction_message(n, keys) == expected, (n, keys)
         outcomes.add(expected)
+        # the diagonal is checked one block of keys at a time: blocks of 1, 2
+        # and 3 keys meet inside every longer case
+        for block in (1, 2, 3):
+            monkeypatch.setattr(graph, "_KEY_BLOCK", block)
+            assert _construction_message(n, keys) == expected, (n, keys, block)
+        monkeypatch.undo()
         if expected is None:
             # the rows built from the keys are the symmetric, ascending rows of the same edges
             g = ColouredGraph(n=n, colours=np.zeros(n, dtype=np.int64), keys=np.array(keys, dtype=np.int64))

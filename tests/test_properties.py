@@ -91,7 +91,7 @@ def test_relabel_keys_matches_set_reference(g, data):
             labellings.append((data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), k))
     for label, k in labellings:
         label = np.array(label, dtype=np.int64)
-        with mock.patch.object(graph, "_pair_keys", wraps=graph._pair_keys) as sort:
+        with mock.patch.object(graph, "_sorted_unique", wraps=graph._sorted_unique) as sort:
             keys = relabel_keys(g.n, g.keys, label, k)
         want = sorted(a * k + b for a, b in contract_by_relabel(g, label)[1])
         assert keys.dtype == np.int64 and keys.tolist() == want
