@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import ColouredGraph, _endpoints, _grow, _integers, _key_slices, _same_label, graphs_equal, relabel_keys, rows_within
+from .graph import ColouredGraph, _endpoints, _grow, _integers, _key_slices, graphs_equal, relabel_keys, rows_within, same_colour_part
 
 
 def iteration_bound(n: int) -> int:
@@ -183,28 +183,20 @@ class ContractionTrace:
 
 
 def build_functional_digraph(g: ColouredGraph) -> np.ndarray:
-    """Parent pointers b with b[v] = min of v and its same-colour neighbours.
+    """Parent pointers b with b[v] = min of v and its neighbours in g.
 
+    g's edges must each join one colour (``graph.same_colour_part``), so b[v]
+    is the minimum of v's same-colour closed neighbourhood.  No colour is
+    read: a pointer across colours makes a fibre ``apply_contraction`` refuses.
     b[v] <= v always holds, so the pointer graph is a forest of monochromatic
     trees whose roots are exactly the tree minima.  Only a lower neighbour can
-    win, so each same-colour edge offers its lower end to its upper one.
+    win, so each edge offers its lower end to its upper one.
     """
     b = np.arange(g.n, dtype=np.int64)
     # one block of keys at a time (graph._KEY_BLOCK): the whole-array ends
-    # and colour gathers of round 1 set contract_to_fixpoint's traced peak
-    # at 10**6 vertices, 1.36 against 0.80 times the input's key bytes
+    # of round 1 set contract_to_fixpoint's traced peak at 10**6 vertices
     for at in _key_slices(g.m):
         lo, hi = _endpoints(g.n, g.keys[at])
-        same = g.colours[lo] == g.colours[hi]
-        # contract_to_fixpoint hands its rounds only same-colour edges, so
-        # there nothing is filtered; only a whole graph, as the worst-case
-        # checks and the tests evaluate, has edges to drop.  Positions rather
-        # than a mask: where about a quarter of 540k edges join one colour, a
-        # boolean compress took ~4 ms per array, the positions and two
-        # gathers ~2 ms in all
-        if not same.all():
-            same = np.flatnonzero(same)
-            lo, hi = lo[same], hi[same]
         np.minimum.at(b, hi, lo)
     return b
 
@@ -251,8 +243,8 @@ def compact_mapping(g: ColouredGraph, roots: np.ndarray) -> ContractionMapping:
 
 
 def evaluate_contraction_mapping(g: ColouredGraph) -> ContractionMapping:
-    """Full mapping construction: local minima, root projection, compaction."""
-    return compact_mapping(g, project_to_roots(build_functional_digraph(g)))
+    """Mapping of any graph: local minima over its same-colour edges, root projection, compaction."""
+    return compact_mapping(g, project_to_roots(build_functional_digraph(same_colour_part(g))))
 
 
 def _check_mapping_structure(g: ColouredGraph, mapping: ContractionMapping) -> np.ndarray:
@@ -326,13 +318,8 @@ def contract_to_fixpoint(g: ColouredGraph) -> tuple[ColouredGraph, ContractionTr
     max_iterations = iteration_bound(n0) + 2 if n0 >= 1 else 0
     records: list[IterationRecord] = []
     t0 = time.perf_counter()
-    same = _same_label(n0, g.keys, g.colours)
-    crossing = not same.all()
-    # np.compress, not a boolean index: with a quarter of 541k edges kept,
-    # 3.8 -> 1.0 ms for this copy, numpy 2.4; a one-colour input is handed
-    # over uncopied
-    current = ColouredGraph(n=n0, colours=g.colours, keys=np.compress(same, g.keys)) if crossing else g
-    del same
+    current = same_colour_part(g)
+    crossing = current is not g
     # every edge of current joins one colour and points its upper end at its
     # lower one, so the mapping is trivial exactly when no edge is left
     while current.m:
@@ -341,7 +328,7 @@ def contract_to_fixpoint(g: ColouredGraph) -> tuple[ColouredGraph, ContractionTr
                 f"no fixpoint after {max_iterations} iterations at order {current.n}; "
                 "the convergence guarantee is broken"
             )
-        mapping = evaluate_contraction_mapping(current)
+        mapping = compact_mapping(current, project_to_roots(build_functional_digraph(current)))
         contracted = apply_contraction(current, mapping)
         t1 = time.perf_counter()
         records.append(IterationRecord(m=current.m, mapping=mapping, wall_time_ms=(t1 - t0) * 1000.0))

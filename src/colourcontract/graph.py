@@ -74,8 +74,7 @@ class ColouredGraph:
 
     def is_properly_coloured(self) -> bool:
         """True when no edge joins two vertices of the same colour."""
-        lo, hi = self.endpoints()
-        return bool((self.colours[lo] != self.colours[hi]).all())
+        return not _same_label(self.n, self.keys, self.colours).any()
 
 
 def _endpoints(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,9 +118,23 @@ def rows_within(g: ColouredGraph, label: np.ndarray) -> tuple[np.ndarray, np.nda
     """Adjacency rows of g's edges whose two ends share a label, one value
     per vertex (g's colours, or a mapping's targets): the graph whose
     connected components are the connected pieces of the label classes."""
+    return rows_of(g.n, _same_label_keys(g.n, g.keys, label))
+
+
+def same_colour_part(g: ColouredGraph) -> ColouredGraph:
+    """g's vertices with the edges of g that join one colour: g itself when
+    every edge does.  A contraction round reads only these edges."""
+    keys = _same_label_keys(g.n, g.keys, g.colours)
+    return g if keys is g.keys else ColouredGraph(n=g.n, colours=g.colours, keys=keys)
+
+
+def _same_label_keys(n: int, keys: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """The keys ``lo * n + hi`` of the edges whose two ends share a label,
+    one value per vertex: ``keys`` itself, uncopied, when every edge does."""
+    same = _same_label(n, keys, label)
     # np.compress, not a boolean index: about 3x faster at middling densities
     # on numpy 2.4 (3.8 -> 1.0 ms keeping a quarter of 541k keys)
-    return rows_of(g.n, np.compress(_same_label(g.n, g.keys, label), g.keys))
+    return keys if same.all() else np.compress(same, keys)
 
 
 def _same_label(n: int, keys: np.ndarray, label: np.ndarray) -> np.ndarray:

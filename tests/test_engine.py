@@ -25,7 +25,7 @@ from colourcontract import (
 )
 from colourcontract import engine, graph
 from colourcontract.engine import _compose, build_functional_digraph, compact_mapping, project_to_roots
-from colourcontract.graph import colour_neighbourhood_set
+from colourcontract.graph import colour_neighbourhood_set, same_colour_part
 from reference_impls import (
     compose_forward,
     contract_by_relabel,
@@ -85,7 +85,33 @@ def test_digraph_monochromatic_path():
 
 
 def test_digraph_colour_boundaries(triangle_two_colours):
-    assert build_functional_digraph(triangle_two_colours).tolist() == [0, 0, 2]
+    assert build_functional_digraph(same_colour_part(triangle_two_colours)).tolist() == [0, 0, 2]
+
+
+def test_digraph_takes_every_edge_it_is_handed():
+    # the pointers read no colours: the caller hands over one colour's edges
+    g = new_graph(2, [(0, 1)], [0, 1])
+    assert build_functional_digraph(g).tolist() == [0, 0]
+
+
+def test_pointers_across_colours_are_refused(triangle_two_colours):
+    # a pointer over an edge between two colours makes a fibre of two
+    # colours, and the quotient refuses it
+    g = triangle_two_colours
+    mapping = compact_mapping(g, project_to_roots(build_functional_digraph(g)))
+    with pytest.raises(ValueError, match="some fibre is not monochromatic"):
+        apply_contraction(g, mapping)
+
+
+def test_evaluation_of_a_whole_graph_reads_one_colour_edges(monkeypatch, triangle_two_colours):
+    # the whole-graph entry point hands the pointers only the edge inside
+    # colour 0, so vertex 2 keeps a fibre of its own
+    real = engine.build_functional_digraph
+    handed = []
+    monkeypatch.setattr(engine, "build_functional_digraph", lambda g: handed.append(g) or real(g))
+    mapping = evaluate_contraction_mapping(triangle_two_colours)
+    assert mapping.becomes.tolist() == [0, 0, 1]
+    assert [h.edge_array().tolist() for h in handed] == [[[0, 1]]]
 
 
 @pytest.mark.parametrize(
@@ -105,7 +131,7 @@ def test_digraph_colour_boundaries(triangle_two_colours):
 def test_digraph_edge_cases_point_at_colour_minimum(n, edges, colours):
     g = new_graph(n, edges, colours)
     expected = [min([v] + colour_neighbourhood_set(g, [v]).tolist()) for v in range(n)]
-    assert build_functional_digraph(g).tolist() == expected
+    assert build_functional_digraph(same_colour_part(g)).tolist() == expected
 
 
 def test_digraph_never_increases():
@@ -464,7 +490,7 @@ def test_contraction_on_block_edges(monkeypatch, block):
     finishes = set()
     for g in graphs:
         want = [min([v] + [u for u, w in g.edge_array().tolist() if w == v and g.colours[u] == g.colours[v]]) for v in range(g.n)]
-        assert build_functional_digraph(g).tolist() == want
+        assert build_functional_digraph(same_colour_part(g)).tolist() == want
         final, trace = contract_to_fixpoint(g)
         _check_by_sets(g, final, trace)
         if trace.iterations:

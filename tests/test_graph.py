@@ -15,7 +15,7 @@ from colourcontract import (
 )
 from colourcontract import graph
 from colourcontract.generators import RandomSpec, assign_random_colours, gen_erdos_renyi, permute_enumeration
-from colourcontract.graph import _sorted_unique, colour_neighbourhood_set, relabel_keys, rows_of
+from colourcontract.graph import _sorted_unique, colour_neighbourhood_set, relabel_keys, rows_of, same_colour_part
 from reference_impls import contract_by_relabel, serialize_by_join, validate_by_keys, validate_by_rows
 
 
@@ -223,10 +223,11 @@ def test_relabel_keys_onto_many_labels_holds_about_two_key_arrays():
 
 @pytest.mark.parametrize("block", [1, 4, 7])
 def test_key_passes_on_block_edges(monkeypatch, block):
-    # the same-label mask, both branches of relabel_keys and the graph's
-    # validation walk the keys one block at a time: with blocks of 1, 4 and
-    # 7 keys, on no key, exactly one block, one key past it and several
-    # blocks, each agrees with the per-edge references
+    # the same-label mask, the same-colour part, the proper-colouring check,
+    # both branches of relabel_keys and the graph's validation walk the keys
+    # one block at a time: with blocks of 1, 4 and 7 keys, on no key, exactly
+    # one block, one key past it and several blocks, each agrees with the
+    # per-edge references
     monkeypatch.setattr(graph, "_KEY_BLOCK", block)
     sorts = []
     monkeypatch.setattr(graph, "_sorted_unique", lambda keys: sorts.append(1) or _sorted_unique(keys))
@@ -242,6 +243,12 @@ def test_key_passes_on_block_edges(monkeypatch, block):
             want = [bool(label[u] == label[v]) for u, v in g.edge_array().tolist()]
             assert graph._same_label(n, g.keys, label).tolist() == want, (m, label)
             assert graph.rows_within(g, label)[1].size == 2 * sum(want)
+        # a one-colour copy keeps every edge, and its part is itself
+        for h in (g, ColouredGraph(n, np.zeros(n, dtype=np.int64), g.keys)):
+            same = [[u, v] for u, v in h.edge_array().tolist() if h.colours[u] == h.colours[v]]
+            part = same_colour_part(h)
+            assert part.edge_array().tolist() == same and (part is h) == (len(same) == m), (m, h.colours)
+            assert h.is_properly_coloured() == (not same)
         # k * k <= 2m marks a bitmap, one more label sorts
         fit = math.isqrt(2 * m)
         for k in {fit, fit + 1} - {0}:
