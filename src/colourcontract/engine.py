@@ -311,11 +311,12 @@ def contract_to_fixpoint(g: ColouredGraph) -> tuple[ColouredGraph, ContractionTr
     Returns the fully contracted graph plus a trace with one record per
     executed application.  An input already at the fixpoint (including the
     empty and one-vertex graphs) is returned itself with zero iterations.
-    More than ``iteration_bound(n) + 2`` applications raise RuntimeError,
-    because the convergence guarantee would be broken.
+    More than ``iteration_bound(n)`` applications, the paper's
+    ``floor(log_phi n)``, raise RuntimeError, because the convergence
+    guarantee would be broken.
     """
     n0 = g.n
-    max_iterations = iteration_bound(n0) + 2 if n0 >= 1 else 0
+    max_iterations = iteration_bound(n0) if n0 >= 1 else 0
     records: list[IterationRecord] = []
     t0 = time.perf_counter()
     current = same_colour_part(g)

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _MAX_ORDER, ColouredGraph, _run_starts, relabel_keys
+from .engine import ContractionMapping, apply_contraction
+from .graph import _MAX_ORDER, ColouredGraph, _pair_keys, _run_starts
 
 
 @dataclass(frozen=True)
@@ -59,18 +60,14 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _draw_keys(n: int, pairs: int, rng: np.random.Generator) -> np.ndarray:
     """Keys lo*n + hi of ``pairs`` uniform pairs, self-loops dropped, in draw
-    order."""
+    order: ``graph._pair_keys`` of the draw's two columns.  The draw, the
+    keys and the self-loop mask are alive at the peak: three pair-length
+    columns and a bool one."""
     draw = rng.integers(0, n, size=(pairs, 2), dtype=np.int64)
-    lo = np.minimum(draw[:, 0], draw[:, 1])
-    # the maxima over the draw's own column: three pair-length columns alive
-    # at the peak
-    hi = np.maximum(draw[:, 0], draw[:, 1], out=draw[:, 1])
-    keep = lo != hi
-    # built over lo: no batch-length temporary outlives this call
-    lo *= n
-    lo += hi
-    del hi, draw
-    return lo[keep]
+    keep = draw[:, 0] != draw[:, 1]
+    keys = _pair_keys(draw[:, 0], draw[:, 1], n)
+    del draw
+    return keys[keep]
 
 
 def _first_drawn(keys: np.ndarray, n: int, m: int) -> np.ndarray | None:
@@ -184,12 +181,12 @@ def assign_random_colours(g: ColouredGraph, colours: int, seed: int) -> Coloured
 
 
 def permute_enumeration(g: ColouredGraph, seed: int) -> tuple[ColouredGraph, np.ndarray]:
-    """Relabel vertices by a uniform random permutation.
+    """Relabel vertices by a uniform random permutation: the quotient of g by
+    the bijection, ``apply_contraction`` of a mapping onto all n vertices,
+    so colours keep their dtype and travel with their vertices.
 
     Returns the relabelled graph and the permutation with perm[old] = new, so
     partitions over the new labels can be pulled back to the original ones.
     """
     perm = _rng(seed).permutation(g.n).astype(np.int64)
-    colours = np.empty_like(g.colours)
-    colours[perm] = g.colours
-    return ColouredGraph(n=g.n, colours=colours, keys=relabel_keys(g.n, g.keys, perm, g.n)), perm
+    return apply_contraction(g, ContractionMapping(g.n, g.n, perm)), perm

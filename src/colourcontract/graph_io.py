@@ -63,8 +63,8 @@ _COMMENT = re.compile(rb"^[ \t]*#[^\n\r\x0b\x0c\x1c-\x1e\x80-\xff]*", re.M)
 # most this many digits (every 18-digit number fits in int64)
 _PLAIN_BYTES = b"0123456789 \t\r\n"
 _PLAIN_MAX_DIGITS = 18
-# the byte parse checks the layout of this many bytes, up to the last \n in
-# them, at a time, so it never holds a mask or token bounds of the whole text
+# the byte parse checks the layout of this many bytes, up to the next \n, at
+# a time, so it never holds a mask or token bounds of the whole text
 _LAYOUT_CHUNK = 1 << 19
 # the writer turns this many values into text at a time, so that its
 # temporaries, a few bytes per digit place of each value, are bounded by the
@@ -159,9 +159,8 @@ def _parse_lines(text: str) -> ColouredGraph:
     trailing = next(lines, None)
     if trailing is not None:
         raise GraphParseError(trailing[0], "trailing content after the edge list")
-    edges = np.frombuffer(endpoints, dtype=np.int64).reshape(-1, 2)
-    wide = max(colour_values, default=0) > _INT64_MAX
-    return new_graph(n, edges, np.array(colour_values, dtype=np.uint64 if wide else np.int64))
+    # new_graph holds the ids as int64, or as uint64 when one is at or above 2**63
+    return new_graph(n, np.frombuffer(endpoints, dtype=np.int64).reshape(-1, 2), colour_values)
 
 
 def _line_widths(data: bytes) -> np.ndarray | None:
@@ -169,21 +168,17 @@ def _line_widths(data: bytes) -> np.ndarray | None:
     block of whole lines at a time; None when the text holds no number or
     one longer than ``_PLAIN_MAX_DIGITS``.
 
-    A block is about ``_LAYOUT_CHUNK`` bytes and ends just after its last
-    \\n, or at the end of its first line when that line is longer, so every
-    token and every line lies in one block, and a block's first token opens
-    a line.  Only one block's byte mask and token bounds are held at a time.
+    A block ends just after the first \\n at or past ``_LAYOUT_CHUNK``
+    bytes from its start, or at the end of the text, as ``_content_lines``
+    cuts its chunks: every token and every line lies in one block, and a
+    block's first token opens a line.  Only one block's byte mask and token
+    bounds are held at a time.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
     widths = []
     start = 0
     while start < raw.size:
-        stop = start + _LAYOUT_CHUNK
-        if stop >= raw.size:
-            end = raw.size
-        else:
-            # just after the last \n before stop, or after the first one past it
-            end = data.rfind(b"\n", start, stop) + 1 or data.find(b"\n", stop) + 1 or raw.size
+        end = data.find(b"\n", start + _LAYOUT_CHUNK) + 1 or raw.size
         block = raw[start:end]
         start = end
         # token i is block[starts[i]:ends[i]]: a run of digits, the only bytes >= 0x30 left

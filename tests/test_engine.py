@@ -552,10 +552,13 @@ def test_fixpoint_respects_bound(fig24, p4):
 
 
 def test_fixpoint_max_iterations_exceeded(p4, monkeypatch):
-    # the guard allows iteration_bound(n) + 2 applications: here one, and p4 needs two
-    monkeypatch.setattr(engine, "iteration_bound", lambda n: -1)
+    # the guard allows exactly iteration_bound(n) applications, and p4 needs two
+    monkeypatch.setattr(engine, "iteration_bound", lambda n: 1)
     with pytest.raises(RuntimeError, match="fixpoint"):
         contract_to_fixpoint(p4)
+    monkeypatch.setattr(engine, "iteration_bound", lambda n: 2)
+    final, trace = contract_to_fixpoint(p4)
+    assert trace.iterations == 2 and final.n == 1
 
 
 def test_stats_wall_time_accounts_for_whole_run():

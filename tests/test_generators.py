@@ -285,15 +285,18 @@ def test_single_colour_means_monochromatic():
 
 def test_permutation_preserves_structure():
     g = assign_random_colours(gen_erdos_renyi(RandomSpec(n=20, m=40, seed=4)), 3, seed=6)
-    h, perm = permute_enumeration(g, seed=99)
-    assert h.n == g.n and h.m == g.m
-    assert sorted(perm.tolist()) == list(range(20))
-    # degree and colour travel with the vertex
-    for v in range(g.n):
-        assert int(h.colours[perm[v]]) == int(g.colours[v])
-        assert int(h.degrees[perm[v]]) == int(g.degrees[v])
-    edge_set = {tuple(sorted((int(perm[u]), int(perm[v])))) for u, v in g.edge_array().tolist()}
-    assert edge_set == {tuple(e) for e in h.edge_array().tolist()}
+    # the same graph with uint64 colour ids at and above 2**63, which keep their dtype
+    wide = ColouredGraph(n=g.n, colours=g.colours.astype(np.uint64) + np.uint64(2**63), keys=g.keys)
+    for g in (g, wide):
+        h, perm = permute_enumeration(g, seed=99)
+        assert h.n == g.n and h.m == g.m and h.colours.dtype == g.colours.dtype
+        assert sorted(perm.tolist()) == list(range(20))
+        # degree and colour travel with the vertex
+        for v in range(g.n):
+            assert int(h.colours[perm[v]]) == int(g.colours[v])
+            assert int(h.degrees[perm[v]]) == int(g.degrees[v])
+        edge_set = {tuple(sorted((int(perm[u]), int(perm[v])))) for u, v in g.edge_array().tolist()}
+        assert edge_set == {tuple(e) for e in h.edge_array().tolist()}
 
 
 def test_permutation_keeps_uint64_colours_at_and_above_2_63():

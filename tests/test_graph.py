@@ -223,7 +223,7 @@ def test_relabel_keys_onto_many_labels_holds_about_two_key_arrays():
 
 @pytest.mark.parametrize("block", [1, 4, 7])
 def test_key_passes_on_block_edges(monkeypatch, block):
-    # the same-label mask, the same-colour part, the proper-colouring check,
+    # the same-label keys, the same-colour part, the proper-colouring check,
     # both branches of relabel_keys and the graph's validation walk the keys
     # one block at a time: with blocks of 1, 4 and 7 keys, on no key, exactly
     # one block, one key past it and several blocks, each agrees with the
@@ -241,7 +241,7 @@ def test_key_passes_on_block_edges(monkeypatch, block):
         assert g.m == m
         for label in (g.colours, rng.integers(0, 2, size=n)):
             want = [bool(label[u] == label[v]) for u, v in g.edge_array().tolist()]
-            assert graph._same_label(n, g.keys, label).tolist() == want, (m, label)
+            assert graph._same_label_keys(n, g.keys, label).tolist() == g.keys[want].tolist(), (m, label)
             assert graph.rows_within(g, label)[1].size == 2 * sum(want)
         # a one-colour copy keeps every edge, and its part is itself
         for h in (g, ColouredGraph(n, np.zeros(n, dtype=np.int64), g.keys)):

@@ -14,6 +14,7 @@ from colourcontract import (
     new_graph,
 )
 from reference_impls import component_orders, fib_by_growth, r_star
+from test_acceptance import _random_corpus
 
 
 def test_fib_number_values():
@@ -217,6 +218,16 @@ def test_a_component_contracts_in_the_union_as_it_does_alone(all_small_graphs):
             assert smallest[u] == mask * 6 + v, (mask, v)
             assert rounds[u] == rounds_alone[c], (mask, v)
             assert np.array_equal(orders[: rounds[u] + 1, u], orders_alone[: rounds_alone[c] + 1, c]), (mask, v)
+
+
+def test_every_component_of_the_corpus_and_the_family_meets_the_round_law():
+    # the 512 random cases and fib levels 0..22: no component takes more
+    # than r_star(its order) rounds, and the law holds while it is unfinished
+    graphs = [g for _, g in _random_corpus()] + [generate_fib_instance(i).graph for i in range(23)]
+    for case, g in enumerate(graphs):
+        _, orders, rounds = _per_component(g)
+        assert (rounds <= [r_star(int(s)) for s in orders[0]]).all(), case
+        _assert_round_law(orders)
 
 
 def test_worst_case_family_meets_the_round_law_with_equality():
