@@ -192,12 +192,13 @@ def _validate(g: ColouredGraph) -> np.ndarray:
         raise ValueError("n must be a non-negative int")
     if g.colours.ndim != 1 or g.colours.size != g.n:
         raise ValueError(f"expected colours of shape ({g.n},), got {g.colours.shape}")
-    if not np.issubdtype(g.colours.dtype, np.integer):
+    # by dtype kind: np.issubdtype counts timedelta64 as an integer type
+    if g.colours.dtype.kind not in "iu":
         raise ValueError("colour ids must be integers")
     if g.colours.size and int(g.colours.min()) < 0:
         raise ValueError("colour ids must be non-negative")
     keys = g.keys
-    if keys.ndim != 1 or not np.issubdtype(keys.dtype, np.integer):
+    if keys.ndim != 1 or keys.dtype.kind not in "iu":
         raise ValueError("edge keys must be a 1-D integer array")
     if (keys[1:] <= keys[:-1]).any():
         raise ValueError("edge keys must strictly ascend")
@@ -218,8 +219,9 @@ def _validate(g: ColouredGraph) -> np.ndarray:
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of int64 keys that the caller owns, as
-    ``np.unique`` gives them; keys out of order are sorted in place.
+    """Sorted distinct values of integer keys that the caller owns, as
+    ``np.unique`` gives them, in the keys' own dtype; keys out of order are
+    sorted in place.
 
     Keys that already strictly ascend, as those of canonical text do, are
     returned as they are after one comparison pass.  A contraction round's
@@ -287,11 +289,15 @@ def relabel_keys(n: int, keys: np.ndarray, label: np.ndarray, k: int) -> np.ndar
     upper triangle: edges inside one label fall on the diagonal and are
     dropped there, so no crossing mask, copy, min, max or sort is needed.
     Onto more labels, each block's crossing pairs write their keys into one
-    array, which is sorted in place: at its peak that array, its run mask
-    and the distinct keys.
+    array of the narrowest unsigned type that holds ``k * k - 1``
+    (``np.min_scalar_type``), which is sorted in place; the labels are cast
+    to that type first, so every step works at that width, and only the
+    distinct keys are widened to int64, after the narrow array is freed.
+    At its peak that path holds the narrow array, its run mask and the
+    narrow distinct keys, or the distinct keys at both widths.
     """
-    label = label.astype(np.int64, copy=False)
     if k * k <= 2 * keys.size:
+        label = label.astype(np.int64, copy=False)
         seen = np.zeros((k, k), dtype=bool)
         marks = seen.reshape(-1)
         for at in _key_slices(keys.size):
@@ -302,7 +308,15 @@ def relabel_keys(n: int, keys: np.ndarray, label: np.ndarray, k: int) -> np.ndar
             marks[a] = True
         seen |= seen.T
         return np.flatnonzero(np.triu(seen, 1))
-    quotient_keys = np.empty(keys.size, dtype=np.int64)
+    # uint32 in every round of the benchmark workloads, where it halves the
+    # sort: summed over the 21 sorting rounds of the worst-case family's
+    # level 22, 554 -> 301 us, and on the ER benchmark input's first round
+    # 856 -> 439 us (2-vCPU Intel Xeon, numpy 2.4).  The labels themselves
+    # are narrowed: int64 labels cast into narrow outputs at each step gave
+    # the gain back
+    width = np.min_scalar_type(k * k - 1)
+    label = label.astype(width)
+    quotient_keys = np.empty(keys.size, dtype=width)
     end = 0
     for at in _key_slices(keys.size):
         lo, hi = _endpoints(n, keys[at])
@@ -323,7 +337,9 @@ def relabel_keys(n: int, keys: np.ndarray, label: np.ndarray, k: int) -> np.ndar
         del crossing
         _pair_keys(a, b, k, out=quotient_keys[end:end + a.size])
         end += a.size
-    return _sorted_unique(quotient_keys[:end])
+    distinct = _sorted_unique(quotient_keys[:end])
+    del quotient_keys
+    return distinct.astype(np.int64)
 
 
 def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequence[int] | np.ndarray) -> ColouredGraph:

@@ -39,8 +39,9 @@ def colour_partition(g: ColouredGraph) -> ContractionMapping:
     row entry each is a block of two, labelled by its lower end.  Every
     other block is grown by frontier BFS, once per block, from the lowest
     uncovered index up, so its seed is its smallest member, and the seed is
-    scattered onto the block.  One cumsum over the vertices that label
-    themselves then numbers the blocks.
+    scattered onto the block.  The vertices that label themselves are then
+    numbered in index order, each number scattered onto its vertex and
+    gathered through every block label.
     """
     indptr, indices = rows_within(g, g.colours)
     degree = np.diff(indptr)
@@ -62,5 +63,8 @@ def colour_partition(g: ColouredGraph) -> ContractionMapping:
     while v < g.n:
         block_of[_grow(indptr, indices, v, covered, owner)] = v
         v += int(np.argmin(covered[v:]))
-    is_first = block_of == ids
-    return ContractionMapping(n=g.n, n_prime=int(is_first.sum()), becomes=(np.cumsum(is_first) - 1)[block_of])
+    firsts = np.flatnonzero(block_of == ids)
+    # every vertex's label labels itself, so only those places are read
+    number = np.empty(g.n, dtype=np.int64)
+    number[firsts] = np.arange(firsts.size, dtype=np.int64)
+    return ContractionMapping(n=g.n, n_prime=firsts.size, becomes=number[block_of])

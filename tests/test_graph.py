@@ -201,10 +201,12 @@ def test_relabel_keys_onto_few_labels_and_contract_to_fixpoint_hold_about_one_ke
     assert peak < g.keys.nbytes
 
 
-def test_relabel_keys_onto_many_labels_holds_about_two_key_arrays():
+def test_relabel_keys_onto_many_labels_holds_about_one_key_array():
     # onto more labels each block's crossing pairs write their keys into one
-    # array as long as the keys, which is sorted in place: the peak is that
-    # array, its run mask and the distinct keys copied out of it
+    # array as long as the keys, at the narrowest width that holds k * k - 1
+    # (uint32 here, half an int64 key array), which is sorted in place: the
+    # peak is that array, its run mask and the distinct keys copied out of
+    # it, or, once that array is freed, the distinct keys at both widths
     g = gen_erdos_renyi(RandomSpec(n=50_000, m=540_989, seed=0))
     k = 1041  # k * k > 2m: the sort path
     label = np.random.default_rng(16).integers(0, k, size=g.n)
@@ -218,7 +220,34 @@ def test_relabel_keys_onto_many_labels_holds_about_two_key_arrays():
     crossing = a != b
     assert k * k > 2 * g.m
     assert np.array_equal(keys, np.unique(np.minimum(a, b)[crossing] * k + np.maximum(a, b)[crossing]))
-    assert peak < 2 * g.keys.nbytes
+    assert peak < 1.1 * g.keys.nbytes
+
+
+@pytest.mark.parametrize("block", [7, graph._KEY_BLOCK])
+def test_relabel_keys_sort_path_on_each_side_of_every_narrow_width(monkeypatch, block):
+    # on the sort path the pair keys are built, sorted and deduplicated in
+    # np.min_scalar_type(k * k - 1): uint8 up to k = 16, uint16 up to 256,
+    # uint32 up to 65 536 and uint64 above.  The largest key of k labels,
+    # (k - 2) * k + k - 1, passes each narrower width at k = 17, 257 and
+    # 65 537, so each k meets the set reference's keys with the labels k - 1
+    # and k - 2 on an edge, and in blocks of 7 keys as well as whole
+    monkeypatch.setattr(graph, "_KEY_BLOCK", block)
+    widths = []
+    monkeypatch.setattr(graph, "_sorted_unique", lambda keys: widths.append(keys.dtype) or _sorted_unique(keys))
+    rng = np.random.default_rng(35)
+    n = 24
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = new_graph(n, [pairs[i] for i in rng.choice(len(pairs), size=100, replace=False)] + [(0, 1), (1, 2), (2, 3)], [0] * n)
+    for k, width in ((16, np.uint8), (17, np.uint16), (256, np.uint16), (257, np.uint32), (65_536, np.uint32), (65_537, np.uint64)):
+        label = rng.integers(0, k, size=n)
+        label[:4] = [k - 1, k - 2, 0, k - 1]
+        del widths[:]
+        keys = relabel_keys(n, g.keys, label, k)
+        want = sorted(a * k + b for a, b in contract_by_relabel(g, label)[1])
+        assert k * k > 2 * g.m
+        assert widths == [width], k
+        assert keys.dtype == np.int64 and keys.tolist() == want, k
+        assert want[-1] == (k - 2) * k + k - 1
 
 
 @pytest.mark.parametrize("block", [1, 4, 7])
@@ -327,6 +356,18 @@ def test_new_graph_refuses_endpoints_outside_64_bits_as_out_of_range():
         new_graph(3, [(0, 1), (0, 5), (2**64, 1)], [1, 0, 0])
     with pytest.raises(ValueError, match=r"^edge endpoint out of range: \(0, 9223372036854775808\)$"):
         new_graph(2, [(0, 2**63)], [1, 0])
+
+
+def test_timedelta_colours_and_keys_are_refused_as_non_integers():
+    # np.issubdtype counts timedelta64 as an integer type; its values are
+    # durations, refused by the checks' ValueError like float ids, not by a
+    # TypeError from reading their minimum
+    with pytest.raises(ValueError, match="colour ids must be integers"):
+        ColouredGraph(n=2, colours=np.array([0, 1], dtype="m8[s]"), keys=np.array([1]))
+    with pytest.raises(ValueError, match="edge keys must be a 1-D integer array"):
+        ColouredGraph(n=2, colours=np.array([0, 1]), keys=np.array([1], dtype="m8[s]"))
+    with pytest.raises(ValueError, match="colour ids must be integers"):
+        new_graph(2, [(0, 1)], np.array([0, 1], dtype="m8[s]"))
 
 
 def test_direct_construction_validates():

@@ -24,7 +24,7 @@ from colourcontract import (
     serialize_graph,
 )
 from colourcontract import graph
-from colourcontract.engine import build_functional_digraph, project_to_roots
+from colourcontract.engine import build_functional_digraph, compact_mapping, project_to_roots
 from colourcontract.graph import colour_neighbourhood_set, relabel_keys, rows_of, rows_within, same_colour_part
 from conftest import check_whole_edge_rounds, tampered_inputs
 from reference_impls import (
@@ -135,6 +135,20 @@ def test_digraph_points_at_colour_minimum(g):
 def test_oracle_partition_matches_unionfind(g):
     part = colour_partition(g)
     assert ([b.tolist() for b in part.fibres], g.colours[part.representatives].tolist()) == ordered_unionfind_blocks(g)
+
+
+@given(coloured_graphs())
+@settings(max_examples=120, deadline=None)
+def test_targets_number_the_roots_as_a_cumsum_of_the_root_mask(g):
+    # a round's mapping and the oracle's partition number their targets by
+    # scattering each root's rank onto it: the targets (cumsum(is_root) - 1)[r]
+    # of every vertex v with root r[v], the root mask summed giving n'
+    roots = project_to_roots(build_functional_digraph(same_colour_part(g)))
+    partition = colour_partition(g)
+    for mapping, r in ((compact_mapping(g, roots), roots), (partition, partition.fibre_minima)):
+        is_root = r == np.arange(g.n)
+        assert mapping.n_prime == int(is_root.sum())
+        assert mapping.becomes.tolist() == (np.cumsum(is_root) - 1)[r].tolist()
 
 
 def test_oracle_partition_matches_scipy_components():
