@@ -26,7 +26,8 @@ def iteration_bound(n: int) -> int:
     Uses exact integer arithmetic: phi**k = F(k)*phi + F(k-1) with F the
     Fibonacci numbers, so phi**k <= n reduces to a sign check plus one
     squared comparison.  No float rounding near the Fibonacci boundaries.
-    """
+    A non-integer order raises TypeError."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("iteration_bound requires n >= 1")
     k = 1
@@ -224,33 +225,29 @@ def project_to_roots(parents: np.ndarray) -> np.ndarray:
         b = jumped
 
 
-def compact_mapping(g: ColouredGraph, roots: np.ndarray) -> ContractionMapping:
-    """Renumber root-projected parents to contiguous targets 0..n'-1.
+def compact_mapping(parents: np.ndarray) -> ContractionMapping:
+    """Mapping of every vertex to the root of its tree in a parent forest:
+    the pointers projected by ``project_to_roots``, which checks them, and
+    the roots numbered 0..n'-1 in index order, so that target indices
+    ascend with the cluster representatives."""
+    return _numbered(project_to_roots(parents))
 
-    Roots are numbered in index order, so target indices ascend with the
-    cluster representatives.
-    """
-    r = _integers(roots, "roots")
-    if r.size != g.n:
-        raise ValueError("root array length must equal graph order")
-    if r.size:
-        if int(r.min()) < 0 or int(r.max()) >= g.n:
-            raise ValueError("root index out of range")
-        if not (r[r] == r).all():
-            raise ValueError("roots are not projected (roots[roots[v]] != roots[v])")
-    # each root's number scattered onto it and gathered through r, whose
-    # every entry is a root: no cumsum over a bool mask, which numpy casts
-    # through a buffer (about 146 us on the 46 368 vertices of the
-    # worst-case family's level-22 first round; 2-vCPU Intel Xeon, numpy 2.4)
-    heads = np.flatnonzero(r == np.arange(r.size, dtype=np.int64))
-    number = np.empty(r.size, dtype=np.int64)
+
+def _numbered(roots: np.ndarray) -> ContractionMapping:
+    """Every vertex v mapped to the rank of roots[v] among the vertices that
+    label themselves, for projected int64 labels (roots[roots] == roots).
+    Each rank is scattered onto its root and gathered through the labels: a
+    bool cumsum, which numpy casts through a buffer, took about 146 us on the
+    worst-case family's level-22 first round (2-vCPU Intel Xeon, numpy 2.4)."""
+    heads = np.flatnonzero(roots == np.arange(roots.size, dtype=np.int64))
+    number = np.empty(roots.size, dtype=np.int64)
     number[heads] = np.arange(heads.size, dtype=np.int64)
-    return ContractionMapping(n=g.n, n_prime=heads.size, becomes=number[r])
+    return ContractionMapping(n=roots.size, n_prime=heads.size, becomes=number[roots])
 
 
 def evaluate_contraction_mapping(g: ColouredGraph) -> ContractionMapping:
-    """Mapping of any graph: local minima over its same-colour edges, root projection, compaction."""
-    return compact_mapping(g, project_to_roots(build_functional_digraph(same_colour_part(g))))
+    """Mapping of any graph: local minima over its same-colour edges, compacted."""
+    return compact_mapping(build_functional_digraph(same_colour_part(g)))
 
 
 def _check_mapping_structure(g: ColouredGraph, mapping: ContractionMapping) -> np.ndarray:
@@ -335,7 +332,7 @@ def contract_to_fixpoint(g: ColouredGraph) -> tuple[ColouredGraph, ContractionTr
                 f"no fixpoint after {max_iterations} iterations at order {current.n}; "
                 "the convergence guarantee is broken"
             )
-        mapping = compact_mapping(current, project_to_roots(build_functional_digraph(current)))
+        mapping = compact_mapping(build_functional_digraph(current))
         contracted = apply_contraction(current, mapping)
         t1 = time.perf_counter()
         records.append(IterationRecord(m=current.m, mapping=mapping, wall_time_ms=(t1 - t0) * 1000.0))

@@ -6,6 +6,7 @@ seed, so identical seeds reproduce identical outputs on every platform.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ class RandomSpec:
     """Parameters of one random graph: order, edge target, colour count, seed.
 
     Exactly one of ``m`` (edge count) and ``p`` (edge probability) must be
-    given.
+    given.  Integer fields are held as Python ints; a non-integer raises TypeError.
     """
 
     n: int
@@ -29,6 +30,9 @@ class RandomSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "m", "colours", "seed"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, int(operator.index(getattr(self, name))))
         if self.n < 0:
             raise ValueError("n must be non-negative")
         if self.n >= _MAX_ORDER:
@@ -173,8 +177,9 @@ def gen_erdos_renyi(spec: RandomSpec) -> ColouredGraph:
 
 
 def assign_random_colours(g: ColouredGraph, colours: int, seed: int) -> ColouredGraph:
-    """Same structure, colours redrawn uniformly from 0..colours-1."""
-    if colours < 1:
+    """Same structure, colours redrawn uniformly from 0..colours-1 (TypeError
+    for a non-integer count)."""
+    if operator.index(colours) < 1:
         raise ValueError("colour count must be at least 1")
     drawn = _rng(seed).integers(0, colours, size=g.n, dtype=np.int64)
     return ColouredGraph(n=g.n, colours=drawn, keys=g.keys)

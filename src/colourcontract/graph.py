@@ -38,8 +38,9 @@ class ColouredGraph:
     keys: np.ndarray     # (m,) edge keys lo*n + hi with lo < hi < n, strictly ascending
 
     def __post_init__(self) -> None:
-        # held as int64 whatever the given integer type, so that endpoints,
-        # edges and relabelled keys are int64 too
+        # n held as a Python int (TypeError for a non-integer), the keys as
+        # int64, so that endpoints, edges and relabelled keys are int64 too
+        object.__setattr__(self, "n", int(operator.index(self.n)))
         object.__setattr__(self, "keys", _validate(self))
         for arr in (self.colours, self.keys):
             arr.setflags(write=False)
@@ -188,8 +189,8 @@ def _grow(indptr: np.ndarray, indices: np.ndarray, seeds: int | np.ndarray, cove
 
 def _validate(g: ColouredGraph) -> np.ndarray:
     """Check every invariant of g; returns its keys as int64."""
-    if not isinstance(g.n, int) or g.n < 0:
-        raise ValueError("n must be a non-negative int")
+    if g.n < 0:
+        raise ValueError("n must be non-negative")
     if g.colours.ndim != 1 or g.colours.size != g.n:
         raise ValueError(f"expected colours of shape ({g.n},), got {g.colours.shape}")
     # by dtype kind: np.issubdtype counts timedelta64 as an integer type
@@ -353,6 +354,7 @@ def new_graph(n: int, edges: Iterable[Sequence[int]] | np.ndarray, colours: Sequ
     int64, or as uint64 when an id is at or above 2**63, and an id at or
     above 2**64 is rejected.
     """
+    n = int(operator.index(n))
     if n < 0:
         raise ValueError("n must be non-negative")
     # the graph checks the colours again, but n sizes arrays before it does.

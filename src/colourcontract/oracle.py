@@ -5,18 +5,17 @@ hold only the same-colour edges (``graph.rows_within``).  Blocks of one and
 two vertices are read off the row lengths in whole-array passes, and a
 breadth-first search runs once per larger block.  It finds that partition
 independently of the iterative engine, so the two can cross-check each
-other.  What it shares with the engine is the graph layer, the rows and the
-frontier BFS ``graph._grow``, and the type of its answer: a
-``ContractionMapping`` numbered by smallest member, as a round's mapping is.
-Its quotient is ``engine.apply_contraction`` of that partition, as a round's
-is; it calls no engine step that finds a partition.
+other.  It shares with the engine the graph layer, the rows and the BFS
+``graph._grow``, and its answer: block labels numbered by ``engine._numbered``
+as a round's roots are, and quotient by ``engine.apply_contraction``.  It
+runs no pointer step and no engine step that finds a partition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import ContractionMapping
+from .engine import ContractionMapping, _numbered
 from .graph import ColouredGraph, _grow, rows_within
 
 
@@ -39,16 +38,15 @@ def colour_partition(g: ColouredGraph) -> ContractionMapping:
     row entry each is a block of two, labelled by its lower end.  Every
     other block is grown by frontier BFS, once per block, from the lowest
     uncovered index up, so its seed is its smallest member, and the seed is
-    scattered onto the block.  The vertices that label themselves are then
-    numbered in index order, each number scattered onto its vertex and
-    gathered through every block label.
+    scattered onto the block.  The seeds, the vertices that label
+    themselves, are then numbered in index order by ``engine._numbered``,
+    as a round's roots are.
     """
     indptr, indices = rows_within(g, g.colours)
     degree = np.diff(indptr)
     # one uncovered place past the last vertex ends the scan for seeds
     covered = np.append(degree == 0, False)
-    ids = np.arange(g.n, dtype=np.int64)
-    block_of = ids.copy()
+    block_of = np.arange(g.n, dtype=np.int64)
     ends = np.flatnonzero(degree == 1)
     other = indices[indptr[ends]]
     paired = degree[other] == 1
@@ -63,8 +61,5 @@ def colour_partition(g: ColouredGraph) -> ContractionMapping:
     while v < g.n:
         block_of[_grow(indptr, indices, v, covered, owner)] = v
         v += int(np.argmin(covered[v:]))
-    firsts = np.flatnonzero(block_of == ids)
-    # every vertex's label labels itself, so only those places are read
-    number = np.empty(g.n, dtype=np.int64)
-    number[firsts] = np.arange(firsts.size, dtype=np.int64)
-    return ContractionMapping(n=g.n, n_prime=firsts.size, becomes=number[block_of])
+    # every block is labelled by its seed, which labels itself
+    return _numbered(block_of)

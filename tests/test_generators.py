@@ -40,6 +40,24 @@ def test_spec_validates_ranges():
         RandomSpec(n=5, m=2, seed=-3)
 
 
+def test_spec_holds_integer_fields_as_python_ints():
+    spec = RandomSpec(n=np.int64(10), m=np.int32(3), colours=np.uint8(2), seed=np.int64(4))
+    assert spec == RandomSpec(n=10, m=3, colours=2, seed=4)
+    assert all(type(v) is int for v in (spec.n, spec.m, spec.colours, spec.seed))
+    assert graphs_equal(gen_erdos_renyi(spec), gen_erdos_renyi(RandomSpec(n=10, m=3, colours=2, seed=4)))
+    for fields in ({"n": 10.5, "m": 3}, {"n": 10, "m": 3.0}, {"n": 10, "m": 3, "colours": 2.5},
+                   {"n": 10, "m": 3, "seed": 1.5}, {"n": "10", "p": 0.5}):
+        with pytest.raises(TypeError):
+            RandomSpec(**fields)
+
+
+def test_colour_count_must_be_an_integer():
+    g = gen_erdos_renyi(RandomSpec(n=10, m=12, seed=2))
+    with pytest.raises(TypeError):
+        assign_random_colours(g, 2.5, 0)
+    assert graphs_equal(assign_random_colours(g, np.int64(3), 0), assign_random_colours(g, 3, 0))
+
+
 def test_spec_refuses_an_order_the_text_format_cannot_hold():
     # refused at construction, before gen_erdos_renyi allocates n colours
     for edges in ({"m": 0}, {"p": 0.5}):

@@ -11,6 +11,7 @@ from colourcontract import (
     equivalent_contractions,
     graphs_equal,
     new_graph,
+    parse_graph,
     serialize_graph,
 )
 from colourcontract import graph
@@ -356,6 +357,23 @@ def test_new_graph_refuses_endpoints_outside_64_bits_as_out_of_range():
         new_graph(3, [(0, 1), (0, 5), (2**64, 1)], [1, 0, 0])
     with pytest.raises(ValueError, match=r"^edge endpoint out of range: \(0, 9223372036854775808\)$"):
         new_graph(2, [(0, 2**63)], [1, 0])
+
+
+def test_orders_are_held_as_python_ints():
+    # an order of any integer type is stored as a Python int, so the text
+    # names it as a number; a non-integer order raises TypeError
+    for n in (True, np.int64(1), np.uint8(1)):
+        g = new_graph(n, [], [0])
+        assert type(g.n) is int and g.n == 1
+        assert serialize_graph(g) == "1 0\n0\n"
+        assert graphs_equal(parse_graph(serialize_graph(g)), g)
+    g = ColouredGraph(n=np.int64(2), colours=np.array([0, 0]), keys=np.array([1]))
+    assert type(g.n) is int and graphs_equal(g, new_graph(2, [(0, 1)], [0, 0]))
+    for n in (2.0, "2", None):
+        with pytest.raises(TypeError):
+            new_graph(n, [(0, 1)], [0, 0])
+        with pytest.raises(TypeError):
+            ColouredGraph(n=n, colours=np.array([0, 0]), keys=np.array([1]))
 
 
 def test_timedelta_colours_and_keys_are_refused_as_non_integers():

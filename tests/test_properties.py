@@ -145,7 +145,7 @@ def test_targets_number_the_roots_as_a_cumsum_of_the_root_mask(g):
     # of every vertex v with root r[v], the root mask summed giving n'
     roots = project_to_roots(build_functional_digraph(same_colour_part(g)))
     partition = colour_partition(g)
-    for mapping, r in ((compact_mapping(g, roots), roots), (partition, partition.fibre_minima)):
+    for mapping, r in ((compact_mapping(roots), roots), (partition, partition.fibre_minima)):
         is_root = r == np.arange(g.n)
         assert mapping.n_prime == int(is_root.sum())
         assert mapping.becomes.tolist() == (np.cumsum(is_root) - 1)[r].tolist()
