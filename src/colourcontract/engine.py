@@ -205,13 +205,16 @@ def build_functional_digraph(g: ColouredGraph) -> np.ndarray:
 def project_to_roots(parents: np.ndarray) -> np.ndarray:
     """Collapse parent pointers to their tree roots by pointer jumping.
 
-    Requires parents[v] <= v, so every chain ends at a fixed point.  Each
-    whole-array pass replaces every pointer by its grandparent (the shortcut
-    step of Shiloach and Vishkin, 1982), halving every unfinished path, so a
-    forest of depth d settles after about log2(d) + 1 passes.  No pass
-    depends on the order in which vertices are visited.
+    Requires one-dimensional pointers with parents[v] <= v, so every chain
+    ends at a fixed point.  Each whole-array pass replaces every pointer by
+    its grandparent (the shortcut step of Shiloach and Vishkin, 1982),
+    halving every unfinished path, so a forest of depth d settles after
+    about log2(d) + 1 passes.  No pass depends on the order in which
+    vertices are visited.
     """
     b = _integers(parents, "parent pointers")
+    if b.ndim != 1:
+        raise ValueError(f"parent pointers must be one-dimensional, got shape {b.shape}")
     n = b.size
     if n:
         if int(b.min()) < 0:

@@ -14,14 +14,15 @@ Numbers are read as Python's ``int()`` reads them.  Colour ids must lie in
 otherwise; every other number must fit in int64, and n must be below 2**31.
 
 Input is ``str`` or UTF-8 ``bytes``, whole or as a stream; the command line
-hands over the file's bytes undecoded.  Parsing takes one of two paths.  Text
-that is plain once its comment lines are cut, ASCII digits, spaces, tabs and
-``\\n``, ``\\r\\n`` or lone ``\\r`` line breaks, as ``serialize_graph`` writes it
-or another platform's tools rewrite its breaks, is read straight from its
-bytes: its values on a worker thread, while the calling thread checks the
-line layout in array passes over one block of whole lines at a time; all
-other text goes through the line-by-line reader, the reference, which
-reports the exact line of an error.
+hands over the file's bytes undecoded.  Parsing takes one of two paths, both
+on the calling thread; none starts a thread.  Text laid out as
+``serialize_graph`` writes it, once its line breaks are ``\\n`` and its comment
+lines are cut, is read straight from its bytes: single spaces between
+numbers, every line ended by ``\\n``, no blank line, and every number a run of
+ASCII digits below 10**18.  All other text, with tabs, runs of spaces, blank
+lines, a missing final newline or longer numbers, goes through the
+line-by-line reader, the reference, which reads it exactly but holds a
+Python string per line, and reports the exact line of an error.
 
 Serialisation is canonical: colours on one line, edges as ``u v`` with
 ``u < v`` in lexicographic order, so parse(serialise(g)) reproduces g exactly.
@@ -33,7 +34,6 @@ import json
 import re
 import resource
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -55,17 +55,13 @@ _UINT64_MAX = 2**64 - 1
 # lines at a time, so it never holds every line of the text at once
 _LINE_CHUNK = 1 << 16
 
-# a comment line, cut from the bytes up to the first byte at which
-# str.splitlines() or str.split() could read the text differently: an ASCII
-# line break, or any byte of a non-ASCII character
-_COMMENT = re.compile(rb"^[ \t]*#[^\n\r\x0b\x0c\x1c-\x1e\x80-\xff]*", re.M)
-# plain text, read straight from its bytes: these bytes only, numbers of at
-# most this many digits (every 18-digit number fits in int64)
-_PLAIN_BYTES = b"0123456789 \t\r\n"
-_PLAIN_MAX_DIGITS = 18
-# the byte parse checks the layout of this many bytes, up to the next \n, at
-# a time, so it never holds a mask or token bounds of the whole text
-_LAYOUT_CHUNK = 1 << 19
+# a comment line, cut from the bytes with its \n, or only up to the first byte
+# at which str.splitlines() or str.split() could read the text differently:
+# any other ASCII line break, or any byte of a non-ASCII character
+_COMMENT = re.compile(rb"^[ \t]*#[^\n\r\x0b\x0c\x1c-\x1e\x80-\xff]*\n?", re.M)
+# the byte path's cap on every number: np.fromstring clamps a number past
+# the int64 range to the int64 maximum, which is not below it
+_PLAIN_TOP = 10**18
 # the writer turns this many values into text at a time, so that its
 # temporaries, a few bytes per digit place of each value, are bounded by the
 # block and not by the graph.  Measured on a 2-core Xeon: serialize_graph on
@@ -163,88 +159,40 @@ def _parse_lines(text: str) -> ColouredGraph:
     return new_graph(n, np.frombuffer(endpoints, dtype=np.int64).reshape(-1, 2), colour_values)
 
 
-def _line_widths(data: bytes) -> np.ndarray | None:
-    """The number of tokens on each content line of plain text, found one
-    block of whole lines at a time; None when the text holds no number or
-    one longer than ``_PLAIN_MAX_DIGITS``.
-
-    A block ends just after the first \\n at or past ``_LAYOUT_CHUNK``
-    bytes from its start, or at the end of the text, as ``_content_lines``
-    cuts its chunks: every token and every line lies in one block, and a
-    block's first token opens a line.  Only one block's byte mask and token
-    bounds are held at a time.
-    """
-    raw = np.frombuffer(data, dtype=np.uint8)
-    widths = []
-    start = 0
-    while start < raw.size:
-        end = data.find(b"\n", start + _LAYOUT_CHUNK) + 1 or raw.size
-        block = raw[start:end]
-        start = end
-        # token i is block[starts[i]:ends[i]]: a run of digits, the only bytes >= 0x30 left
-        word = np.zeros(block.size + 2, dtype=bool)
-        np.greater_equal(block, 0x30, out=word[1:-1])
-        starts, ends = np.flatnonzero(word[1:] != word[:-1]).reshape(-1, 2).T
-        if starts.size == 0:
-            continue
-        if int((ends - starts).max()) > _PLAIN_MAX_DIGITS:
-            return None
-        # opens[i]: a newline lies before token i and after token i - 1
-        opens = np.zeros(starts.size + 1, dtype=bool)
-        opens[np.searchsorted(starts, np.flatnonzero(block == 0x0A))] = True
-        opens = opens[:-1]
-        opens[0] = True
-        widths.append(np.diff(np.append(np.flatnonzero(opens), opens.size)))
-    return np.concatenate(widths) if widths else None
-
-
 def _parse_whole(data: bytes) -> ColouredGraph | None:
-    """Whole-text parse of well-formed text read straight from its bytes;
-    None for any other text, which the line-by-line parse then handles.
+    """Whole-text parse of text laid out as ``serialize_graph`` writes it,
+    read straight from its bytes; None for any other text, which the
+    line-by-line parse then handles.
 
-    Text with a lone ``\\r`` has every ``\\r`` replaced by ``\\n`` first;
-    text whose breaks are all ``\\n`` or ``\\r\\n`` is read as it is, uncopied,
-    its ``\\r`` one more space before the ``\\n``.  Comment lines are cut
-    from the bytes next.  What remains must be plain: ASCII digits, spaces,
-    tabs and line breaks, with no number longer than ``_PLAIN_MAX_DIGITS``.
-    ``np.fromstring`` reads the values and array operations check the
-    layout.  ``np.fromstring`` clamps an overflowing number to the int64
-    extreme and stops silently at bytes it cannot read, so the digit cap and
-    the count check against the tokens ``_line_widths`` finds are what make
-    its result exact.  On the text it accepts, the result equals the
-    line-by-line parse's.
-
-    ``np.fromstring`` releases the interpreter lock, so it starts on one
-    worker thread as soon as the text is known to be plain, while this
-    thread finds the tokens, the digit cap and the tokens per line one block
-    of whole lines at a time.  The worker is joined before any value is read
-    and before this function returns, whether it returns a graph, None or an
-    error.
+    ``\\r\\n``, then any lone ``\\r``, becomes ``\\n``, and comment lines are cut
+    whole.  The text must then end in ``\\n`` and, with its digits taken out,
+    leave only the separators of the layout: ``" \\n"`` for the header, n - 1
+    spaces and a ``\\n`` for the colour line, ``" \\n"`` per edge line.
+    ``np.fromstring`` reads the values on this thread; it clamps a number
+    past the int64 range to the int64 maximum and reads text with no number
+    as one 0, so exactly ``2 + n + 2m`` values, each below ``_PLAIN_TOP``,
+    and those separators make its result exact.  The value count is checked
+    before the separators are built, so the header cannot make them large.
+    On the text it accepts, the result equals the line-by-line parse's.
     """
-    # a lone \r ends a line as \n does; once every \r is a \n, a \r\n pair
-    # reads as a line and a blank one, which the format ignores
-    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        data = data.replace(b"\r", b"\n")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if b"#" in data:
         data = _COMMENT.sub(b"", data)
-    if data.translate(None, _PLAIN_BYTES):
+    if not data.endswith(b"\n"):
         return None
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        reading = pool.submit(np.fromstring, data, dtype=np.int64, sep=" ")
-        widths = _line_widths(data)
-        try:
-            values = reading.result()
-        except ValueError:
-            return None
-    if widths is None or values.size != widths.sum() or widths[0] != 2:
+    seps = data.translate(None, b"0123456789")
+    if seps.translate(None, b" \n"):
+        return None
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    if values.size < 2:
         return None
     n, m = int(values[0]), int(values[1])
-    if not (0 <= n < _MAX_ORDER and m >= 0):
+    if not (n < _MAX_ORDER and values.size == 2 + n + 2 * m and int(values.max()) < _PLAIN_TOP):
         return None
-    body = 2 if n > 0 else 1
-    if widths.size != body + m or (n > 0 and widths[1] != n) or (widths[body:] != 2).any():
+    if seps != b" \n" + (b" " * (n - 1) + b"\n" if n else b"") + b" \n" * m:
         return None
-    del widths  # not held while new_graph builds the keys
+    del seps  # not held while new_graph builds the keys
     try:
         return new_graph(n, values[2 + n:].reshape(m, 2), values[2:2 + n].copy())
     except ValueError:
@@ -255,17 +203,17 @@ def parse_graph(source: str | bytes | IO[str] | IO[bytes]) -> ColouredGraph:
     """Parse the text format, given as ``str`` or UTF-8 ``bytes`` or a stream
     of either; errors report the offending line number.
 
-    Two paths, whatever the input type.  Well-formed text whose comment
-    lines, once cut, leave only ASCII digits and whitespace (all that
-    ``serialize_graph`` and ``gen`` write) is read straight from its bytes
-    by ``_parse_whole``: its values on a worker thread that is joined before
-    this returns, its layout checked one block of whole lines at a time.
-    Everything else, malformed input and spellings such as ``+5``, ``1_0``,
-    non-ASCII digits, 19-digit numbers or line breaks other than \\n, \\r
-    and \\r\\n, goes through the line-by-line parse, which reads
-    numbers as ``int()`` does and raises the exact error line.  Bytes reach
-    it decoded as strict UTF-8: bytes that are not UTF-8 raise
-    ``UnicodeDecodeError``, a ``ValueError``.
+    Two paths, whatever the input type, both on the calling thread.  Text
+    laid out as ``serialize_graph`` and ``gen`` write it (single spaces,
+    every line ended by \\n, \\r\\n or \\r, numbers of ASCII digits below
+    10**18), comment lines included, is read straight from its bytes by
+    ``_parse_whole``.  Everything else, malformed input, tabs, runs of
+    spaces, blank lines, a missing final newline, and spellings such as
+    ``+5``, ``1_0``, non-ASCII digits, 19-digit numbers or other line breaks,
+    goes through the line-by-line parse, which reads numbers as ``int()``
+    does and raises the exact error line, at the cost of a Python string per
+    line.  Bytes reach it decoded as strict UTF-8: bytes that are not UTF-8
+    raise ``UnicodeDecodeError``, a ``ValueError``.
     """
     text = source if isinstance(source, (str, bytes)) else source.read()
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text

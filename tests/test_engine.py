@@ -175,6 +175,17 @@ def test_project_rejects_increasing_pointer():
         project_to_roots(np.array([-1, 0]))
 
 
+def test_pointers_must_be_one_dimensional():
+    # a 2-D array would be indexed along its first axis, b[b] growing a dimension
+    for parents in (np.zeros((1, 4), dtype=np.int64), np.zeros((2, 2), dtype=np.int64), np.array(0)):
+        for step in (project_to_roots, compact_mapping):
+            with pytest.raises(ValueError, match="parent pointers must be one-dimensional"):
+                step(parents)
+    for step in (project_to_roots, compact_mapping):
+        with pytest.raises(ValueError, match="parent pointers"):
+            step([[0, 0], [0, 1]])
+
+
 def test_pointers_must_be_integers():
     for parents in (np.array([0, 0.9, 1.5]), [0, 0.9, 1.5]):
         with pytest.raises(ValueError, match="must be integers"):

@@ -35,6 +35,9 @@ from reference_impls import (
 
 
 P4_TEXT = "4 3\n0 0 0 0\n0 2\n1 3\n2 3\n"
+# the two parse paths, held here so that the spies below do not see the
+# reference checks' own calls
+_PARSE_WHOLE, _PARSE_LINES = graph_io._parse_whole, graph_io._parse_lines
 
 
 def test_serialize_empty():
@@ -119,13 +122,24 @@ def line_parses(monkeypatch):
 def test_well_formed_text_takes_the_whole_text_path(line_parses, p4):
     texts = [
         P4_TEXT,
-        "# header next\n\n4 3\n   # colours\n0 0 0 0\n2 0\n\n3 1\n# last\n2 3",
+        "# header next\n4 3\n   # colours\n0 0 0 0\n2 0\n3 1\n# last\n2 3\n",
         P4_TEXT.replace("\n", "\r\n"),
-        "\t4 3 \n0\t0  0 0\n0\t2\n1 3\n2 3\n",
+        P4_TEXT.replace("\n", "\r"),
     ]
     for text in texts:
         assert graphs_equal(parse_graph(text), p4)
     assert line_parses == []
+    # blank lines, a missing final newline, tabs and runs of spaces are read
+    # exactly, by the line parse
+    loose = [
+        "# header next\n\n4 3\n   # colours\n0 0 0 0\n2 0\n\n3 1\n# last\n2 3",
+        "\t4 3 \n0\t0  0 0\n0\t2\n1 3\n2 3\n",
+    ]
+    for text in loose:
+        assert graphs_equal(parse_graph(text), p4)
+    assert line_parses == loose
+    for text in loose:
+        check_against_line_reference(text)
 
 
 def test_other_line_breaks_take_the_line_path(line_parses, p4):
@@ -143,35 +157,38 @@ def test_other_line_breaks_take_the_line_path(line_parses, p4):
 
 
 def test_lone_carriage_returns_take_the_whole_text_path(line_parses):
-    # a lone \r ends a line as \n does; in text that has one, every \r reads
-    # as \n, so a \r\n pair is a line and a blank one, and the text, with
-    # comment lines or without, stays off the line parse
-    lines = ["# a path", "4 3", "# colours", "0 0 0 0", "2 0", "", "3 1", "# last edge", "2 3"]
-    breaks = ["\r", "\n", "\r\n", "\r\r\n", "\n\r"]
-    texts = []
+    # a lone \r ends a line as \n does, and a \r\n pair is one break: text
+    # whose every line ends in one of the three, with comment lines or
+    # without, stays off the line parse.  A blank line, which \r\r\n and \n\r
+    # also make, or a missing final break sends the text to the line parse
+    lines = ["# a path", "4 3", "# colours", "0 0 0 0", "2 0", "3 1", "# last edge", "2 3"]
+    breaks = ["\r", "\n", "\r\n"]
+    whole, loose = [], []
     for body in (lines, [line for line in lines if not line.startswith("#")]):
-        texts += ["\r".join(body), "\r".join(body) + "\r", "\r\n".join(body) + "\r"]
+        whole += ["\r".join(body) + "\r", "\r\n".join(body) + "\r"]
         for shift in range(len(breaks)):
-            texts.append("".join(line + breaks[(i + shift) % len(breaks)] for i, line in enumerate(body)))
-    for text in texts:
+            whole.append("".join(line + breaks[(i + shift) % len(breaks)] for i, line in enumerate(body)))
+        loose += ["\r".join(body), "\r\r\n".join(body) + "\r", "\n\r".join(body) + "\n\r", "\r".join(body[:5] + [""] + body[5:]) + "\r"]
+    for text in whole + loose:
         assert "\r" in text.replace("\r\n", "")
         expected = parse_by_lines(text)
         assert relabel_form(parse_graph(text)) == expected
         assert relabel_form(parse_graph(text.encode())) == expected
-    assert line_parses == []
+    assert len(line_parses) == 2 * len(loose)
 
 
 def test_comment_cut_stops_at_line_breaks_and_non_ascii():
     # "# a{c}b" is one comment line unless c is a line break of
-    # str.splitlines().  The cut removes the whole line, but stops at c when
-    # c is a line break or non-ASCII, and leaves c and what follows to the line parse
+    # str.splitlines().  The cut removes the whole line with its \n, but stops
+    # at c when c is a line break or non-ASCII, and leaves c and what follows
+    # to the line parse; at c = \n it has cut the comment line with its \n
     chars = [chr(c) for c in range(sys.maxunicode + 1)]
 
     def stops_at(c):
         return not c.isascii() or len(f"a{c}b".splitlines()) == 2
 
     text = "".join(f"# a{c}b\n" for c in chars)
-    expected = "".join(f"{c}b\n" if stops_at(c) else "\n" for c in chars)
+    expected = "".join(("b\n" if c == "\n" else f"{c}b\n") if stops_at(c) else "" for c in chars)
     cut = graph_io._COMMENT.sub(b"", text.encode("utf-8", "surrogatepass"))
     assert cut == expected.encode("utf-8", "surrogatepass")
 
@@ -180,7 +197,7 @@ def test_duplicate_edges_count_once(line_parses):
     # the header counts edge lines; an edge listed twice, in either
     # orientation, is still one edge
     plain = "2 2\n0 0\n0 1\n1 0\n"
-    commented = "# a duplicate\n2 2\n\n0 0\n# both orientations\n0 1\n1 0\n"
+    commented = "# a duplicate\n2 2\n0 0\n# both orientations\n0 1\n1 0\n"
     for text in (plain, commented):
         g = parse_graph(text)
         assert g.n == 2 and g.m == 1 and g.edge_array().tolist() == [[0, 1]]
@@ -286,18 +303,21 @@ PLAIN_LAYOUTS = [
     "\r\n".join(_LAYOUT_LINES) + "\r\n",
     "\t3\t2 \n\n0\t1  2\n\n\r\n0 1\r\n  1\t2",  # tabs, blank lines, both breaks
     "0 0\n",
-    " 0\t0 \r\n\r\n",  # a 0-vertex graph
+    " 0\t0 \r\n\r\n",  # a 0-vertex graph, with tabs and a blank line
     "3 2\n0 1 2\n0 1\n",  # missing line
     "3 2\n0 1 2\n0 1 2\n1 2\n",  # wrong width
     "3 2\n0 1 2\n0 3\n1 2\n",  # endpoint out of range
 ]
+# whether the byte path reads each of PLAIN_LAYOUTS: the serializer's layout
+# with \n or \r\n breaks; loose whitespace, a missing final newline and the
+# malformed ones go on to the line parse
+PLAIN_LAYOUT_READS = [True, False, True, False, True, False, False, False, False]
 
 
 def test_plain_layouts_match_line_reference(plain_reads):
     for text in PLAIN_LAYOUTS:
         check_against_line_reference(text)
-    # the layout and graph checks send the malformed ones on to the line parse
-    assert plain_reads == [True] * 6 + [False] * 3
+    assert plain_reads == PLAIN_LAYOUT_READS
 
 
 def test_short_byte_read_falls_back_to_the_line_parse(monkeypatch, plain_reads, p4):
@@ -309,9 +329,10 @@ def test_short_byte_read_falls_back_to_the_line_parse(monkeypatch, plain_reads, 
     assert plain_reads == [False]
 
 
-@pytest.fixture
-def value_reads(monkeypatch):
-    """Record the thread of every np.fromstring call behind parse_graph."""
+def test_a_parse_starts_no_thread(monkeypatch, line_parses, p4):
+    # the values are read on the calling thread, whichever path the text
+    # takes, and an error of the read other than a parse error reaches the
+    # caller as it is, with no fallback to the line parse
     threads = []
     fromstring = np.fromstring
 
@@ -319,75 +340,32 @@ def value_reads(monkeypatch):
         threads.append(threading.current_thread())
         return fromstring(*args, **kwargs)
 
+    def refuse(thread):
+        raise AssertionError(f"the parse started {thread}")
+
     monkeypatch.setattr(np, "fromstring", spy)
-    return threads
-
-
-def test_values_are_read_on_a_worker_that_never_outlives_the_parse(value_reads, line_parses, p4):
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     before = threading.active_count()
-    # a plain parse
     assert graphs_equal(parse_graph(P4_TEXT), p4)
-    assert threading.active_count() == before
+    g = generate_fib_instance(9).graph
+    assert graphs_equal(parse_graph(serialize_graph(g).encode()), g)
     # plain text whose layout check fails: the line parse raises
     with pytest.raises(GraphParseError, match="expected 2 edge endpoints, got 3") as err:
         parse_graph("3 2\n0 1 2\n0 1 2\n1 2\n")
-    assert err.value.line_no == 3 and threading.active_count() == before
-    # text off the byte path starts no worker
+    assert err.value.line_no == 3
+    # text off the byte path is never read by np.fromstring
     assert graphs_equal(parse_graph("+" + P4_TEXT), p4)
+    assert len(threads) == 3 and len(line_parses) == 2
+    assert all(t is threading.main_thread() for t in threads)
     assert threading.active_count() == before
-    assert len(value_reads) == 2 and len(line_parses) == 2
-    main = threading.main_thread()
-    assert all(t is not main and not t.is_alive() for t in value_reads)
 
-
-def test_a_value_error_on_the_worker_falls_back_to_the_line_parse(monkeypatch, line_parses, plain_reads, p4):
-    def refuse(*args, **kwargs):
-        raise ValueError("string size must be a multiple of element size")
-
-    monkeypatch.setattr(np, "fromstring", refuse)
-    before = threading.active_count()
-    assert graphs_equal(parse_graph(P4_TEXT), p4)
-    assert threading.active_count() == before
-    assert plain_reads == [False] and line_parses == [P4_TEXT]
-
-
-def test_other_errors_on_the_worker_reach_the_caller(monkeypatch, line_parses):
-    # only a ValueError means text np.fromstring cannot read; anything else
-    # is raised to the caller, with the worker already joined
     def fail(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(np, "fromstring", fail)
-    before = threading.active_count()
     with pytest.raises(MemoryError):
         parse_graph(P4_TEXT)
-    assert threading.active_count() == before and line_parses == []
-
-
-def test_a_late_block_failure_still_joins_the_worker(monkeypatch, value_reads, line_parses):
-    # the worker starts before the first block is checked; when the digit
-    # cap or the layout fails in the last block, it has read the whole text,
-    # is joined, and the line parse raises the exact error line
-    monkeypatch.setattr(graph_io, "_LAYOUT_CHUNK", 64)
-    g = generate_fib_instance(9).graph
-    text = serialize_graph(g)
-    body, last = text[:-1].rsplit("\n", 1)
-    cases = [
-        (f"{body}\n{last.split()[0]} 9999999999999999999\n", "64-bit"),
-        (f"{body}\n{last} 0\n", "expected 2 edge endpoints, got 3"),
-    ]
-    before = threading.active_count()
-    assert graphs_equal(parse_graph(text.encode()), g)
-    for bad, message in cases:
-        assert len(bad) > 10 * 64
-        with pytest.raises(GraphParseError, match=message) as err:
-            parse_graph(bad.encode())
-        assert err.value.line_no == len(bad.splitlines())
-        assert threading.active_count() == before
-    # one read per byte-path parse, each on a worker, failed ones included
-    assert len(value_reads) == 3 and len(line_parses) == 2
-    main = threading.main_thread()
-    assert all(t is not main and not t.is_alive() for t in value_reads)
+    assert len(line_parses) == 2
 
 
 def check_bytes_like_text(text):
@@ -456,15 +434,15 @@ def test_canonical_keys_are_not_sorted_again(monkeypatch):
 
 @pytest.mark.parametrize("digits", [17, 18, 19])
 def test_zero_padded_long_tokens(plain_reads, digits):
-    # up to 18 digits the text is read from its bytes; longer tokens go
-    # to the line parse, whose int() reads the same value
+    # leading zeros, however many, leave a small value, which is read from
+    # the bytes as the line parse's int() reads it
     def pad(x):
         return str(x).zfill(digits)
 
     text = f"{pad(3)} {pad(2)}\n{pad(0)} {pad(1)} {pad(1)}\n{pad(0)} {pad(1)}\n{pad(2)} {pad(1)}\n"
     check_against_line_reference(text)
     assert graphs_equal(parse_graph(text), new_graph(3, [(0, 1), (1, 2)], [0, 1, 1]))
-    assert plain_reads == [digits <= 18] * 2
+    assert plain_reads == [True] * 2
 
 
 def test_int64_extremes_in_id_and_colour_position(plain_reads):
@@ -493,8 +471,31 @@ def test_int64_extremes_in_id_and_colour_position(plain_reads):
         with pytest.raises(GraphParseError, match=message) as err:
             parse_graph(text)
         assert err.value.line_no == line_no
-    # 19 digits are never converted from bytes, where they could clamp
+    # no value at or above 10**18 is taken from the bytes, where it could be a clamp
     assert not any(plain_reads[1:])
+
+
+def test_long_tokens_clamp_on_the_byte_path_and_match_the_line_reader():
+    # the byte path's cap of 10**18 relies on np.fromstring mapping a number
+    # past the int64 range to the int64 maximum, never wrapping it to a
+    # smaller value
+    for token in ["9" * 19, "9" * 20, "9" * 40, str(2**63), str(2**64), str(2**64 + 5), str(10**30 + 7)]:
+        read = np.fromstring(f"{token} 1\n".encode(), dtype=np.int64, sep=" ")
+        assert read.tolist() == [2**63 - 1, 1]
+    # tokens of 18, 19 and 20 digits and long runs of leading zeros, as a
+    # colour, an edge end and the header's n and m, give the line reader's
+    # graph or error line; those whose value is below 10**18 are read from
+    # the bytes
+    tokens = [
+        "9" * 18, "1" + "0" * 18, "9" * 19, str(2**63 - 1), str(2**63), "9" * 20, str(2**64 - 1), str(2**64),
+        "0" * 19 + "1", "0" * 30 + "2", "0" * 25 + "9" * 18, "0" * 25 + "9" * 19,
+    ]
+    for token in tokens:
+        coloured = f"3 1\n{token} 0 1\n0 1\n"
+        assert (graph_io._parse_whole(coloured.encode()) is not None) == (int(token) < 10**18)
+        for text in (coloured, f"3 1\n0 0 0\n0 {token}\n", f"{token} 0\n", f"2 {token}\n0 0\n"):
+            check_against_line_reference(text)
+            check_bytes_like_text(text)
 
 
 def test_order_at_or_above_two_to_the_31_is_rejected():
@@ -617,7 +618,8 @@ def test_round_trip_normalises_input_order(p4):
 
 
 def check_against_line_reference(text):
-    """parse_graph gives the reference's graph, or fails on the same line."""
+    """parse_graph gives the reference's graph, or fails on the same line;
+    wherever the byte path reads the text, the line parse reads the same graph."""
     try:
         expected = parse_by_lines(text)
     except LineError as exc:
@@ -626,6 +628,9 @@ def check_against_line_reference(text):
         assert err.value.line_no == exc.line_no
     else:
         assert relabel_form(parse_graph(text)) == expected
+    whole = _PARSE_WHOLE(text.encode("utf-8", "surrogatepass"))
+    if whole is not None:
+        assert graphs_equal(whole, _PARSE_LINES(text))
 
 
 _TOKEN_REWRITES = (
@@ -727,9 +732,10 @@ def test_line_reader_chunks_keep_the_lines_of_the_whole_text(monkeypatch, chunk)
             check_against_line_reference(variant)
 
 
-def _block_edge_texts():
-    """Texts whose lines, blanks, breaks and long tokens fall at the edges of
-    small layout blocks, each with whether the byte path reads it."""
+def _layout_edge_texts():
+    """Texts at the edges of the byte path's layout: line breaks, blank and
+    comment lines, long lines and long tokens, each with whether the byte
+    path reads it."""
     fib = serialize_graph(generate_fib_instance(9).graph)
     head, rest = fib.split("\n", 1)
     colours = " ".join(str(c) for c in range(40))
@@ -741,25 +747,22 @@ def _block_edge_texts():
         (fib, True),
         (fib.replace("\n", "\r\n"), True),
         (fib.replace("\n", "\r"), True),  # lone \r
-        (fib.replace("\n", "\n\n \r\n\t\n"), True),  # blank lines between all lines
-        (fib.replace("\n", "\r\n\r\n", 7), True),
+        (fib.replace("\n", "\n\n \r\n\t\n"), False),  # blank lines between all lines
+        (fib.replace("\n", "\r\n\r\n", 7), False),
         (commented, True),
-        (f"40 39\n{colours}\n{path}", True),  # a colour line longer than a block
-        (f"40 39\n{colours}\r\n{path}"[:-1], True),  # and no final newline
-        (f"{body}\n{u} {v.zfill(19)}\n", False),  # 19 digits in the last block
+        (f"40 39\n{colours}\n{path}", True),  # a long colour line
+        (f"40 39\n{colours}\r\n{path}"[:-1], False),  # and no final newline
+        (f"{body}\n{u} {v.zfill(19)}\n", True),  # 19 digits, a small value, in the last line
         (f"{body}\n{u} 9999999999999999999\n", False),
-        (f"{body}\n{u} {v} {v}\n", False),  # a 3-wide edge line in the last block
+        (f"{body}\n{u} {v} {v}\n", False),  # a 3-wide last edge line
     ]
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
-def test_layout_blocks_keep_the_lines_of_the_whole_text(monkeypatch, chunk):
-    # the byte path checks the layout a block of whole lines at a time; at
-    # every block size it reads the texts it read whole, refuses the others,
-    # and parse_graph gives the line reference's graph or error line
-    monkeypatch.setattr(graph_io, "_LAYOUT_CHUNK", chunk)
-    plain = [True] * 6 + [False] * 3
-    cases = list(zip(PLAIN_LAYOUTS, plain)) + [(text, None) for text in MALFORMED] + _block_edge_texts()
+def test_whole_text_reads_match_the_line_reference():
+    # the byte path reads the texts laid out as the serializer writes them
+    # and refuses the others, and parse_graph gives the line reference's
+    # graph or error line
+    cases = list(zip(PLAIN_LAYOUTS, PLAIN_LAYOUT_READS)) + [(text, None) for text in MALFORMED] + _layout_edge_texts()
     for text, read in cases:
         g = graph_io._parse_whole(text.encode("utf-8"))
         if read is not None:
@@ -799,14 +802,11 @@ def test_line_reader_memory_is_bounded_by_the_arrays():
     assert peak < 16 * len(text)
 
 
-def test_byte_parse_memory_is_bounded_by_the_arrays(monkeypatch):
-    # the byte path holds one block's mask and token bounds at a time, so its
-    # peak is the values, the tokens per line and the new graph's arrays, not
-    # a mask and token bounds of the whole text
-    monkeypatch.setattr(graph_io, "_LAYOUT_CHUNK", 1 << 16)
+def test_byte_parse_memory_is_bounded_by_the_arrays():
+    # the byte path holds the text's separators, the layout they must match,
+    # the values and the new graph's arrays, each a fraction of the text
     g = _memory_test_graph()
     data = serialize_graph(g).encode()
-    assert len(data) > 10 * graph_io._LAYOUT_CHUNK
     parsed, peak = _traced_parse(data)
     assert graphs_equal(parsed, g)
     assert peak < 5 * len(data)
@@ -821,9 +821,10 @@ def test_parse_matches_line_reference_on_perturbed_graphs(text):
 
 @settings(max_examples=200, deadline=None)
 @given(perturbed_graph_texts())
-def test_parse_matches_line_reference_in_small_layout_blocks(text):
-    # a few bytes a block, so that block edges fall inside and between lines
-    with mock.patch.object(graph_io, "_LAYOUT_CHUNK", 7):
+def test_parse_matches_line_reference_in_small_line_chunks(text):
+    # the line reader splits a few characters at a time, so that chunk edges
+    # fall inside and between lines
+    with mock.patch.object(graph_io, "_LINE_CHUNK", 7):
         check_against_line_reference(text)
         check_bytes_like_text(text)
 
