@@ -329,10 +329,9 @@ def test_short_byte_read_falls_back_to_the_line_parse(monkeypatch, plain_reads, 
     assert plain_reads == [False]
 
 
-def test_a_parse_starts_no_thread(monkeypatch, line_parses, p4):
-    # the values are read on the calling thread, whichever path the text
-    # takes, and an error of the read other than a parse error reaches the
-    # caller as it is, with no fallback to the line parse
+@pytest.fixture
+def value_reads(monkeypatch):
+    """Record the thread of every np.fromstring call behind parse_graph."""
     threads = []
     fromstring = np.fromstring
 
@@ -340,32 +339,98 @@ def test_a_parse_starts_no_thread(monkeypatch, line_parses, p4):
         threads.append(threading.current_thread())
         return fromstring(*args, **kwargs)
 
+    monkeypatch.setattr(np, "fromstring", spy)
+    return threads
+
+
+def test_a_parse_starts_no_thread(monkeypatch, value_reads, line_parses, p4):
+    # neither path starts a thread, whichever way the text goes
     def refuse(thread):
         raise AssertionError(f"the parse started {thread}")
 
-    monkeypatch.setattr(np, "fromstring", spy)
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    before = threading.active_count()
-    assert graphs_equal(parse_graph(P4_TEXT), p4)
     g = generate_fib_instance(9).graph
     assert graphs_equal(parse_graph(serialize_graph(g).encode()), g)
-    # plain text whose layout check fails: the line parse raises
+    assert graphs_equal(parse_graph("+" + P4_TEXT), p4)
+    with pytest.raises(GraphParseError, match="expected 2 edge endpoints, got 3"):
+        parse_graph("3 2\n0 1 2\n0 1 2\n1 2\n")
+    assert len(value_reads) == 2 and len(line_parses) == 2
+
+
+def test_values_are_read_on_a_worker_that_never_outlives_the_parse(value_reads, line_parses, p4):
+    # the read once ran on a worker joined before the parse returned; it now
+    # runs on the calling thread, so no parse leaves a thread behind
+    before = threading.active_count()
+    # a plain parse
+    assert graphs_equal(parse_graph(P4_TEXT), p4)
+    assert threading.active_count() == before
+    # plain text whose value count fails: the line parse raises
     with pytest.raises(GraphParseError, match="expected 2 edge endpoints, got 3") as err:
         parse_graph("3 2\n0 1 2\n0 1 2\n1 2\n")
-    assert err.value.line_no == 3
+    assert err.value.line_no == 3 and threading.active_count() == before
     # text off the byte path is never read by np.fromstring
     assert graphs_equal(parse_graph("+" + P4_TEXT), p4)
-    assert len(threads) == 3 and len(line_parses) == 2
-    assert all(t is threading.main_thread() for t in threads)
     assert threading.active_count() == before
+    assert len(value_reads) == 2 and len(line_parses) == 2
+    assert all(t is threading.main_thread() for t in value_reads)
 
+
+def test_a_value_error_on_the_worker_falls_back_to_the_line_parse(value_reads, line_parses):
+    # np.fromstring raises a ValueError at a byte it cannot read; text with
+    # any byte other than a digit, a space or \n goes to the line parse
+    # before any read, and gets its graph or its exact error line there
+    texts = [
+        "3 2\n0 1.5 0\n0 1\n1 2\n",
+        "3 2\n0 0 0\n0 1e0\n1 2\n",
+        "3 2\n0 1_0 0\n0 1\n1 2\n",
+        "3 2\n0 0x1 0\n0 1\n1 2\n",
+        "3 2\n0 0 0\n0 \u0661\n1 2\n",
+        "3 2\n0 0 0\n0 1\n1 2\n\x00",
+    ]
+    for text in texts:
+        with pytest.raises(ValueError):
+            np.fromstring(text.encode(), dtype=np.int64, sep=" ")
+    value_reads.clear()
+    for text in texts:
+        check_against_line_reference(text)
+    assert value_reads == [] and line_parses == texts
+
+
+def test_other_errors_on_the_worker_reach_the_caller(monkeypatch, line_parses):
+    # an error of the read itself, not of the text, reaches the caller as it
+    # is, with no fallback to the line parse and no thread left
     def fail(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(np, "fromstring", fail)
+    before = threading.active_count()
     with pytest.raises(MemoryError):
         parse_graph(P4_TEXT)
-    assert len(line_parses) == 2
+    assert threading.active_count() == before and line_parses == []
+
+
+def test_a_late_block_failure_still_joins_the_worker(value_reads, line_parses):
+    # a fault in the last line of a long text, a 19-digit token or a 3-wide
+    # edge line, is found only once the whole text is read; the line parse
+    # then raises the exact error line, and no thread is left
+    g = generate_fib_instance(9).graph
+    text = serialize_graph(g)
+    body, last = text[:-1].rsplit("\n", 1)
+    cases = [
+        (f"{body}\n{last.split()[0]} 9999999999999999999\n", "64-bit"),
+        (f"{body}\n{last} 0\n", "expected 2 edge endpoints, got 3"),
+    ]
+    before = threading.active_count()
+    assert graphs_equal(parse_graph(text.encode()), g)
+    for bad, message in cases:
+        assert len(bad) > 10 * 64
+        with pytest.raises(GraphParseError, match=message) as err:
+            parse_graph(bad.encode())
+        assert err.value.line_no == len(bad.splitlines())
+        assert threading.active_count() == before
+    # one read per byte-path parse, each on the calling thread, failed ones included
+    assert len(value_reads) == 3 and len(line_parses) == 2
+    assert all(t is threading.main_thread() for t in value_reads)
 
 
 def check_bytes_like_text(text):
@@ -758,10 +823,13 @@ def _layout_edge_texts():
     ]
 
 
-def test_whole_text_reads_match_the_line_reference():
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+def test_layout_blocks_keep_the_lines_of_the_whole_text(monkeypatch, chunk):
     # the byte path reads the texts laid out as the serializer writes them
     # and refuses the others, and parse_graph gives the line reference's
-    # graph or error line
+    # graph or error line, with the line reader, which takes the refused
+    # texts, splitting them into blocks of a few characters up to a \n
+    monkeypatch.setattr(graph_io, "_LINE_CHUNK", chunk)
     cases = list(zip(PLAIN_LAYOUTS, PLAIN_LAYOUT_READS)) + [(text, None) for text in MALFORMED] + _layout_edge_texts()
     for text, read in cases:
         g = graph_io._parse_whole(text.encode("utf-8"))
